@@ -293,11 +293,6 @@ class Element:
         return f"Element({self})"
 
 
-def normal_form(graph, ring, items):
-    """Alias for Element.from_terms: the normal form of a raw combination."""
-    return Element.from_terms(graph, ring, items)
-
-
 def normal_form_shuffled(graph, ring, items, rng):
     """Reduce a raw combination applying one rewrite at a time in rng order.
 

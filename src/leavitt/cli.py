@@ -169,18 +169,10 @@ def _parse_window(text, group):
         raise UsageError(f"bad window bounds in {spec!r}") from None
     if lo > hi:
         raise UsageError("window lower bound exceeds upper bound")
-    kind = type(group).__name__
-    if kind == "IntegerGroup":
-        return list(range(lo, hi + 1))
-    if kind == "IntegerTupleGroup":
-        span = range(lo, hi + 1)
-        window = [()]
-        for _ in range(group.rank):
-            window = [w + (x,) for w in window for x in span]
-        return window
-    if kind == "CyclicGroup":
-        return sorted({x % group.modulus for x in range(lo, hi + 1)})
-    raise UsageError(f"ranged windows are not defined for {group.name}; use 'all'")
+    try:
+        return group.window(lo, hi)
+    except GroupError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _check_bound(args):

@@ -128,18 +128,6 @@ class NondegeneracyWitness:
     left: object
     right: object
 
-    def to_report(self, degree_map):
-        return Report(
-            kind="nondegeneracy-witness",
-            verdict="PASS",
-            fields={
-                "degree": degree_map.group.render(self.degree),
-                "element": str(self.element),
-                "left-witness": str(self.left),
-                "right-witness": str(self.right),
-            },
-        )
-
 
 def class_leq(x, y, degree_map):
     """The preorder on one degree: real path of x initial in that of y."""
@@ -153,12 +141,6 @@ def class_leq(x, y, degree_map):
 def nmap(graph, ring, x):
     """n(x) = x x*; collapses to the normal form of (alpha, alpha)."""
     return Element.from_terms(graph, ring, [(Monomial(x.alpha, x.alpha), 1)])
-
-
-def _parent_key(path):
-    if path.length == 1:
-        return (0, (path.base.id,))
-    return (path.length - 1, path.sort_key()[1][:-1])
 
 
 def minimal_classes(g, degree_map, len_bound):
@@ -177,38 +159,19 @@ def minimal_classes(g, degree_map, len_bound):
     group = degree_map.group
     group.check(g)
     ginv = group.inverse(g)
-
-    paths = graph.enumerate_paths(len_bound)
-    degree = {}
-    first_in_bucket = {}
-    for p in paths:
-        key = p.sort_key()
-        if p.length == 0:
-            d = group.identity
-        else:
-            d = group.op(degree[_parent_key(p)], degree_map.degree_of_edge(p.edges[-1]))
-        degree[key] = d
-        first_in_bucket.setdefault((p.range.id, d), p)
+    table = degree_map.path_table(len_bound)
 
     covered = {}
-    minimal = []
-    frontier_ok = True
-    for p in paths:
-        key = p.sort_key()
-        need = group.op(ginv, degree[key])
-        realized = (p.range.id, need) in first_in_bucket
-        parent_covered = covered[_parent_key(p)] if p.length else False
-        covered[key] = parent_covered or realized
-        if realized and not parent_covered:
-            minimal.append(p)
-        if p.length == len_bound and not covered[key]:
-            frontier_ok = False
-
     classes = []
-    for alpha in minimal:
-        need = group.op(ginv, degree[alpha.sort_key()])
-        beta = first_in_bucket[(alpha.range.id, need)]
-        classes.append(ClassRep(Monomial(alpha, beta), alpha))
+    frontier_ok = True
+    for p in table.paths:
+        betas = table.buckets.get((p.range.id, group.op(ginv, table.degree[p])), ())
+        parent_covered = p.length > 0 and covered[p.prefix(p.length - 1)]
+        covered[p] = parent_covered or bool(betas)
+        if betas and not parent_covered:
+            classes.append(ClassRep(Monomial(p, betas[0]), p))
+        if p.length == len_bound and not covered[p]:
+            frontier_ok = False
 
     witness = _sibling_witness(graph, classes)
     if witness is not None:
@@ -244,18 +207,17 @@ def _sibling_witness(graph, classes):
     return None
 
 
-def _epsilon_from_classes(mcs, graph, ring):
-    eps = Element.zero(graph, ring)
+def _local_unit(graph, ring, representatives):
+    """The sum of n(rep) over the representatives, with the (rep, rep*)
+    certificate of each, in the given order."""
+    unit = Element.zero(graph, ring)
     certificate = []
-    for rep in mcs.classes:
-        eps = eps + nmap(graph, ring, rep.representative)
+    for rep in representatives:
+        unit = unit + nmap(graph, ring, rep)
         certificate.append(
-            (
-                Element.monomial(graph, ring, rep.representative),
-                Element.monomial(graph, ring, rep.representative.involution()),
-            )
+            (Element.monomial(graph, ring, rep), Element.monomial(graph, ring, rep.involution()))
         )
-    return eps, tuple(certificate)
+    return unit, tuple(certificate)
 
 
 def epsilon(g, degree_map, len_bound, ring=INTEGERS):
@@ -277,7 +239,7 @@ def epsilon(g, degree_map, len_bound, ring=INTEGERS):
             g, degree_map, len_bound, None, f"undetermined at bound {len_bound}", None, 0, mcs
         )
 
-    eps, certificate = _epsilon_from_classes(mcs, graph, ring)
+    eps, certificate = _local_unit(graph, ring, [c.representative for c in mcs.classes])
     checked = 0
     for x in enumerate_Xg(g, degree_map, len_bound):
         ex = Element.monomial(graph, ring, x)
@@ -300,34 +262,13 @@ def epsilon(g, degree_map, len_bound, ring=INTEGERS):
     return EpsilonReport(g, degree_map, len_bound, eps, None, certificate, checked, mcs)
 
 
-def _support_unit(s):
-    """The local-unit element built from the minimal classes of s's support."""
-    monos = s.support()
-    alphas = []
-    seen = set()
+def _minimal_representatives(monos):
+    """The first of monos in each minimal class among them, by real path."""
+    first = {}
     for m in monos:
-        if m.alpha not in seen:
-            seen.add(m.alpha)
-            alphas.append(m.alpha)
-    minimal = [
-        a
-        for a in alphas
-        if not any(b != a and is_initial_subpath(b, a) for b in alphas)
-    ]
-    minimal.sort(key=lambda p: p.sort_key())
-    graph, ring = s.graph, s.ring
-    unit = Element.zero(graph, ring)
-    certificate = []
-    for a in minimal:
-        rep = next(m for m in monos if m.alpha == a)
-        unit = unit + nmap(graph, ring, rep)
-        certificate.append(
-            (
-                Element.monomial(graph, ring, rep),
-                Element.monomial(graph, ring, rep.involution()),
-            )
-        )
-    return unit, tuple(certificate)
+        first.setdefault(m.alpha, m)
+    minimal = [a for a in first if not any(b != a and is_initial_subpath(b, a) for b in first)]
+    return [first[a] for a in sorted(minimal, key=lambda p: p.sort_key())]
 
 
 def local_units(s, degree_map):
@@ -342,8 +283,10 @@ def local_units(s, degree_map):
     g = decompose(s, degree_map).sole_degree()
     if g is None:
         raise HomogeneityError("element is not homogeneous")
-    left, left_cert = _support_unit(s)
-    right, star_cert = _support_unit(s.involution())
+    left, left_cert = _local_unit(s.graph, s.ring, _minimal_representatives(s.support()))
+    right, star_cert = _local_unit(
+        s.graph, s.ring, _minimal_representatives(s.involution().support())
+    )
     if left * s != s:
         raise ConstructionError(f"left unit failed on {s}")
     if s * right != s:
@@ -376,12 +319,11 @@ def common_local_unit(elements, side, degree_map):
     if None in degrees or len(degrees) > 1:
         raise HomogeneityError("elements must be homogeneous of one common degree")
     graph, ring = nonzero[0].graph, nonzero[0].ring
-    pool = {}
+    pool = set()
     for e in nonzero:
-        source = e if side == "left" else e.involution()
-        for m in source.terms:
-            pool[m] = ring.coerce(1)
-    unit, _ = _support_unit(Element(graph, ring, pool))
+        pool.update((e if side == "left" else e.involution()).terms)
+    reps = _minimal_representatives(sorted(pool, key=Monomial.sort_key))
+    unit, _ = _local_unit(graph, ring, reps)
     for e in nonzero:
         acted = unit * e if side == "left" else e * unit
         if acted != e:
@@ -512,7 +454,7 @@ def check_strongly_graded(degree_map, degree_window, len_bound, ring=INTEGERS):
         if mcs.verdict == "bound-exhausted":
             saw_undetermined = True
             continue
-        eps, _ = _epsilon_from_classes(mcs, graph, ring)
+        eps, _ = _local_unit(graph, ring, [c.representative for c in mcs.classes])
         if eps != ident:
             comp_verdict = "NOT_STRONG"
             comp_witness = {

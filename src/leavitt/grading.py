@@ -8,6 +8,7 @@ groups given by a Cayley table.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from .algebra import Element, Monomial, enumerate_monomials
@@ -54,6 +55,10 @@ class Group:
     def elements(self):
         raise GroupError(f"{self.name} is not finite")
 
+    def window(self, lo, hi):
+        """The elements named by the integers lo..hi, in window order."""
+        raise GroupError(f"ranged windows are not defined for {self.name}; use 'all'")
+
     def check(self, a):
         if not self.contains(a):
             raise GroupError(f"{a!r} is not an element of {self.name}")
@@ -90,6 +95,9 @@ class IntegerGroup(Group):
             return int(text.strip())
         except ValueError:
             raise GroupError(f"{text!r} is not an integer") from None
+
+    def window(self, lo, hi):
+        return list(range(lo, hi + 1))
 
 
 class IntegerTupleGroup(Group):
@@ -130,6 +138,9 @@ class IntegerTupleGroup(Group):
     def render(self, a):
         return ",".join(str(x) for x in a)
 
+    def window(self, lo, hi):
+        return list(itertools.product(range(lo, hi + 1), repeat=self.rank))
+
     def __eq__(self, other):
         return type(self) is type(other) and self.rank == other.rank
 
@@ -169,6 +180,9 @@ class CyclicGroup(Group):
 
     def elements(self):
         return tuple(range(self.modulus))
+
+    def window(self, lo, hi):
+        return sorted({x % self.modulus for x in range(lo, hi + 1)})
 
     def __eq__(self, other):
         return type(self) is type(other) and self.modulus == other.modulus
@@ -307,6 +321,7 @@ class DegreeMap:
         if missing:
             raise DegreeMapError(f"edges without a degree: {', '.join(missing)}")
         self.edge_degrees = degrees
+        self._path_tables = {}
 
     @classmethod
     def canonical(cls, graph):
@@ -336,6 +351,13 @@ class DegreeMap:
             self.degree_of_path(mono.alpha),
             self.group.inverse(self.degree_of_path(mono.beta)),
         )
+
+    def path_table(self, len_bound):
+        """The PathTable of this map at len_bound, built on first use."""
+        table = self._path_tables.get(len_bound)
+        if table is None:
+            table = self._path_tables[len_bound] = PathTable(self, len_bound)
+        return table
 
     def __repr__(self):
         return f"DegreeMap({self.group.name}, {len(self.edge_degrees)} edges)"
@@ -455,12 +477,30 @@ def decompose(element, degree_map):
     return HomogeneousDecomposition(degree_map, element.graph, element.ring, parts)
 
 
-def path_degree_buckets(degree_map, len_bound):
-    """Paths up to len_bound grouped by (range vertex id, degree)."""
-    buckets = {}
-    for p in degree_map.graph.enumerate_paths(len_bound):
-        buckets.setdefault((p.range.id, degree_map.degree_of_path(p)), []).append(p)
-    return buckets
+class PathTable:
+    """The paths up to a length bound with their degrees.
+
+    ``paths`` is ``Graph.enumerate_paths(len_bound)`` in its order;
+    ``degree`` maps each path to its degree, extended from the parent path by
+    one edge; ``buckets`` maps (range vertex id, degree) to the paths with
+    that range and degree, in enumeration order. Build it through
+    ``DegreeMap.path_table``, which keeps one per bound.
+    """
+
+    def __init__(self, degree_map, len_bound):
+        group = degree_map.group
+        self.paths = degree_map.graph.enumerate_paths(len_bound)
+        self.degree = {}
+        buckets = {}
+        for p in self.paths:
+            if p.length == 0:
+                d = group.identity
+            else:
+                parent = self.degree[p.prefix(p.length - 1)]
+                d = group.op(parent, degree_map.degree_of_edge(p.edges[-1]))
+            self.degree[p] = d
+            buckets.setdefault((p.range.id, d), []).append(p)
+        self.buckets = {key: tuple(ps) for key, ps in buckets.items()}
 
 
 def enumerate_Xg(g, degree_map, len_bound):
@@ -476,11 +516,10 @@ def enumerate_Xg(g, degree_map, len_bound):
     group = degree_map.group
     group.check(g)
     ginv = group.inverse(g)
-    buckets = path_degree_buckets(degree_map, len_bound)
+    table = degree_map.path_table(len_bound)
     out = []
-    for p in graph.enumerate_paths(len_bound):
-        need = group.op(ginv, degree_map.degree_of_path(p))
-        for b in buckets.get((p.range.id, need), ()):
+    for p in table.paths:
+        for b in table.buckets.get((p.range.id, group.op(ginv, table.degree[p])), ()):
             m = Monomial(p, b)
             if m.is_normal(graph):
                 out.append(m)

@@ -99,15 +99,6 @@ class Path:
     def extended(self, edge):
         return Path(self.base, self.edges + (edge,))
 
-    def followed_by(self, other):
-        if other.source != self.range:
-            raise GraphError(
-                f"paths {self.render()} and {other.render()} do not compose"
-            )
-        if not other.edges:
-            return self
-        return Path(self.base, self.edges + other.edges)
-
     def sort_key(self):
         return self._key
 
@@ -196,9 +187,6 @@ class Graph:
         except KeyError:
             raise GraphError(f"unknown edge {eid!r}") from None
 
-    def has_id(self, ident):
-        return ident in self._vertex_by_id or ident in self._edge_by_id
-
     def out_edges(self, v):
         return self._out[v.id]
 
@@ -225,9 +213,6 @@ class Graph:
         paths share it as their final edge.
         """
         return self._special.get(v.id)
-
-    def vertex_path(self, v):
-        return Path(v)
 
     def enumerate_paths(self, max_len):
         """All paths of length <= max_len, ordered by length then edge ids.

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-PASS_VERDICTS = frozenset({"PASS", "EPSILON_STRONG", "STRONG", "PRESENT", "COMPLETE"})
+PASS_VERDICTS = frozenset({"PASS", "EPSILON_STRONG", "STRONG", "PRESENT"})
 FAIL_VERDICTS = frozenset({"FAIL", "NOT_EPSILON_STRONG", "NOT_STRONG", "ABSENT", "DISAGREEMENT"})
 
 

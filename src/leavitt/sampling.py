@@ -36,9 +36,16 @@ def random_element(graph, ring, rng, max_support=4, len_bound=3):
 
 
 def realized_degrees(degree_map, len_bound):
-    """Degrees with at least one monomial within the bound, sorted."""
-    degs = {degree_map.degree_of(m) for m in enumerate_monomials(degree_map.graph, len_bound)}
-    return sorted(degs, key=degree_map.group.sort_key)
+    """Degrees with at least one monomial within the bound, sorted.
+
+    Any two paths a, b with a common range give one: when a b* is not
+    normal, dropping the shared final edge keeps the degree, so reducing
+    ends at a normal monomial within the bound.
+    """
+    group = degree_map.group
+    keys = degree_map.path_table(len_bound).buckets
+    degs = {group.op(d, group.inverse(e)) for v, d in keys for w, e in keys if v == w}
+    return sorted(degs, key=group.sort_key)
 
 
 def random_homogeneous(degree_map, ring, rng, degree=None, max_support=4, len_bound=3):

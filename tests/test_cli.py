@@ -169,6 +169,44 @@ class TestCheckCommands:
         assert code == 0
 
 
+class TestRangedWindows:
+    def check_window(self, capsys, tmp_path, degrees, window):
+        graph = tmp_path / "b.lpa"
+        graph.write_text(GRAPH_B)
+        deg = tmp_path / "b.deg"
+        deg.write_text(degrees)
+        return run(
+            capsys, "check", "--graph", str(graph), "--degrees", str(deg),
+            "--property", "epsilon-strong", "--window", window, "--bound", "2",
+            "--output", "structured",
+        )
+
+    def test_z2_window_is_the_square_in_lexicographic_order(self, capsys, tmp_path):
+        code, out, _ = self.check_window(
+            capsys, tmp_path, "group Z^2\ndeg e = 1,0\ndeg f = 0,1\n", "-1..1"
+        )
+        assert code != 64
+        assert json.loads(out)["window"] == [
+            f"{x},{y}" for x in (-1, 0, 1) for y in (-1, 0, 1)
+        ]
+
+    def test_cyclic_window_is_the_sorted_residues(self, capsys, tmp_path):
+        code, out, _ = self.check_window(
+            capsys, tmp_path, "group Z/3\ndeg e = 1\ndeg f = 2\n", "-1..4"
+        )
+        assert code == 0
+        assert json.loads(out)["window"] == ["0", "1", "2"]
+
+    def test_cayley_table_window_needs_all(self, capsys, tmp_path):
+        (tmp_path / "z2.table").write_text("p q\np q\nq p\n")
+        code, out, err = self.check_window(
+            capsys, tmp_path, "group table z2.table\ndeg e = q\ndeg f = q\n", "0..1"
+        )
+        assert code == 64
+        assert out == ""
+        assert err == "usage error: ranged windows are not defined for table:z2.table; use 'all'\n"
+
+
 class TestFrobeniusCommand:
     def test_pass(self, capsys, graph_b_file, z2_degrees_file):
         code, out, _ = run(

@@ -1,0 +1,94 @@
+"""The shared table of paths up to a bound with their degrees, and its readers."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from leavitt import (
+    DegreeMap,
+    Graph,
+    IntegerGroup,
+    check_epsilon_strong,
+    enumerate_monomials,
+    enumerate_Xg,
+    minimal_classes,
+    parse_graph,
+    parse_group_table,
+)
+from leavitt.sampling import realized_degrees
+
+from .test_grading import s3_table_text
+from .util import brute_minimal_alphas, brute_xg_alphas
+
+
+def path_ids(path):
+    return (path.source.id, tuple(e.id for e in path.edges), path.range.id)
+
+
+def monomial_degrees(degree_map, bound):
+    """Degrees of all normal monomials within the bound, one by one."""
+    degrees = {degree_map.degree_of(m) for m in enumerate_monomials(degree_map.graph, bound)}
+    return sorted(degrees, key=degree_map.group.sort_key)
+
+
+@st.composite
+def z_graded_graphs(draw):
+    """A graph on up to three vertices with up to four edges, loops and
+    parallel edges allowed, each edge of integer degree in -2..2."""
+    n = draw(st.integers(1, 3))
+    edges = draw(
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-2, 2)), max_size=4)
+    )
+    text = "vertices " + " ".join(f"v{i}" for i in range(n)) + ";"
+    if edges:
+        text += " edges " + " ".join(f"e{i}: v{s} -> v{t};" for i, (s, t, _) in enumerate(edges))
+    graph = parse_graph(text)
+    degrees = {f"e{i}": d for i, (_, _, d) in enumerate(edges)}
+    return graph, degrees
+
+
+class TestPathTable:
+    def test_built_once_per_bound(self, chain_graph):
+        dm = DegreeMap.canonical(chain_graph)
+        assert dm.path_table(3) is dm.path_table(3)
+        assert dm.path_table(2) is not dm.path_table(3)
+
+    def test_paths_degrees_and_buckets_under_a_nonabelian_grading(self, chain_graph):
+        group = parse_group_table(s3_table_text())
+        dm = DegreeMap(chain_graph, group, {"f1": "s3", "f2": "s4", "f3": "s1", "f4": "s2"})
+        table = dm.path_table(3)
+        assert table.paths == chain_graph.enumerate_paths(3)
+        assert table.degree == {p: dm.degree_of_path(p) for p in table.paths}
+        for (vid, d), ps in table.buckets.items():
+            assert list(ps) == [p for p in table.paths if p.range.id == vid and table.degree[p] == d]
+        assert sum(len(ps) for ps in table.buckets.values()) == len(table.paths)
+
+    def test_realized_degrees_under_a_nonabelian_grading(self, graph_a):
+        group = parse_group_table(s3_table_text())
+        dm = DegreeMap(graph_a, group, {"e": "s1", "f": "s3"})
+        for bound in (1, 2, 3):
+            assert realized_degrees(dm, bound) == monomial_degrees(dm, bound)
+
+    def test_epsilon_window_enumerates_paths_once(self, chain_graph, monkeypatch):
+        bounds = []
+        original = Graph.enumerate_paths
+
+        def counting(self, max_len):
+            bounds.append(max_len)
+            return original(self, max_len)
+
+        monkeypatch.setattr(Graph, "enumerate_paths", counting)
+        report = check_epsilon_strong(DegreeMap.canonical(chain_graph), [-1, 0, 1], 4)
+        assert report.verdict == "EPSILON_STRONG"
+        assert bounds == [4]
+
+
+@settings(max_examples=150, deadline=None)
+@given(graded=z_graded_graphs(), bound=st.integers(1, 3), g=st.integers(-4, 4))
+def test_readers_match_brute_force_on_random_integer_gradings(graded, bound, g):
+    graph, degrees = graded
+    dm = DegreeMap(graph, IntegerGroup(), degrees)
+    xg = {path_ids(m.alpha) for m in enumerate_Xg(g, dm, bound)}
+    assert xg == brute_xg_alphas(graph, degrees, g, bound, normal_only=True)
+    minimal = {path_ids(c.alpha) for c in minimal_classes(g, dm, bound).classes}
+    assert minimal == brute_minimal_alphas(graph, degrees, g, bound)
+    assert realized_degrees(dm, bound) == monomial_degrees(dm, bound)
