@@ -56,9 +56,6 @@ class Monomial:
     def involution(self):
         return Monomial(self.beta, self.alpha)
 
-    def is_vertex(self):
-        return self.alpha.is_vertex() and self.beta.is_vertex()
-
     def is_normal(self, graph):
         """True unless both paths end in the designated edge of its source."""
         if not self.alpha.edges or not self.beta.edges:

@@ -7,7 +7,8 @@ expressions come from --expr or stdin. Output is text or a structured JSON
 document; all values are exact.
 
 Exit codes: 0 success or PASS, 1 property failure with witness,
-2 undetermined at the given bound, 64 usage errors, 65 parse or data errors.
+2 undetermined at the given bound, 64 usage errors, 65 parse or data errors,
+70 internal error (a construction that failed its own verification).
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ import random
 import re
 import sys
 
-from .algebra import Element, ElementSyntaxError, parse_element
+from .algebra import ElementSyntaxError, parse_element
 from .epsilon import (
+    ConstructionError,
     HomogeneityError,
     WindowError,
     check_epsilon_strong,
@@ -46,11 +48,9 @@ from .reports import Report
 from .rings import RingError, parse_ring
 from .sampling import random_element, random_homogeneous
 
-EXIT_OK = 0
-EXIT_FAIL = 1
-EXIT_UNDETERMINED = 2
 EXIT_USAGE = 64
 EXIT_DATA = 65
+EXIT_SOFTWARE = 70
 
 _DATA_ERRORS = (
     GraphError,
@@ -181,40 +181,42 @@ def _check_bound(args):
 
 
 def _emit(args, report):
+    """Print a report and return its exit code; the only writer of stdout."""
     if args.output == "structured":
-        print(json.dumps(report.structured(), indent=2))
+        out = json.dumps(report.structured(), indent=2) + "\n"
     else:
-        print(report.text())
+        text = report.text()
+        out = text + "\n" if text else ""
+    try:
+        sys.stdout.write(out)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone; devnull takes the flush at interpreter exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return report.exit_code()
 
 
-def _emit_element(args, element, kind, extra=None):
-    if args.output == "structured":
-        doc = {"kind": kind, "element": str(element)}
-        if extra:
-            doc.update(extra)
-        print(json.dumps(doc, indent=2))
-    else:
-        print(element)
-    return EXIT_OK
+def _value(kind, element):
+    text = str(element)
+    return Report(kind, fields={"element": text}, lines=[text])
 
 
 def _cmd_nf(args):
     graph, ring, _ = _load_context(args)
     (value,) = _expressions(args, graph, ring, count=1)
-    return _emit_element(args, value, "normal-form")
+    return _emit(args, _value("normal-form", value))
 
 
 def _cmd_mul(args):
     graph, ring, _ = _load_context(args)
     a, b = _expressions(args, graph, ring, count=2)
-    return _emit_element(args, a * b, "product")
+    return _emit(args, _value("product", a * b))
 
 
 def _cmd_involve(args):
     graph, ring, _ = _load_context(args)
     (value,) = _expressions(args, graph, ring, count=1)
-    return _emit_element(args, value.involution(), "involution")
+    return _emit(args, _value("involution", value.involution()))
 
 
 def _cmd_decompose(args):
@@ -222,54 +224,24 @@ def _cmd_decompose(args):
     (value,) = _expressions(args, graph, ring, count=1)
     dec = decompose(value, dmap)
     parts = {dmap.group.render(g): str(dec.parts[g]) for g in dec.degrees()}
-    if args.output == "structured":
-        print(json.dumps({"kind": "decomposition", "parts": parts}, indent=2))
-    else:
-        for g, part in parts.items():
-            print(f"{g}: {part}")
-    return EXIT_OK
+    lines = [f"{g}: {part}" for g, part in parts.items()]
+    return _emit(args, Report("decomposition", fields={"parts": parts}, lines=lines))
 
 
 def _cmd_xg(args):
     graph, ring, dmap = _load_context(args)
     _check_bound(args)
     g = dmap.group.parse(args.degree)
-    monos = enumerate_Xg(g, dmap, args.bound)
-    if args.output == "structured":
-        doc = {
-            "kind": "xg",
-            "degree": dmap.group.render(g),
-            "bound": args.bound,
-            "monomials": [m.render() for m in monos],
-        }
-        print(json.dumps(doc, indent=2))
-    else:
-        for m in monos:
-            print(m.render())
-    return EXIT_OK
+    monos = [m.render() for m in enumerate_Xg(g, dmap, args.bound)]
+    fields = {"degree": dmap.group.render(g), "bound": args.bound, "monomials": monos}
+    return _emit(args, Report("xg", fields=fields, lines=monos))
 
 
 def _cmd_epsilon(args):
     graph, ring, dmap = _load_context(args)
     _check_bound(args)
     g = dmap.group.parse(args.degree)
-    rep = epsilon(g, dmap, args.bound, ring)
-    if args.output == "structured":
-        print(json.dumps(rep.to_report().structured(), indent=2))
-    elif rep.present:
-        print(rep.epsilon)
-        print(f"bound: {args.bound}")
-    else:
-        print(f"ABSENT: {rep.absent_reason}")
-        if rep.minimal.witness:
-            names = ", ".join(c.render() for c in rep.minimal.witness)
-            print(f"witness: {names}")
-        print(f"bound: {args.bound}")
-    if rep.present:
-        return EXIT_OK
-    if rep.minimal.verdict == "infinite-witness":
-        return EXIT_FAIL
-    return EXIT_UNDETERMINED
+    return _emit(args, epsilon(g, dmap, args.bound, ring).to_report())
 
 
 def _cmd_localunits(args):
@@ -296,42 +268,18 @@ def _cmd_check(args):
     _check_bound(args)
     prop = args.property
     if prop == "grading":
-        return _emit(args, check_grading_axiom(dmap, args.bound, ring))
-    if prop == "symmetric":
-        return _emit(args, check_symmetric(dmap, args.bound, ring))
-    if prop == "epsilon-strong":
-        window = _parse_window(args.window, dmap.group)
-        return _emit(args, check_epsilon_strong(dmap, window, args.bound, ring))
-    if prop == "strongly-graded":
-        window = _parse_window(args.window, dmap.group)
-        return _emit(args, check_strongly_graded(dmap, window, args.bound, ring))
-    if prop == "nearly-epsilon":
-        samples = _property_samples(args, graph, ring, dmap)
-        report = check_nearly_epsilon(dmap, samples)
+        report = check_grading_axiom(dmap, args.bound, ring)
+    elif prop == "symmetric":
+        report = check_symmetric(dmap, args.bound, ring)
+    elif prop == "epsilon-strong":
+        report = check_epsilon_strong(dmap, _parse_window(args.window, dmap.group), args.bound, ring)
+    elif prop == "strongly-graded":
+        report = check_strongly_graded(dmap, _parse_window(args.window, dmap.group), args.bound, ring)
+    else:
+        sampled_check = check_nearly_epsilon if prop == "nearly-epsilon" else check_nondegenerate
+        report = sampled_check(dmap, _property_samples(args, graph, ring, dmap))
         report.fields["seed"] = args.seed
-        return _emit(args, report)
-    if prop == "nondegenerate":
-        samples = _property_samples(args, graph, ring, dmap)
-        witnesses = []
-        for s in samples:
-            if s.is_zero():
-                continue
-            w = check_nondegenerate(s, dmap)
-            witnesses.append(
-                {
-                    "element": str(s),
-                    "degree": dmap.group.render(w.degree),
-                    "left-witness": str(w.left),
-                    "right-witness": str(w.right),
-                }
-            )
-        report = Report(
-            kind="nondegeneracy-check",
-            verdict="PASS",
-            fields={"witnesses": witnesses, "seed": args.seed},
-        )
-        return _emit(args, report)
-    raise UsageError(f"unknown property {prop!r}")
+    return _emit(args, report)
 
 
 def _property_samples(args, graph, ring, dmap):
@@ -398,6 +346,9 @@ def main(argv=None):
     except _DATA_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except ConstructionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_SOFTWARE
 
 
 if __name__ == "__main__":

@@ -66,9 +66,6 @@ class MinimalClassSet:
     verdict: str  # complete | bound-exhausted | infinite-witness
     witness: tuple = None
 
-    def alphas(self):
-        return tuple(c.alpha for c in self.classes)
-
 
 @dataclass(frozen=True)
 class EpsilonReport:
@@ -86,6 +83,8 @@ class EpsilonReport:
         return self.epsilon is not None
 
     def to_report(self):
+        """PRESENT, ABSENT only when an infinite minimal set proves it, and
+        UNDETERMINED otherwise; the text is the local identity or the reason."""
         group = self.degree_map.group
         fields = {
             "degree": group.render(self.degree),
@@ -97,15 +96,16 @@ class EpsilonReport:
             fields["epsilon"] = str(self.epsilon)
             fields["certificate"] = [[str(x), str(y)] for x, y in self.certificate]
             fields["identity-checked-on"] = self.identity_checked_on
+            verdict, lines = "PRESENT", [fields["epsilon"]]
         else:
             fields["reason"] = self.absent_reason
+            lines = [f"ABSENT: {self.absent_reason}"]
             if self.minimal.witness:
                 fields["witness"] = [c.render() for c in self.minimal.witness]
-        return Report(
-            kind="epsilon-report",
-            verdict="PRESENT" if self.present else "ABSENT",
-            fields=fields,
-        )
+                lines.append(f"witness: {', '.join(fields['witness'])}")
+            verdict = "ABSENT" if self.minimal.verdict == "infinite-witness" else "UNDETERMINED"
+        lines.append(f"bound: {self.bound_used}")
+        return Report("epsilon-report", verdict, fields, lines)
 
 
 @dataclass(frozen=True)
@@ -119,14 +119,6 @@ class LocalUnitPair:
     right: object
     left_certificate: tuple
     right_certificate: tuple
-
-
-@dataclass(frozen=True)
-class NondegeneracyWitness:
-    element: object
-    degree: object
-    left: object
-    right: object
 
 
 def class_leq(x, y, degree_map):
@@ -530,13 +522,25 @@ def check_nearly_epsilon(degree_map, samples):
     )
 
 
-def check_nondegenerate(s, degree_map):
-    """An explicit witness that s does not annihilate its inverse-degree side.
+def check_nondegenerate(degree_map, samples):
+    """An explicit witness that each nonzero sample s does not annihilate
+    its inverse-degree side.
 
-    Returns the verified pair: a left unit in the (g, g^-1) product span and
-    a right unit in the (g^-1, g) product span, each reproducing s exactly.
+    Each witness is a verified pair: a left unit in the (g, g^-1) product
+    span and a right unit in the (g^-1, g) product span, each reproducing s
+    exactly. Zero samples are skipped.
     """
-    lu = local_units(s, degree_map)
-    return NondegeneracyWitness(
-        element=s, degree=lu.degree, left=lu.left, right=lu.right
-    )
+    witnesses = []
+    for s in samples:
+        if s.is_zero():
+            continue
+        lu = local_units(s, degree_map)
+        witnesses.append(
+            {
+                "element": str(s),
+                "degree": degree_map.group.render(lu.degree),
+                "left-witness": str(lu.left),
+                "right-witness": str(lu.right),
+            }
+        )
+    return Report(kind="nondegeneracy-check", verdict="PASS", fields={"witnesses": witnesses})

@@ -1,8 +1,11 @@
-"""Uniform check reports with text and machine-readable renderings.
+"""Uniform reports with text and machine-readable renderings.
 
-Structured output is a plain dict of JSON-ready values with stable field
-names (kind, verdict, degree, bound, witness, certificate, ...); the text
-rendering is line oriented for humans. Reports never contain live algebra
+Every CLI command answers with one Report: a check carries a verdict, a
+plain value (a normal form, a decomposition, X_g) carries none. Structured
+output is a plain dict of JSON-ready values with stable field names (kind,
+verdict, degree, bound, witness, certificate, ...); the text rendering is
+line oriented for humans, either the report's own lines or its fields. The
+verdict alone decides the exit code. Reports never contain live algebra
 objects, only their rendered forms, so they are safe to serialize.
 """
 
@@ -17,20 +20,27 @@ FAIL_VERDICTS = frozenset({"FAIL", "NOT_EPSILON_STRONG", "NOT_STRONG", "ABSENT",
 @dataclass
 class Report:
     kind: str
-    verdict: str
+    verdict: str = None  # None for a plain value
     fields: dict = field(default_factory=dict)
+    lines: list = None  # the text rendering, when not the fields
 
     def structured(self):
+        if self.verdict is None:
+            return {"kind": self.kind, **self.fields}
         return {"kind": self.kind, "verdict": self.verdict, **self.fields}
 
     def text(self):
+        if self.lines is not None:
+            return "\n".join(self.lines)
         lines = [f"{self.kind}: {self.verdict}"]
         for key, value in self.fields.items():
             lines.extend(_format_field(key, value, "  "))
         return "\n".join(lines)
 
     def exit_code(self):
-        if self.verdict in PASS_VERDICTS:
+        """0 for a plain value or a pass, 1 for a failure, 2 otherwise
+        (undetermined at the bound)."""
+        if self.verdict is None or self.verdict in PASS_VERDICTS:
             return 0
         if self.verdict in FAIL_VERDICTS:
             return 1

@@ -23,7 +23,6 @@ from leavitt import (
     RATIONALS,
     Vertex,
     check_nearly_epsilon,
-    check_nondegenerate,
     check_strongly_graded,
     check_symmetric,
     build_frobenius_system,
@@ -333,7 +332,7 @@ def test_criterion_08_frobenius_systems(graphs):
 def test_criterion_09_nondegeneracy_witnesses(degree_maps):
     with criterion(9, "verified nondegeneracy witnesses for criterion-6 samples"):
         for dmap, s in _seeded_homogeneous_samples(degree_maps):
-            w = check_nondegenerate(s, dmap)
+            w = local_units(s, dmap)
             assert w.left * s == s
             assert s * w.right == s
             assert not s.is_zero()

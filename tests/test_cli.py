@@ -1,9 +1,14 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from leavitt import parse_element, parse_graph
+import leavitt
+from leavitt import ConstructionError, parse_element, parse_graph
 from leavitt.cli import main
 
 from .util import GRAPH_B, GRAPH_C, GRAPH_CHAIN
@@ -317,3 +322,30 @@ class TestErrors:
             capsys, "localunits", "--graph", graph_file, "--expr", "v1 + f1"
         )
         assert code == 65
+
+    def test_engine_defect_is_an_internal_error(self, capsys, graph_file, monkeypatch):
+        def failing_local_units(s, degree_map):
+            raise ConstructionError(f"left unit failed on {s}")
+
+        monkeypatch.setattr("leavitt.cli.local_units", failing_local_units)
+        code, out, err = run(capsys, "localunits", "--graph", graph_file, "--expr", "f1")
+        assert code == 70
+        assert out == ""
+        assert err == "internal error: left unit failed on f1\n"
+
+    def test_closed_stdout_is_not_an_error(self, graph_file):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the command writes
+        src = str(Path(leavitt.__file__).resolve().parents[1])
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "leavitt.cli", "nf", "--graph", graph_file, "--expr", "v1"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env={**os.environ, "PYTHONPATH": src},
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert done.returncode == 0
+        assert done.stderr == b""

@@ -40,6 +40,7 @@ CASES = [
     ("nf-text", "nf --graph chain.lpa --expr f2*.f2", None, None),
     ("nf-structured", "nf --graph chain.lpa --expr 'f2.(f4.f3)* - 3*v1' --output structured", None, None),
     ("nf-stdin", "nf --graph chain.lpa", "f1.(f1)* + f2.(f2)*\n", None),
+    ("nf-zero", "nf --graph chain.lpa --expr 0", None, None),
     ("nf-r3-rational", "nf --graph r3.lpa --ring q --expr '3/2*w.w.(w)* + x.(x)*'", None, None),
     ("mul-text", "mul --graph chain.lpa --expr f2.(f4.f3)* --expr f4.f3.(f2)*", None, None),
     ("mul-structured-z3", "mul --graph r3.lpa --ring z/3 --expr '2*x.y' --expr '2*(x.y)*' --output structured", None, None),
@@ -47,8 +48,12 @@ CASES = [
     ("involve-structured", "involve --graph r3.lpa --ring q --expr '3/2*w.(x)* - t' --output structured", None, None),
     ("decompose-text", "decompose --graph chain.lpa --expr 'v1 + f1 + (f2)*'", None, None),
     ("decompose-z2-structured", "decompose --graph r3.lpa --degrees r3_z2.deg --expr 'x + y + w.(x)* + a' --output structured", None, None),
+    ("decompose-zero", "decompose --graph chain.lpa --expr 0", None, None),
+    ("decompose-zero-structured", "decompose --graph chain.lpa --expr 0 --output structured", None, None),
     ("decompose-z3", "decompose --graph r3.lpa --degrees r3_z3.deg --expr 'x + t + w + x.y.z'", None, None),
     ("xg-text", "xg --graph chain.lpa -g 1 --bound 4", None, None),
+    ("xg-empty", "xg --graph chain.lpa -g 7 --bound 2", None, None),
+    ("xg-empty-structured", "xg --graph chain.lpa -g 7 --bound 2 --output structured", None, None),
     ("xg-r3-structured", "xg --graph r3.lpa -g 0 --bound 2 --output structured", None, None),
     ("xg-r3-z2", "xg --graph r3.lpa --degrees r3_z2.deg -g 1,0 --bound 3", None, None),
     ("xg-b-z2", "xg --graph b.lpa --degrees b_z2.deg -g 1 --bound 3", None, None),
@@ -59,6 +64,7 @@ CASES = [
     ("epsilon-infinite-structured", "epsilon --graph c.lpa -g 1 --bound 3 --output structured", None, None),
     ("epsilon-r3-structured", "epsilon --graph r3.lpa -g -2 --bound 4 --output structured", None, None),
     ("epsilon-r3-z2", "epsilon --graph r3.lpa --degrees r3_z2.deg -g 0,1 --bound 3", None, None),
+    ("epsilon-r3-z2-structured", "epsilon --graph r3.lpa --degrees r3_z2.deg -g 0,1 --bound 3 --output structured", None, None),
     ("epsilon-loop-exit-b1", "epsilon --graph loop_exit.lpa --degrees loop_exit.deg -g 2 --bound 1", None, BEYOND_BOUND),
     ("epsilon-loop-exit-b2", "epsilon --graph loop_exit.lpa --degrees loop_exit.deg -g 2 --bound 2 --output structured", None, None),
     ("epsilon-two-tails", "epsilon --graph two_tails.lpa -g -2 --bound 2", None, BEYOND_BOUND),
@@ -87,6 +93,7 @@ CASES = [
     ("check-nondegenerate-z2", "check --graph r3.lpa --degrees r3_z2.deg --property nondegenerate --bound 3 --samples 6 --seed 8", None, None),
     ("check-nondegenerate-table", "check --graph b.lpa --degrees b_table.deg --property nondegenerate --bound 3 --samples 4 --seed 2", None, None),
     ("check-nondegenerate-expr", "check --graph chain.lpa --property nondegenerate --bound 3 --expr f1", None, None),
+    ("check-nondegenerate-zero", "check --graph chain.lpa --property nondegenerate --bound 3 --expr 0", None, None),
     ("frobenius-structured", "frobenius --graph b.lpa --degrees b_z2.deg --bound 4 --samples 20 --triples 10 --seed 7 --output structured", None, None),
     ("frobenius-z3", "frobenius --graph r3.lpa --degrees r3_z3.deg --ring z/3 --bound 3 --samples 10 --triples 5 --seed 2", None, None),
     ("frobenius-infinite-group", "frobenius --graph b.lpa --bound 4", None, None),

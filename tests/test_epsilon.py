@@ -9,7 +9,6 @@ from leavitt import (
     HomogeneityError,
     check_epsilon_strong,
     check_nearly_epsilon,
-    check_nondegenerate,
     check_strongly_graded,
     check_symmetric,
     class_leq,
@@ -389,18 +388,18 @@ class TestCheckNearlyEpsilon:
 
 class TestCheckNondegenerate:
     def test_edge_witness(self, chain_graph, dm_chain, ring):
-        w = check_nondegenerate(elem("f1", chain_graph, ring), dm_chain)
+        w = local_units(elem("f1", chain_graph, ring), dm_chain)
         assert w.right == elem("v1", chain_graph, ring)
         assert elem("f1", chain_graph, ring) * w.right == elem("f1", chain_graph, ring)
 
     def test_vertex_witness(self, chain_graph, dm_chain, ring):
         v = elem("v2", chain_graph, ring)
-        w = check_nondegenerate(v, dm_chain)
+        w = local_units(v, dm_chain)
         assert w.left == v and w.right == v
 
     def test_graph_c_difference(self, graph_c, dm_c, ring):
         s = elem("f1 - f2", graph_c, ring)
-        w = check_nondegenerate(s, dm_c)
+        w = local_units(s, dm_c)
         assert s * w.right == s
         assert w.left * s == s
 
