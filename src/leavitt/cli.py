@@ -178,6 +178,9 @@ def _parse_window(text, group):
 def _check_bound(args):
     if args.bound < 1:
         raise UsageError("--bound must be >= 1")
+    for name in ("samples", "triples"):
+        if getattr(args, name, 0) < 0:
+            raise UsageError(f"--{name} must be >= 0")
 
 
 def _emit(args, report):

@@ -18,6 +18,12 @@ be dominated through its prefix. Two minimal classes that differ only in
 which sample edge of one flagged vertex they use certify an infinite
 minimal set, since each of the infinitely many parallel edges yields an
 incomparable class of its own.
+
+A local identity is verified once per distinct path, not per monomial. For
+x = a b* with r(a) = r(b), e.x = x exactly when e.a = a (multiply on the
+right by b, as b* b = r(b)); for y = c d*, y.e = y exactly when d*.e = d*
+(multiply on the left by c*, as c* c = r(c)). This holds over any ring and
+for flagged graphs, and does not use e = e*.
 """
 
 from __future__ import annotations
@@ -218,8 +224,11 @@ def epsilon(g, degree_map, len_bound, ring=INTEGERS):
     When the minimal classes are complete the candidate is the sum of their
     n-values; it is then verified as a left identity on every enumerated
     degree-g monomial and as a right identity on every enumerated monomial
-    of the inverse degree. An empty monomial set yields zero, reported as
-    present.
+    of the inverse degree. e.(a b*) = a b* reduces to e.a = a and
+    (c d*).e = c d* to d*.e = d*, so one product per distinct real path a
+    and ghost path d decides every monomial; identity_checked_on still
+    counts the monomials covered. An empty monomial set yields zero,
+    reported as present.
     """
     graph = degree_map.graph
     group = degree_map.group
@@ -233,25 +242,39 @@ def epsilon(g, degree_map, len_bound, ring=INTEGERS):
 
     eps, certificate = _local_unit(graph, ring, [c.representative for c in mcs.classes])
     checked = 0
-    for x in enumerate_Xg(g, degree_map, len_bound):
-        ex = Element.monomial(graph, ring, x)
-        if eps * ex != ex:
+    for side, h in (("left", g), ("right", group.inverse(g))):
+        failed, count = _first_identity_failure(eps, side, enumerate_Xg(h, degree_map, len_bound))
+        checked += count
+        if failed is not None:
             return EpsilonReport(
                 g, degree_map, len_bound, None,
-                f"identity verification failed on {x.render()}; raise the bound",
+                f"identity verification failed on {failed.render()}; raise the bound",
                 None, checked, mcs,
             )
-        checked += 1
-    for y in enumerate_Xg(group.inverse(g), degree_map, len_bound):
-        ey = Element.monomial(graph, ring, y)
-        if ey * eps != ey:
-            return EpsilonReport(
-                g, degree_map, len_bound, None,
-                f"identity verification failed on {y.render()}; raise the bound",
-                None, checked, mcs,
-            )
-        checked += 1
     return EpsilonReport(g, degree_map, len_bound, eps, None, certificate, checked, mcs)
+
+
+def _first_identity_failure(unit, side, monos):
+    """The first monomial of monos that unit does not fix from the given
+    side, or None, with the number of monomials fixed before it. Only the
+    real path (left) or ghost path (right) of a monomial decides, so each
+    distinct one is multiplied out once.
+    """
+    graph, ring = unit.graph, unit.ring
+    fixed = {}
+    for count, m in enumerate(monos):
+        path = m.alpha if side == "left" else m.beta
+        ok = fixed.get(path)
+        if ok is None:
+            if side == "left":
+                e = Element.real_path(graph, ring, path)
+                ok = fixed[path] = unit * e == e
+            else:
+                e = Element.ghost_path(graph, ring, path)
+                ok = fixed[path] = e * unit == e
+        if not ok:
+            return m, count
+    return None, len(monos)
 
 
 def _minimal_representatives(monos):

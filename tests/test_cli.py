@@ -293,6 +293,26 @@ class TestErrors:
         )
         assert code == 64
 
+    @pytest.mark.parametrize("prop", ["nearly-epsilon", "nondegenerate"])
+    def test_negative_samples(self, capsys, graph_file, prop):
+        code, out, err = run(
+            capsys, "check", "--graph", graph_file,
+            "--property", prop, "--bound", "2", "--samples", "-1",
+        )
+        assert code == 64
+        assert out == ""
+        assert err == "usage error: --samples must be >= 0\n"
+
+    @pytest.mark.parametrize("flag", ["--samples", "--triples"])
+    def test_negative_frobenius_counts(self, capsys, graph_b_file, z2_degrees_file, flag):
+        code, out, err = run(
+            capsys, "frobenius", "--graph", graph_b_file,
+            "--degrees", z2_degrees_file, "--bound", "4", flag, "-1",
+        )
+        assert code == 64
+        assert out == ""
+        assert err == f"usage error: {flag} must be >= 0\n"
+
     def test_window_not_inverse_closed(self, capsys, graph_file):
         code, _, err = run(
             capsys, "check", "--graph", graph_file,

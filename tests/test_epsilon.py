@@ -1,12 +1,17 @@
+import importlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leavitt import (
     DegreeMap,
     DegreeMismatchError,
     Element,
     HomogeneityError,
+    INTEGERS,
+    IntegerGroup,
     check_epsilon_strong,
     check_nearly_epsilon,
     check_strongly_graded,
@@ -20,10 +25,13 @@ from leavitt import (
     local_units,
     minimal_classes,
     nmap,
+    parse_graph,
     random_homogeneous,
 )
+from leavitt.epsilon import _first_identity_failure
 
-from .util import brute_minimal_alphas, elem, mono
+from .test_path_table import z_graded_graphs
+from .util import GRAPH_R3, brute_first_identity_failure, brute_minimal_alphas, elem, mono
 
 
 def alpha_ids(cls):
@@ -209,6 +217,83 @@ class TestEpsilon:
     def test_zero_reported_present(self, dm_chain, ring):
         rep = epsilon(5, dm_chain, 6, ring)
         assert rep.present and rep.epsilon.is_zero()
+
+
+def per_monomial_checks(unit, g, degree_map, bound):
+    """(monomials checked, failure reason or None) as one full product per
+    monomial of X_g, then of X_{g^-1}, gives them."""
+    checked = 0
+    for side, h in (("left", g), ("right", degree_map.group.inverse(g))):
+        failed, count = brute_first_identity_failure(unit, side, enumerate_Xg(h, degree_map, bound))
+        checked += count
+        if failed is not None:
+            return checked, f"identity verification failed on {failed.render()}; raise the bound"
+    return checked, None
+
+
+class TestIdentityCheckPerPath:
+    @pytest.fixture(scope="class")
+    def dm_r3(self):
+        return DegreeMap.canonical(parse_graph(GRAPH_R3))
+
+    @pytest.fixture(scope="class")
+    def wrong_unit(self, dm_r3):
+        """a + b: fixes some but not all of X_1 from either side."""
+        return Element.vertex(dm_r3.graph, INTEGERS, "a") + Element.vertex(dm_r3.graph, INTEGERS, "b")
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_wrong_unit_fails_on_the_same_monomial(self, dm_r3, wrong_unit, side):
+        monos = enumerate_Xg(1, dm_r3, 3)
+        failed, count = _first_identity_failure(wrong_unit, side, monos)
+        assert failed is not None and count > 0
+        assert (failed, count) == brute_first_identity_failure(wrong_unit, side, monos)
+
+    @pytest.mark.parametrize("g", [1, -1])
+    def test_wrong_unit_reported_by_epsilon(self, dm_r3, wrong_unit, monkeypatch, g):
+        module = importlib.import_module("leavitt.epsilon")
+        monkeypatch.setattr(module, "_local_unit", lambda graph, ring, reps: (wrong_unit, ()))
+        rep = epsilon(g, dm_r3, 3)
+        checked, reason = per_monomial_checks(wrong_unit, g, dm_r3, 3)
+        assert not rep.present and reason is not None
+        assert rep.absent_reason == reason
+        assert rep.identity_checked_on == checked
+
+    def test_one_product_per_distinct_path(self, dm_r3, monkeypatch):
+        calls = []
+        original = Element.__mul__
+
+        def counting(self, other):
+            calls.append(1)
+            return original(self, other)
+
+        monkeypatch.setattr(Element, "__mul__", counting)
+        rep = epsilon(1, dm_r3, 5)
+        monkeypatch.undo()
+        x1, x_1 = enumerate_Xg(1, dm_r3, 5), enumerate_Xg(-1, dm_r3, 5)
+        assert rep.present
+        assert len(calls) <= len({m.alpha for m in x1}) + len({m.beta for m in x_1})
+        assert rep.identity_checked_on == len(x1) + len(x_1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graded=z_graded_graphs(), bound=st.integers(1, 3))
+def test_epsilon_matches_per_monomial_checks_on_random_integer_gradings(graded, bound):
+    graph, degrees = graded
+    dm = DegreeMap(graph, IntegerGroup(), degrees)
+    for g in range(-2, 3):
+        rep = epsilon(g, dm, bound)
+        if rep.minimal.verdict != "complete":
+            assert not rep.present and rep.identity_checked_on == 0
+            continue
+        unit = Element.zero(graph, INTEGERS)
+        for c in rep.minimal.classes:
+            x = Element.monomial(graph, INTEGERS, c.representative)
+            unit = unit + x * x.involution()
+        checked, reason = per_monomial_checks(unit, g, dm, bound)
+        assert rep.present == (reason is None)
+        assert rep.epsilon == (unit if reason is None else None)
+        assert rep.identity_checked_on == checked
+        assert rep.absent_reason == reason
 
 
 class TestPropSubpathDichotomy:

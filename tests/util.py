@@ -25,6 +25,8 @@ graph c {
 }
 """
 
+GRAPH_R3 = "graph r { vertices: a b c ; edges: x: a -> b; y: b -> c; z: c -> a; w: a -> a; t: b -> a; }"
+
 SINGLE_VERTEX = "vertices v; edges;"
 
 
@@ -113,3 +115,14 @@ def mono(graph, alpha_ids, beta_ids):
 
 def monomial_element(graph, ring, m):
     return Element.monomial(graph, ring, m)
+
+
+def brute_first_identity_failure(unit, side, monos):
+    """The first monomial of monos that unit does not fix from the given
+    side, or None, with the number fixed before it: one full product per
+    monomial, no reduction to paths."""
+    for count, m in enumerate(monos):
+        e = Element.monomial(unit.graph, unit.ring, m)
+        if (unit * e if side == "left" else e * unit) != e:
+            return m, count
+    return None, len(monos)
