@@ -82,15 +82,13 @@ def _build_parser():
     parser = _ArgumentParser(prog="leavitt", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, bound=False, window=False, exprs=False, degree=False, samples=False):
+    def common(p, bound=False, exprs=False, degree=False, samples=False):
         p.add_argument("--graph", required=True, help="graph description file")
         p.add_argument("--degrees", default="canonical", help="degree-map file or 'canonical'")
         p.add_argument("--ring", default="z", help="coefficient ring: z, q, or z/N")
         p.add_argument("--output", choices=("text", "structured"), default="text")
         if bound:
             p.add_argument("--bound", type=int, required=True, help="path length bound (>= 1)")
-        if window:
-            p.add_argument("--window", required=True, help="degree window A..B, or 'all' for finite groups")
         if exprs:
             p.add_argument("--expr", action="append", default=None, help="element expression (repeatable); stdin otherwise")
         if degree:
@@ -225,8 +223,7 @@ def _cmd_involve(args):
 def _cmd_decompose(args):
     graph, ring, dmap = _load_context(args)
     (value,) = _expressions(args, graph, ring, count=1)
-    dec = decompose(value, dmap)
-    parts = {dmap.group.render(g): str(dec.parts[g]) for g in dec.degrees()}
+    parts = {dmap.group.render(g): str(part) for g, part in decompose(value, dmap).items()}
     lines = [f"{g}: {part}" for g, part in parts.items()]
     return _emit(args, Report("decomposition", fields={"parts": parts}, lines=lines))
 

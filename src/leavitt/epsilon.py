@@ -46,7 +46,7 @@ class WindowError(ValueError):
 
 
 class HomogeneityError(ValueError):
-    """An element that must be nonzero homogeneous is not."""
+    """An element that must be nonzero homogeneous is not, or none exists."""
 
 
 class ConstructionError(RuntimeError):
@@ -54,20 +54,9 @@ class ConstructionError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class ClassRep:
-    """One equivalence class: its canonical representative and key path."""
-
-    representative: Monomial
-    alpha: object
-
-    def render(self):
-        return self.representative.render()
-
-
-@dataclass(frozen=True)
 class MinimalClassSet:
     degree: object
-    classes: tuple
+    classes: tuple  # one representative Monomial per class, keyed by its real path
     bound_used: int
     verdict: str  # complete | bound-exhausted | infinite-witness
     witness: tuple = None
@@ -167,7 +156,7 @@ def minimal_classes(g, degree_map, len_bound):
         parent_covered = p.length > 0 and covered[p.prefix(p.length - 1)]
         covered[p] = parent_covered or bool(betas)
         if betas and not parent_covered:
-            classes.append(ClassRep(Monomial(p, betas[0]), p))
+            classes.append(Monomial(p, betas[0]))
         if p.length == len_bound and not covered[p]:
             frontier_ok = False
 
@@ -240,7 +229,7 @@ def epsilon(g, degree_map, len_bound, ring=INTEGERS):
             g, degree_map, len_bound, None, f"undetermined at bound {len_bound}", None, 0, mcs
         )
 
-    eps, certificate = _local_unit(graph, ring, [c.representative for c in mcs.classes])
+    eps, certificate = _local_unit(graph, ring, mcs.classes)
     checked = 0
     for side, h in (("left", g), ("right", group.inverse(g))):
         failed, count = _first_identity_failure(eps, side, enumerate_Xg(h, degree_map, len_bound))
@@ -295,9 +284,10 @@ def local_units(s, degree_map):
     """
     if s.is_zero():
         raise HomogeneityError("the zero element has no local units")
-    g = decompose(s, degree_map).sole_degree()
-    if g is None:
+    degrees = list(decompose(s, degree_map))
+    if len(degrees) != 1:
         raise HomogeneityError("element is not homogeneous")
+    g = degrees[0]
     left, left_cert = _local_unit(s.graph, s.ring, _minimal_representatives(s.support()))
     right, star_cert = _local_unit(
         s.graph, s.ring, _minimal_representatives(s.involution().support())
@@ -330,8 +320,8 @@ def common_local_unit(elements, side, degree_map):
     nonzero = [e for e in elems if not e.is_zero()]
     if not nonzero:
         return Element.zero(elems[0].graph, elems[0].ring)
-    degrees = {decompose(e, degree_map).sole_degree() for e in nonzero}
-    if None in degrees or len(degrees) > 1:
+    degrees = {tuple(decompose(e, degree_map)) for e in nonzero}
+    if len(degrees) != 1 or len(degrees.pop()) != 1:
         raise HomogeneityError("elements must be homogeneous of one common degree")
     graph, ring = nonzero[0].graph, nonzero[0].ring
     pool = set()
@@ -469,7 +459,7 @@ def check_strongly_graded(degree_map, degree_window, len_bound, ring=INTEGERS):
         if mcs.verdict == "bound-exhausted":
             saw_undetermined = True
             continue
-        eps, _ = _local_unit(graph, ring, [c.representative for c in mcs.classes])
+        eps, _ = _local_unit(graph, ring, mcs.classes)
         if eps != ident:
             comp_verdict = "NOT_STRONG"
             comp_witness = {

@@ -9,7 +9,6 @@ groups given by a Cayley table.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from .algebra import Element, Monomial, enumerate_monomials
 from .rings import INTEGERS
@@ -432,49 +431,19 @@ def _parse_group_header(spec, table_loader, line_no):
     raise DegreeMapError(f"line {line_no}: unknown group kind {spec!r}")
 
 
-@dataclass
-class HomogeneousDecomposition:
-    """The homogeneous parts of an element, keyed by degree.
-
-    Degrees with a zero part are absent; summing the parts restores the
-    decomposed element.
-    """
-
-    degree_map: DegreeMap
-    graph: object
-    ring: object
-    parts: dict = field(default_factory=dict)
-
-    def degrees(self):
-        return sorted(self.parts, key=self.degree_map.group.sort_key)
-
-    def part(self, g):
-        return self.parts.get(g, Element.zero(self.graph, self.ring))
-
-    def reassemble(self):
-        total = Element.zero(self.graph, self.ring)
-        for p in self.parts.values():
-            total = total + p
-        return total
-
-    def sole_degree(self):
-        """The unique degree of a homogeneous nonzero element, else None."""
-        if len(self.parts) == 1:
-            return next(iter(self.parts))
-        return None
-
-
 def decompose(element, degree_map):
-    """Group the terms of an element by monomial degree."""
+    """The homogeneous parts of an element: degree -> nonzero part, keyed in
+    group sort order. Degrees with a zero part are absent, and summing the
+    parts restores the element.
+    """
     buckets = {}
     for m, c in element.terms.items():
         buckets.setdefault(degree_map.degree_of(m), {})[m] = c
     group = degree_map.group
-    parts = {
+    return {
         g: Element(element.graph, element.ring, terms)
         for g, terms in sorted(buckets.items(), key=lambda kv: group.sort_key(kv[0]))
     }
-    return HomogeneousDecomposition(degree_map, element.graph, element.ring, parts)
 
 
 class PathTable:
@@ -543,7 +512,7 @@ def check_grading_axiom(degree_map, len_bound, ring=INTEGERS):
             pairs += 1
             expected = group.op(degrees[x], degrees[y])
             product = elements[x] * elements[y]
-            for d in decompose(product, degree_map).parts:
+            for d in decompose(product, degree_map):
                 if d != expected:
                     return Report(
                         kind="grading-axiom-check",

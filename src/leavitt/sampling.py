@@ -9,8 +9,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import Element, enumerate_monomials
+from .epsilon import HomogeneityError
 from .grading import enumerate_Xg
 from .rings import IntegerModRing, RationalRing
+
+# The most monomials in one random element.
+MAX_SUPPORT = 4
 
 
 def random_scalar(ring, rng):
@@ -23,16 +27,12 @@ def random_scalar(ring, rng):
     return value
 
 
-def random_element(graph, ring, rng, max_support=4, len_bound=3):
+def random_element(graph, ring, rng, len_bound=3):
     """A random element with bounded support; may be zero."""
     monos = enumerate_monomials(graph, len_bound)
     if not monos:
         return Element.zero(graph, ring)
-    k = rng.randint(0, min(max_support, len(monos)))
-    picks = rng.sample(list(monos), k)
-    return Element.from_terms(
-        graph, ring, [(m, random_scalar(ring, rng)) for m in picks]
-    )
+    return _random_combination(graph, ring, rng, monos, 0)
 
 
 def realized_degrees(degree_map, len_bound):
@@ -48,20 +48,26 @@ def realized_degrees(degree_map, len_bound):
     return sorted(degs, key=group.sort_key)
 
 
-def random_homogeneous(degree_map, ring, rng, degree=None, max_support=4, len_bound=3):
+def random_homogeneous(degree_map, ring, rng, degree=None, len_bound=3):
     """A random nonzero homogeneous element; picks a realized degree if none
     is given. Distinct normal monomials with nonzero coefficients never
     cancel, so the result is always nonzero."""
     if degree is None:
         options = realized_degrees(degree_map, len_bound)
+        if not options:
+            raise HomogeneityError(f"no monomials within bound {len_bound}")
         degree = options[rng.randrange(len(options))]
     monos = enumerate_Xg(degree, degree_map, len_bound)
     if not monos:
-        raise ValueError(
+        raise HomogeneityError(
             f"no monomials of degree {degree_map.group.render(degree)} within bound {len_bound}"
         )
-    k = rng.randint(1, min(max_support, len(monos)))
+    return _random_combination(degree_map.graph, ring, rng, monos, 1)
+
+
+def _random_combination(graph, ring, rng, monos, least):
+    """Between least and MAX_SUPPORT distinct monomials of monos, each with a
+    random nonzero scalar."""
+    k = rng.randint(least, min(MAX_SUPPORT, len(monos)))
     picks = rng.sample(list(monos), k)
-    return Element.from_terms(
-        degree_map.graph, ring, [(m, random_scalar(ring, rng)) for m in picks]
-    )
+    return Element.from_terms(graph, ring, [(m, random_scalar(ring, rng)) for m in picks])

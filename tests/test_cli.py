@@ -313,6 +313,31 @@ class TestErrors:
         assert out == ""
         assert err == f"usage error: {flag} must be >= 0\n"
 
+    @pytest.mark.parametrize("prop", ["nearly-epsilon", "nondegenerate"])
+    def test_sampling_a_graph_without_vertices(self, capsys, tmp_path, prop):
+        graph = tmp_path / "empty.lpa"
+        graph.write_text("vertices ; edges ;")
+        code, out, err = run(
+            capsys, "check", "--graph", str(graph),
+            "--property", prop, "--bound", "2", "--samples", "1",
+        )
+        assert code == 65
+        assert out == ""
+        assert err == "error: no monomials within bound 2\n"
+
+    def test_frobenius_on_a_graph_without_vertices(self, capsys, tmp_path):
+        graph = tmp_path / "empty.lpa"
+        graph.write_text("vertices ; edges ;")
+        degrees = tmp_path / "z2.deg"
+        degrees.write_text("group Z/2\n")
+        code, out, err = run(
+            capsys, "frobenius", "--graph", str(graph), "--degrees", str(degrees),
+            "--bound", "2", "--samples", "1", "--triples", "1",
+        )
+        assert code == 65
+        assert out == ""
+        assert err == "error: no monomials of degree 0 within bound 2\n"
+
     def test_window_not_inverse_closed(self, capsys, graph_file):
         code, _, err = run(
             capsys, "check", "--graph", graph_file,

@@ -134,24 +134,42 @@ class TestDegreeMap:
 class TestDecompose:
     def test_simple_split(self, chain_graph, dm_chain, ring):
         dec = decompose(elem("v1 + f1", chain_graph, ring), dm_chain)
-        assert dec.degrees() == [0, 1]
-        assert dec.part(0) == elem("v1", chain_graph, ring)
-        assert dec.part(1) == elem("f1", chain_graph, ring)
+        assert list(dec) == [0, 1]
+        assert dec[0] == elem("v1", chain_graph, ring)
+        assert dec[1] == elem("f1", chain_graph, ring)
 
     def test_epsilon_minus_one_homogeneous(self, chain_graph, dm_chain, ring):
         a = elem("f2.(f2)* + v1 + v3 + v4", chain_graph, ring)
         dec = decompose(a, dm_chain)
-        assert dec.degrees() == [0]
-        assert dec.part(0) == a
+        assert list(dec) == [0]
+        assert dec[0] == a
+
+    def test_keys_in_group_order(self, chain_graph, ring):
+        # the terms run against group order, so the keys are sorted, not
+        # left in first-seen order
+        z3 = DegreeMap(chain_graph, CyclicGroup(3), {e.id: 1 for e in chain_graph.edges})
+        a = elem("f4.f3 + f1 + v1 + (f2)*", chain_graph, ring)
+        assert [z3.degree_of(m) for m in a.terms] == [2, 1, 0, 2]
+        assert list(decompose(a, z3)) == [0, 1, 2]
+        assert decompose(a, z3)[2] == elem("f4.f3 + (f2)*", chain_graph, ring)
+
+        s3 = parse_group_table(s3_table_text())
+        table = DegreeMap(chain_graph, s3, {"f1": "s5", "f2": "s3", "f3": "s1", "f4": "s2"})
+        b = elem("f1 + f2 + v1 + f3 + f4", chain_graph, ring)
+        assert [table.degree_of(m) for m in b.terms] == ["s5", "s3", "s0", "s1", "s2"]
+        assert list(decompose(b, table)) == ["s0", "s1", "s2", "s3", "s5"]
 
     def test_zero(self, chain_graph, dm_chain, ring):
-        assert decompose(Element.zero(chain_graph, ring), dm_chain).parts == {}
+        assert decompose(Element.zero(chain_graph, ring), dm_chain) == {}
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_reassembly(self, chain_graph, dm_chain, ring, data):
         a = data.draw(elements_strategy(chain_graph, ring, len_bound=2, max_support=5))
-        assert decompose(a, dm_chain).reassemble() == a
+        total = Element.zero(chain_graph, ring)
+        for part in decompose(a, dm_chain).values():
+            total = total + part
+        assert total == a
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -159,10 +177,9 @@ class TestDecompose:
         a = data.draw(elements_strategy(chain_graph, ring))
         b = data.draw(elements_strategy(chain_graph, ring))
         dec_a, dec_b = decompose(a, dm_chain), decompose(b, dm_chain)
-        for ga in dec_a.degrees():
-            for gb in dec_b.degrees():
-                product = dec_a.part(ga) * dec_b.part(gb)
-                degrees = decompose(product, dm_chain).degrees()
+        for ga, part_a in dec_a.items():
+            for gb, part_b in dec_b.items():
+                degrees = list(decompose(part_a * part_b, dm_chain))
                 assert degrees in ([], [ga + gb])
 
     @settings(max_examples=40, deadline=None)
@@ -171,7 +188,7 @@ class TestDecompose:
         a = data.draw(elements_strategy(chain_graph, ring))
         dec = decompose(a, dm_chain)
         star = decompose(a.involution(), dm_chain)
-        assert sorted(star.degrees()) == sorted(-g for g in dec.degrees())
+        assert sorted(star) == sorted(-g for g in dec)
 
 
 class TestEnumerateXg:
@@ -191,7 +208,7 @@ class TestEnumerateXg:
         for g in (-2, -1, 0, 1, 2):
             for m in enumerate_Xg(g, dm_chain, 3):
                 dec = decompose(Element.monomial(chain_graph, ring, m), dm_chain)
-                assert dec.degrees() == [g]
+                assert list(dec) == [g]
 
     def test_alpha_set_matches_brute_force(self, chain_graph, dm_chain):
         degree_by_edge = {e.id: 1 for e in chain_graph.edges}
