@@ -52,6 +52,9 @@ EXIT_USAGE = 64
 EXIT_DATA = 65
 EXIT_SOFTWARE = 70
 
+DEFAULT_SAMPLES = 50
+DEFAULT_SEED = 0
+
 _DATA_ERRORS = (
     GraphError,
     ElementSyntaxError,
@@ -94,8 +97,8 @@ def _build_parser():
         if degree:
             p.add_argument("-g", "--degree", required=True, help="group element")
         if samples:
-            p.add_argument("--samples", type=int, default=50, help="number of random samples")
-            p.add_argument("--seed", type=int, default=0, help="random seed (recorded in reports)")
+            p.add_argument("--samples", type=int, default=None, help=f"number of random samples (default {DEFAULT_SAMPLES})")
+            p.add_argument("--seed", type=int, default=None, help=f"random seed, recorded in reports (default {DEFAULT_SEED})")
 
     common(sub.add_parser("nf", help="normal form of an element expression"), exprs=True)
     common(sub.add_parser("mul", help="product of two element expressions"), exprs=True)
@@ -177,8 +180,34 @@ def _check_bound(args):
     if args.bound < 1:
         raise UsageError("--bound must be >= 1")
     for name in ("samples", "triples"):
-        if getattr(args, name, 0) < 0:
+        value = getattr(args, name, None)
+        if value is not None and value < 0:
             raise UsageError(f"--{name} must be >= 0")
+
+
+def _sampling(args):
+    """--samples and --seed, each defaulted when not given."""
+    samples = DEFAULT_SAMPLES if args.samples is None else args.samples
+    seed = DEFAULT_SEED if args.seed is None else args.seed
+    return samples, seed
+
+
+def _check_options(args):
+    """Reject the check options that the chosen property does not read."""
+    prop = args.property
+    if prop in ("nearly-epsilon", "nondegenerate"):
+        unread = ("window",)
+    elif prop in ("epsilon-strong", "strongly-graded"):
+        unread = ("expr", "samples", "seed")
+    else:
+        unread = ("expr", "samples", "seed", "window")
+    for name in unread:
+        if getattr(args, name) is not None:
+            raise UsageError(f"--{name} does not apply to --property {prop}")
+    if args.expr is not None:
+        for name in ("samples", "seed"):
+            if getattr(args, name) is not None:
+                raise UsageError(f"--{name} does not apply with --expr")
 
 
 def _emit(args, report):
@@ -264,6 +293,7 @@ def _cmd_localunits(args):
 
 
 def _cmd_check(args):
+    _check_options(args)
     graph, ring, dmap = _load_context(args)
     _check_bound(args)
     prop = args.property
@@ -277,19 +307,15 @@ def _cmd_check(args):
         report = check_strongly_graded(dmap, _parse_window(args.window, dmap.group), args.bound, ring)
     else:
         sampled_check = check_nearly_epsilon if prop == "nearly-epsilon" else check_nondegenerate
-        report = sampled_check(dmap, _property_samples(args, graph, ring, dmap))
-        report.fields["seed"] = args.seed
+        count, seed = _sampling(args)
+        if args.expr:
+            samples = [parse_element(t, graph, ring) for t in args.expr]
+        else:
+            rng = random.Random(seed)
+            samples = [random_homogeneous(dmap, ring, rng, len_bound=args.bound) for _ in range(count)]
+        report = sampled_check(dmap, samples)
+        report.fields["seed"] = seed
     return _emit(args, report)
-
-
-def _property_samples(args, graph, ring, dmap):
-    if args.expr:
-        return [parse_element(t, graph, ring) for t in args.expr]
-    rng = random.Random(args.seed)
-    return [
-        random_homogeneous(dmap, ring, rng, len_bound=args.bound)
-        for _ in range(args.samples)
-    ]
 
 
 def _cmd_frobenius(args):
@@ -306,10 +332,11 @@ def _cmd_frobenius(args):
             fields={"reason": str(exc)},
         )
         return _emit(args, report)
-    rng = random.Random(args.seed)
+    count, seed = _sampling(args)
+    rng = random.Random(seed)
     samples = [
         random_element(graph, ring, rng, len_bound=min(args.bound, 3))
-        for _ in range(args.samples)
+        for _ in range(count)
     ]
     e = dmap.group.identity
     triples = []
@@ -318,7 +345,7 @@ def _cmd_frobenius(args):
         a = random_element(graph, ring, rng, len_bound=min(args.bound, 3))
         t2 = random_homogeneous(dmap, ring, rng, degree=e, len_bound=min(args.bound, 3))
         triples.append((t, a, t2))
-    report = verify_frobenius(system, samples, triples, seed=args.seed)
+    report = verify_frobenius(system, samples, triples, seed=seed)
     return _emit(args, report)
 
 

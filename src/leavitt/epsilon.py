@@ -79,7 +79,8 @@ class EpsilonReport:
 
     def to_report(self):
         """PRESENT, ABSENT only when an infinite minimal set proves it, and
-        UNDETERMINED otherwise; the text is the local identity or the reason."""
+        UNDETERMINED otherwise; the text is the local identity, or the verdict
+        and the reason."""
         group = self.degree_map.group
         fields = {
             "degree": group.render(self.degree),
@@ -94,11 +95,11 @@ class EpsilonReport:
             verdict, lines = "PRESENT", [fields["epsilon"]]
         else:
             fields["reason"] = self.absent_reason
-            lines = [f"ABSENT: {self.absent_reason}"]
+            verdict = "ABSENT" if self.minimal.verdict == "infinite-witness" else "UNDETERMINED"
+            lines = [f"{verdict}: {self.absent_reason}"]
             if self.minimal.witness:
                 fields["witness"] = [c.render() for c in self.minimal.witness]
                 lines.append(f"witness: {', '.join(fields['witness'])}")
-            verdict = "ABSENT" if self.minimal.verdict == "infinite-witness" else "UNDETERMINED"
         lines.append(f"bound: {self.bound_used}")
         return Report("epsilon-report", verdict, fields, lines)
 

@@ -449,50 +449,81 @@ def decompose(element, degree_map):
 class PathTable:
     """The paths up to a length bound with their degrees.
 
-    ``paths`` is ``Graph.enumerate_paths(len_bound)`` in its order;
-    ``degree`` maps each path to its degree, extended from the parent path by
-    one edge; ``buckets`` maps (range vertex id, degree) to the paths with
-    that range and degree, in enumeration order. Build it through
+    ``paths`` is ``Graph.enumerate_paths(len_bound)`` in its order, which is
+    ``Path.sort_key`` order: length first, then edge ids. ``degree`` maps
+    each path to its degree, extended from the parent path by one edge.
+    ``buckets`` maps (range vertex id, degree) to the paths with that range
+    and degree, in enumeration order; ``levels`` maps the same keys to that
+    bucket split by length, a tuple whose entry l (0..len_bound) holds the
+    bucket's paths of length l as (path, designated edge) pairs.
+    ``designated`` maps each path to its last edge when that edge is the
+    designated edge of its source, else None: a b* is normal unless
+    ``designated[a]`` is an edge and ``designated[b]`` is the same edge,
+    which is the rule of ``Monomial.is_normal``. Build it through
     ``DegreeMap.path_table``, which keeps one per bound.
     """
 
     def __init__(self, degree_map, len_bound):
+        graph = degree_map.graph
         group = degree_map.group
-        self.paths = degree_map.graph.enumerate_paths(len_bound)
+        self.paths = graph.enumerate_paths(len_bound)
         self.degree = {}
+        self.designated = {}
         buckets = {}
+        levels = {}
         for p in self.paths:
             if p.length == 0:
                 d = group.identity
+                last = None
             else:
                 parent = self.degree[p.prefix(p.length - 1)]
-                d = group.op(parent, degree_map.degree_of_edge(p.edges[-1]))
+                last = p.edges[-1]
+                d = group.op(parent, degree_map.degree_of_edge(last))
+                if graph.special_edge(last.source) != last:
+                    last = None
             self.degree[p] = d
-            buckets.setdefault((p.range.id, d), []).append(p)
+            self.designated[p] = last
+            key = (p.range.id, d)
+            buckets.setdefault(key, []).append(p)
+            split = levels.get(key)
+            if split is None:
+                split = levels[key] = [[] for _ in range(len_bound + 1)]
+            split[p.length].append((p, last))
         self.buckets = {key: tuple(ps) for key, ps in buckets.items()}
+        self.levels = {key: tuple(map(tuple, split)) for key, split in levels.items()}
 
 
 def enumerate_Xg(g, degree_map, len_bound):
-    """All normal-form monomials of degree g with both paths <= len_bound.
+    """All normal-form monomials a b* of degree g with both paths <= len_bound.
 
-    Canonically ordered; flagged vertices contribute their listed sample
-    edges only, so for flagged graphs this is the sample slice of the true
-    monomial set.
+    Listed in ``Monomial.sort_key`` order: by total length |a| + |b|, then
+    by the real path a, then by the ghost path b, each path in
+    ``Path.sort_key`` order (length, then edge ids). The order comes from
+    generation, not from a sort: for each weight and each length of a, the
+    real paths are taken in table order, and each one's ghost paths from
+    its bucket's level of the remaining length. Only normal pairs become
+    monomials. Flagged vertices contribute their listed sample edges only,
+    so for flagged graphs this is the sample slice of the true monomial set.
     """
     if len_bound < 0:
         raise ValueError("len_bound must be >= 0")
-    graph = degree_map.graph
     group = degree_map.group
     group.check(g)
     ginv = group.inverse(g)
     table = degree_map.path_table(len_bound)
-    out = []
+    # real paths by length, each with its designated edge and its partner levels
+    reals = [[] for _ in range(len_bound + 1)]
     for p in table.paths:
-        for b in table.buckets.get((p.range.id, group.op(ginv, table.degree[p])), ()):
-            m = Monomial(p, b)
-            if m.is_normal(graph):
-                out.append(m)
-    out.sort(key=Monomial.sort_key)
+        split = table.levels.get((p.range.id, group.op(ginv, table.degree[p])))
+        if split is not None:
+            reals[p.length].append((p, table.designated[p], split))
+    out = []
+    for weight in range(2 * len_bound + 1):
+        for length in range(max(0, weight - len_bound), min(weight, len_bound) + 1):
+            for a, last, split in reals[length]:
+                for b, b_last in split[weight - length]:
+                    if last is None or b_last is not last:
+                        out.append(Monomial(a, b))
     return tuple(out)
 
 

@@ -158,6 +158,17 @@ class TestCheckCommands:
         assert code == 0
         assert "samples-verified: 10" in out
 
+    def test_sampling_defaults(self, capsys, graph_file, graph_b_file, z2_degrees_file):
+        check = ["check", "--graph", graph_file, "--property", "nondegenerate", "--bound", "2"]
+        frob = ["frobenius", "--graph", graph_b_file, "--degrees", z2_degrees_file, "--bound", "3"]
+        for command, sample_count in ((check, lambda doc: len(doc["witnesses"])),
+                                      (frob, lambda doc: doc["samples-verified"])):
+            code, out, _ = run(capsys, *command, "--output", "structured")
+            doc = json.loads(out)
+            assert code == 0 and doc["seed"] == 0 and sample_count(doc) == 50
+            explicit = run(capsys, *command, "--output", "structured", "--samples", "50", "--seed", "0")
+            assert explicit[:2] == (code, out)
+
     def test_nondegenerate_expr(self, capsys, graph_file):
         code, out, _ = run(
             capsys, "check", "--graph", graph_file,
@@ -312,6 +323,39 @@ class TestErrors:
         assert code == 64
         assert out == ""
         assert err == f"usage error: {flag} must be >= 0\n"
+
+    @pytest.mark.parametrize("flag,value", [("--expr", "v1"), ("--samples", "5"), ("--seed", "3")])
+    @pytest.mark.parametrize("prop", ["grading", "symmetric", "epsilon-strong", "strongly-graded"])
+    def test_sampling_options_of_an_unsampled_check(self, capsys, graph_file, prop, flag, value):
+        window = ["--window", "-1..1"] if prop in ("epsilon-strong", "strongly-graded") else []
+        code, out, err = run(
+            capsys, "check", "--graph", graph_file,
+            "--property", prop, "--bound", "2", *window, flag, value,
+        )
+        assert code == 64
+        assert out == ""
+        assert err == f"usage error: {flag} does not apply to --property {prop}\n"
+
+    @pytest.mark.parametrize("prop", ["grading", "symmetric", "nearly-epsilon", "nondegenerate"])
+    def test_window_of_a_windowless_check(self, capsys, graph_file, prop):
+        code, out, err = run(
+            capsys, "check", "--graph", graph_file,
+            "--property", prop, "--bound", "2", "--window", "-1..1",
+        )
+        assert code == 64
+        assert out == ""
+        assert err == f"usage error: --window does not apply to --property {prop}\n"
+
+    @pytest.mark.parametrize("flag", ["--samples", "--seed"])
+    @pytest.mark.parametrize("prop", ["nearly-epsilon", "nondegenerate"])
+    def test_sampling_options_with_expr(self, capsys, graph_file, prop, flag):
+        code, out, err = run(
+            capsys, "check", "--graph", graph_file,
+            "--property", prop, "--bound", "2", "--expr", "f1", flag, "5",
+        )
+        assert code == 64
+        assert out == ""
+        assert err == f"usage error: {flag} does not apply with --expr\n"
 
     @pytest.mark.parametrize("prop", ["nearly-epsilon", "nondegenerate"])
     def test_sampling_a_graph_without_vertices(self, capsys, tmp_path, prop):

@@ -3,10 +3,15 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pytest
+
 from leavitt import (
+    CyclicGroup,
     DegreeMap,
     Graph,
     IntegerGroup,
+    IntegerTupleGroup,
+    Monomial,
     check_epsilon_strong,
     enumerate_monomials,
     enumerate_Xg,
@@ -17,7 +22,7 @@ from leavitt import (
 from leavitt.sampling import realized_degrees
 
 from .test_grading import s3_table_text
-from .util import brute_minimal_alphas, brute_xg_alphas
+from .util import GRAPH_C, GRAPH_R3, brute_minimal_alphas, brute_xg, brute_xg_alphas
 
 
 def path_ids(path):
@@ -61,6 +66,17 @@ class TestPathTable:
         for (vid, d), ps in table.buckets.items():
             assert list(ps) == [p for p in table.paths if p.range.id == vid and table.degree[p] == d]
         assert sum(len(ps) for ps in table.buckets.values()) == len(table.paths)
+        assert table.levels.keys() == table.buckets.keys()
+        for key, split in table.levels.items():
+            assert len(split) == 4
+            assert [p for level in split for p, _ in level] == list(table.buckets[key])
+            for length, level in enumerate(split):
+                for p, last in level:
+                    assert p.length == length and last is table.designated[p]
+        for p in table.paths:
+            # p p* is the one pair whose last edges always agree
+            assert (table.designated[p] is None) == Monomial(p, p).is_normal(chain_graph)
+            assert table.designated[p] in (None, p.edges[-1] if p.edges else None)
 
     def test_realized_degrees_under_a_nonabelian_grading(self, graph_a):
         group = parse_group_table(s3_table_text())
@@ -92,3 +108,71 @@ def test_readers_match_brute_force_on_random_integer_gradings(graded, bound, g):
     minimal = {path_ids(c.alpha) for c in minimal_classes(g, dm, bound).classes}
     assert minimal == brute_minimal_alphas(graph, degrees, g, bound)
     assert realized_degrees(dm, bound) == monomial_degrees(dm, bound)
+
+
+S3 = parse_group_table(s3_table_text())
+
+# (group, edge degrees drawn from, degrees g drawn from)
+GRADINGS = {
+    "Z": (IntegerGroup(), st.integers(-2, 2), st.integers(-3, 3)),
+    "Z^2": (
+        IntegerTupleGroup(2),
+        st.tuples(st.integers(-1, 1), st.integers(-1, 1)),
+        st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+    ),
+    "Z/3": (CyclicGroup(3), st.integers(0, 2), st.integers(0, 2)),
+    "S3": (S3, st.sampled_from(S3.symbols), st.sampled_from(S3.symbols)),
+}
+
+
+@st.composite
+def graded_cases(draw):
+    """A graph on up to three vertices with up to four edges, a vertex
+    flagged when it emits two or more, a grading by Z, Z^2, Z/3 or the S3
+    Cayley table, and one degree g of that group."""
+    group, edge_degree, element = GRADINGS[draw(st.sampled_from(sorted(GRADINGS)))]
+    n = draw(st.integers(1, 3))
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=4))
+    text = "vertices " + " ".join(f"v{i}" for i in range(n)) + ";"
+    if edges:
+        text += " edges " + " ".join(f"e{i}: v{s} -> v{t};" for i, (s, t) in enumerate(edges))
+    emitters = sorted({s for s, _ in edges if sum(1 for x, _ in edges if x == s) >= 2})
+    if emitters and draw(st.booleans()):
+        text += f" infinite v{draw(st.sampled_from(emitters))};"
+    degrees = {f"e{i}": draw(edge_degree) for i in range(len(edges))}
+    return DegreeMap(parse_graph(text), group, degrees), draw(element)
+
+
+def xg_pairs(degree_map, g, bound):
+    return [(path_ids(m.alpha), path_ids(m.beta)) for m in enumerate_Xg(g, degree_map, bound)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=graded_cases(), bound=st.integers(0, 4))
+def test_xg_is_the_brute_force_list_in_order(case, bound):
+    degree_map, g = case
+    assert xg_pairs(degree_map, g, bound) == brute_xg(degree_map.graph, degree_map, g, bound)
+
+
+@pytest.mark.parametrize("bound", range(5))
+def test_xg_of_the_flagged_graph_in_order(bound):
+    dm = DegreeMap.canonical(parse_graph(GRAPH_C))
+    for g in range(-2, 3):
+        assert xg_pairs(dm, g, bound) == brute_xg(dm.graph, dm, g, bound)
+
+
+def test_xg_builds_only_the_monomials_it_returns(monkeypatch):
+    dm = DegreeMap.canonical(parse_graph(GRAPH_R3))
+    dm.path_table(5)
+    built = []
+    original = Monomial.__init__
+
+    def counting(self, alpha, beta):
+        built.append(None)
+        original(self, alpha, beta)
+
+    monkeypatch.setattr(Monomial, "__init__", counting)
+    for g in (-2, 0, 1):
+        built.clear()
+        xg = enumerate_Xg(g, dm, 5)
+        assert xg and len(built) == len(xg)

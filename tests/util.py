@@ -82,6 +82,38 @@ def brute_xg_alphas(graph, degree_by_edge, g, bound, normal_only=False):
     return alphas
 
 
+def brute_xg(graph, degree_map, g, bound):
+    """X_g as an ordered list of (real path, ghost path) pairs of brute_paths
+    triples: every pair of matching range whose degree, folded with the
+    group's own operations from the edge degrees, is g, and that
+    brute_is_normal accepts; sorted by total length, then the real path's
+    (length, edge ids), then the ghost path's. A vertex path sorts by its id.
+    """
+    group = degree_map.group
+
+    def degree(path):
+        d = group.identity
+        for eid in path[1]:
+            d = group.op(d, degree_map.edge_degrees[eid])
+        return d
+
+    def key(path):
+        src, ids, _ = path
+        return (len(ids), ids or (src,))
+
+    paths = brute_paths(graph, bound)
+    degrees = {p: degree(p) for p in paths}
+    pairs = [
+        (a, b)
+        for a in paths
+        for b in paths
+        if a[2] == b[2]
+        and group.op(degrees[a], group.inverse(degrees[b])) == g
+        and brute_is_normal(graph, a[1], b[1])
+    ]
+    return sorted(pairs, key=lambda ab: (len(ab[0][1]) + len(ab[1][1]), key(ab[0]), key(ab[1])))
+
+
 def brute_minimal_alphas(graph, degree_by_edge, g, bound):
     """Minimal realized real paths under the initial-subpath order."""
     alphas = brute_xg_alphas(graph, degree_by_edge, g, bound)
