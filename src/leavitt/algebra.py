@@ -118,13 +118,9 @@ def _mono_product(m1, m2):
     """The raw product monomial of m1 and m2, or None when it is zero."""
     b, a = m1.beta, m2.alpha
     if is_initial_subpath(b, a):
-        tail = a.edges[b.length :]
-        alpha = Path(m1.alpha.base, m1.alpha.edges + tail)
-        return Monomial(alpha, m2.beta)
+        return Monomial(m1.alpha.joined(a, b.length), m2.beta)
     if is_initial_subpath(a, b):
-        tail = b.edges[a.length :]
-        beta = Path(m2.beta.base, m2.beta.edges + tail)
-        return Monomial(m1.alpha, beta)
+        return Monomial(m1.alpha, m2.beta.joined(b, a.length))
     return None
 
 

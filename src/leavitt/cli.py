@@ -307,14 +307,14 @@ def _cmd_check(args):
         report = check_strongly_graded(dmap, _parse_window(args.window, dmap.group), args.bound, ring)
     else:
         sampled_check = check_nearly_epsilon if prop == "nearly-epsilon" else check_nondegenerate
-        count, seed = _sampling(args)
         if args.expr:
-            samples = [parse_element(t, graph, ring) for t in args.expr]
+            report = sampled_check(dmap, [parse_element(t, graph, ring) for t in args.expr])
         else:
+            count, seed = _sampling(args)
             rng = random.Random(seed)
             samples = [random_homogeneous(dmap, ring, rng, len_bound=args.bound) for _ in range(count)]
-        report = sampled_check(dmap, samples)
-        report.fields["seed"] = seed
+            report = sampled_check(dmap, samples)
+            report.fields["seed"] = seed
     return _emit(args, report)
 
 

@@ -52,6 +52,12 @@ class Path:
 
     The source of a vertex path is the vertex itself; for edge paths the
     base vertex always equals the source of the first edge.
+
+    ``Path(base, edges)`` checks every junction of an edge list that comes
+    from outside. A path derived from a valid one (``prefix``, ``extended``,
+    ``joined``) checks only the new junction and extends the parent's id key
+    instead of rebuilding it, so building an n-edge path one edge at a time
+    costs O(n) interpreter steps, not O(n^2).
     """
 
     __slots__ = ("base", "edges", "_key", "_hash")
@@ -70,10 +76,34 @@ class Path:
             for a, b in zip(edges, edges[1:]):
                 if a.range != b.source:
                     raise GraphError(f"edges {a.id} and {b.id} do not compose")
+        self._set(base, edges, tuple(e.id for e in edges))
+
+    def _set(self, base, edges, ids):
+        """ids are the edge ids; a vertex path is keyed by its vertex id."""
         self.base = base
         self.edges = edges
-        self._key = (len(edges), tuple(e.id for e in edges) if edges else (base.id,))
+        self._key = (len(edges), ids or (base.id,))
         self._hash = hash(self._key)
+
+    @staticmethod
+    def _derived(base, edges, ids):
+        """A path from parts known to compose, with no check."""
+        path = Path.__new__(Path)
+        path._set(base, edges, ids)
+        return path
+
+    def _edge_ids(self):
+        return self._key[1] if self.edges else ()
+
+    def _check_junction(self, edge):
+        """Raise GraphError unless edge can follow this path."""
+        if not self.edges:
+            if self.base != edge.source:
+                raise GraphError(
+                    f"path base {self.base.id} is not the source of edge {edge.id}"
+                )
+        elif self.edges[-1].range != edge.source:
+            raise GraphError(f"edges {self.edges[-1].id} and {edge.id} do not compose")
 
     @property
     def length(self):
@@ -92,20 +122,30 @@ class Path:
 
     def prefix(self, n):
         """The initial subpath with n edges (the source vertex for n = 0)."""
-        if n == 0:
-            return Path(self.base)
-        return Path(self.base, self.edges[:n])
+        return Path._derived(self.base, self.edges[:n], self._edge_ids()[:n])
 
     def extended(self, edge):
-        return Path(self.base, self.edges + (edge,))
+        """This path followed by edge."""
+        self._check_junction(edge)
+        return Path._derived(
+            self.base, self.edges + (edge,), self._edge_ids() + (edge.id,)
+        )
+
+    def joined(self, other, k):
+        """This path followed by the edges of other after its first k."""
+        tail = other.edges[k:]
+        if not tail:
+            return self
+        self._check_junction(tail[0])
+        return Path._derived(
+            self.base, self.edges + tail, self._edge_ids() + other._key[1][k:]
+        )
 
     def sort_key(self):
         return self._key
 
     def render(self):
-        if not self.edges:
-            return self.base.id
-        return ".".join(e.id for e in self.edges)
+        return ".".join(self._key[1])
 
     def __eq__(self, other):
         return (

@@ -9,13 +9,15 @@ from leavitt import (
     ElementSyntaxError,
     IntegerModRing,
     Monomial,
+    Path,
+    Vertex,
     enumerate_monomials,
     normal_form_shuffled,
     parse_element,
     parse_graph,
 )
 
-from .util import elem, mono
+from .util import GRAPH_R3, elem, mono
 
 TEST_GRAPH_SOURCES = {}
 
@@ -212,6 +214,46 @@ class TestConfluence:
                     )
                 expected = Element.from_terms(graph, ring, raw)
                 assert normal_form_shuffled(graph, ring, raw, rng) == expected
+
+
+class TestLongPaths:
+    """Paths of hundreds of edges, built one junction at a time."""
+
+    def test_parsing_a_long_word_compares_vertices_linearly(self, ring, monkeypatch):
+        graph = parse_graph(GRAPH_R3)
+        rng = random.Random(7)
+        v, word = graph.vertex("a"), []
+        for _ in range(600):
+            e = rng.choice(graph.out_edges(v))
+            word.append(e.id)
+            v = e.range
+        text = ".".join(word)
+        calls = 0
+        compare = Vertex.__eq__
+
+        def counting(self, other):
+            nonlocal calls
+            calls += 1
+            return compare(self, other)
+
+        monkeypatch.setattr(Vertex, "__eq__", counting)
+        value = parse_element(text, graph, ring)
+        monkeypatch.undo()
+        # a full check of each partial word would make about n^2 / 2
+        assert calls < 20 * len(word)
+        assert str(value) == text
+
+    @pytest.mark.parametrize("k", [20, 60])
+    def test_shuffled_rewrites_of_a_long_power(self, ring, k):
+        graph = parse_graph(GRAPH_R3)
+        power = Path(graph.vertex("a"), [graph.edge("w")] * k)
+        raw = [(Monomial(power, power), 1)]
+        expected = Element.from_terms(graph, ring, raw)
+        # w^k.(w^k)* = a - sum over i < k of w^i.x.(w^i.x)*
+        closed = "a" + "".join(f" - {p}.({p})*" for p in ("w." * i + "x" for i in range(k)))
+        assert str(expected) == closed
+        for seed in range(3):
+            assert normal_form_shuffled(graph, ring, raw, random.Random(seed)) == expected
 
 
 class TestGrammar:

@@ -177,6 +177,15 @@ class TestCheckCommands:
         assert code == 0
         assert "right-witness: v1" in out
 
+    @pytest.mark.parametrize("prop", ["nearly-epsilon", "nondegenerate"])
+    def test_seed_recorded_only_when_sampling(self, capsys, graph_file, prop):
+        command = ["check", "--graph", graph_file, "--property", prop, "--bound", "3",
+                   "--output", "structured"]
+        code, out, _ = run(capsys, *command, "--expr", "f1")
+        assert code == 0 and "seed" not in json.loads(out)
+        code, out, _ = run(capsys, *command, "--samples", "3")
+        assert code == 0 and json.loads(out)["seed"] == 0
+
     def test_grading_axiom(self, capsys, graph_file):
         code, out, _ = run(
             capsys, "check", "--graph", graph_file,

@@ -1,14 +1,18 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leavitt import (
     Graph,
     GraphError,
     GraphSyntaxError,
+    Monomial,
     Path,
     Vertex,
     is_initial_subpath,
     parse_graph,
 )
+from leavitt.algebra import _mono_product
 
 from .util import GRAPH_A, GRAPH_C, SINGLE_VERTEX, brute_out_degree, brute_paths
 
@@ -185,3 +189,117 @@ class TestInitialSubpath:
                 for c in paths:
                     if is_initial_subpath(a, b) and is_initial_subpath(b, c):
                         assert is_initial_subpath(a, c)
+
+
+@st.composite
+def small_graphs(draw):
+    """A graph on up to three vertices with up to five edges, loops and
+    parallel edges allowed."""
+    n = draw(st.integers(1, 3))
+    ends = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=5))
+    text = "vertices " + " ".join(f"v{i}" for i in range(n)) + ";"
+    if ends:
+        text += " edges " + " ".join(f"e{i}: v{s} -> v{t};" for i, (s, t) in enumerate(ends))
+    return parse_graph(text)
+
+
+def full_check(base, edges):
+    """The path, or the GraphError text, of a full check of the edge list."""
+    try:
+        return Path(base, edges)
+    except GraphError as exc:
+        return str(exc)
+
+
+def same_path(derived, expected):
+    assert isinstance(expected, Path), expected
+    assert derived == expected and expected == derived
+    assert hash(derived) == hash(expected)
+    assert derived.sort_key() == expected.sort_key()
+    assert derived.render() == expected.render()
+    assert derived.source == expected.source and derived.range == expected.range
+
+
+def same_outcome(build, expected):
+    """build() gives the path that expected is, or raises its GraphError text."""
+    if isinstance(expected, str):
+        with pytest.raises(GraphError) as err:
+            build()
+        assert str(err.value) == expected
+    else:
+        same_path(build(), expected)
+
+
+def old_mono_product(m1, m2):
+    """The product as built before derived paths: a full check of the joined
+    edge list."""
+    b, a = m1.beta, m2.alpha
+    if is_initial_subpath(b, a):
+        return Monomial(Path(m1.alpha.base, m1.alpha.edges + a.edges[b.length :]), m2.beta)
+    if is_initial_subpath(a, b):
+        return Monomial(m1.alpha, Path(m2.beta.base, m2.beta.edges + b.edges[a.length :]))
+    return None
+
+
+class TestDerivedPaths:
+    """prefix, extended and joined check only the new junction; each must
+    agree with a full check of the same edge list."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(graph=small_graphs(), data=st.data())
+    def test_derived_paths_equal_paths_built_with_the_full_check(self, graph, data):
+        paths = graph.enumerate_paths(3)
+        for p in paths:
+            same_path(p, Path(p.base, p.edges))
+        p = data.draw(st.sampled_from(paths))
+        q = data.draw(st.sampled_from(paths))
+        for n in range(p.length + 2):
+            same_path(p.prefix(n), Path(p.base, p.edges[:n]))
+        for e in graph.edges:
+            same_outcome(lambda: p.extended(e), full_check(p.base, p.edges + (e,)))
+        for k in range(q.length + 2):
+            same_outcome(lambda: p.joined(q, k), full_check(p.base, p.edges + q.edges[k:]))
+        if p.edges:
+            # derived from a derived path: the key of the parent is extended
+            head = p.prefix(p.length - 1)
+            same_path(head.extended(p.edges[-1]), p)
+            same_path(head.prefix(0).joined(p, 0), p)
+
+    @settings(max_examples=100, deadline=None)
+    @given(graph=small_graphs(), data=st.data())
+    def test_mono_product_matches_the_full_check(self, graph, data):
+        paths = graph.enumerate_paths(3)
+        by_range = {}
+        for p in paths:
+            by_range.setdefault(p.range, []).append(p)
+
+        def monomial(firsts):
+            a = data.draw(st.sampled_from(firsts))
+            return Monomial(a, data.draw(st.sampled_from(by_range[a.range])))
+
+        for _ in range(10):
+            m1 = monomial(paths)
+            b = m1.beta
+            # mostly a meeting path that b is a prefix of, or one that is a prefix of b
+            linked = [p for p in paths if is_initial_subpath(b, p) or is_initial_subpath(p, b)]
+            m2 = monomial(linked if data.draw(st.integers(0, 3)) else paths)
+            got, want = _mono_product(m1, m2), old_mono_product(m1, m2)
+            assert got == want
+            if got is not None:
+                same_path(got.alpha, want.alpha)
+                same_path(got.beta, want.beta)
+
+    def test_non_composing_junction_keeps_the_error_text(self, chain_graph):
+        f1, f2, f3, f4 = (chain_graph.edge(f"f{i}") for i in range(1, 5))
+        v1 = Path(chain_graph.vertex("v1"))
+        with pytest.raises(GraphError, match="^path base v1 is not the source of edge f1$"):
+            v1.extended(f1)
+        with pytest.raises(GraphError, match="^edges f4 and f1 do not compose$"):
+            Path(None, (f4,)).extended(f1)
+        with pytest.raises(GraphError, match="^edges f2 and f3 do not compose$"):
+            Path(None, (f2,)).joined(Path(None, (f4, f3)), 1)
+        with pytest.raises(GraphError, match="^path base v1 is not the source of edge f2$"):
+            v1.joined(Path(None, (f2,)), 0)
+        # an edge list from outside is checked at every junction
+        with pytest.raises(GraphError, match="^edges f3 and f2 do not compose$"):
+            Path(None, (f4, f3, f2))
