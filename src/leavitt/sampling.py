@@ -1,11 +1,15 @@
 """Seeded pseudorandom elements for verification suites.
 
 Everything takes an explicit random.Random so runs are reproducible from a
-recorded seed.
+recorded seed. The population a sampler draws from is built once per owner
+and reused: X_g and the realized degrees per DegreeMap, degree and bound, the
+list of all monomials per Graph and bound. Reuse keeps the population order,
+so seeded draws are the same as when every call rebuilt it.
 """
 
 from __future__ import annotations
 
+import weakref
 from fractions import Fraction
 
 from .algebra import Element, enumerate_monomials
@@ -15,6 +19,20 @@ from .rings import IntegerModRing, RationalRing
 
 # The most monomials in one random element.
 MAX_SUPPORT = 4
+
+# owner (DegreeMap or Graph) -> {key: population}. The weak key drops the
+# entry when its owner dies; values hold monomials and degrees, never the
+# owner, so they do not keep it alive.
+_POPULATIONS = weakref.WeakKeyDictionary()
+
+
+def _population(owner, key, build):
+    """build(), called on the first request of key for owner, then reused.
+    Threads that race on it at worst build the same population twice."""
+    memo = _POPULATIONS.setdefault(owner, {})
+    if key not in memo:
+        memo[key] = build()
+    return memo[key]
 
 
 def random_scalar(ring, rng):
@@ -29,7 +47,9 @@ def random_scalar(ring, rng):
 
 def random_element(graph, ring, rng, len_bound=3):
     """A random element with bounded support; may be zero."""
-    monos = enumerate_monomials(graph, len_bound)
+    monos = _population(
+        graph, ("monomials", len_bound), lambda: enumerate_monomials(graph, len_bound)
+    )
     if not monos:
         return Element.zero(graph, ring)
     return _random_combination(graph, ring, rng, monos, 0)
@@ -53,11 +73,15 @@ def random_homogeneous(degree_map, ring, rng, degree=None, len_bound=3):
     is given. Distinct normal monomials with nonzero coefficients never
     cancel, so the result is always nonzero."""
     if degree is None:
-        options = realized_degrees(degree_map, len_bound)
+        options = _population(
+            degree_map, ("degrees", len_bound), lambda: realized_degrees(degree_map, len_bound)
+        )
         if not options:
             raise HomogeneityError(f"no monomials within bound {len_bound}")
         degree = options[rng.randrange(len(options))]
-    monos = enumerate_Xg(degree, degree_map, len_bound)
+    monos = _population(
+        degree_map, ("Xg", degree, len_bound), lambda: enumerate_Xg(degree, degree_map, len_bound)
+    )
     if not monos:
         raise HomogeneityError(
             f"no monomials of degree {degree_map.group.render(degree)} within bound {len_bound}"
@@ -69,5 +93,5 @@ def _random_combination(graph, ring, rng, monos, least):
     """Between least and MAX_SUPPORT distinct monomials of monos, each with a
     random nonzero scalar."""
     k = rng.randint(least, min(MAX_SUPPORT, len(monos)))
-    picks = rng.sample(list(monos), k)
+    picks = rng.sample(monos, k)
     return Element.from_terms(graph, ring, [(m, random_scalar(ring, rng)) for m in picks])

@@ -447,3 +447,15 @@ class TestErrors:
             os.close(write_end)
         assert done.returncode == 0
         assert done.stderr == b""
+
+    def test_package_runs_as_a_module(self):
+        src = str(Path(leavitt.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "leavitt", "nf", "--graph", "tests/cli_corpus/r3.lpa", "--expr", "x.y"],
+            capture_output=True,
+            cwd=Path(__file__).resolve().parents[1],
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=60,
+        )
+        assert done.returncode == 0
+        assert done.stdout == b"x.y\n"

@@ -92,10 +92,12 @@ CASES = [
     ("check-nondegenerate-z3", "check --graph r3.lpa --degrees r3_z3.deg --property nondegenerate --bound 3 --samples 6 --seed 5 --output structured", None, None),
     ("check-nondegenerate-z2", "check --graph r3.lpa --degrees r3_z2.deg --property nondegenerate --bound 3 --samples 6 --seed 8", None, None),
     ("check-nondegenerate-table", "check --graph b.lpa --degrees b_table.deg --property nondegenerate --bound 3 --samples 4 --seed 2", None, None),
+    ("check-nondegenerate-r3-repeat", "check --graph r3.lpa --property nondegenerate --bound 4 --samples 40 --seed 11", None, None),
     ("check-nondegenerate-expr", "check --graph chain.lpa --property nondegenerate --bound 3 --expr f1", None, None),
     ("check-nondegenerate-zero", "check --graph chain.lpa --property nondegenerate --bound 3 --expr 0", None, None),
     ("frobenius-structured", "frobenius --graph b.lpa --degrees b_z2.deg --bound 4 --samples 20 --triples 10 --seed 7 --output structured", None, None),
     ("frobenius-z3", "frobenius --graph r3.lpa --degrees r3_z3.deg --ring z/3 --bound 3 --samples 10 --triples 5 --seed 2", None, None),
+    ("frobenius-z3-repeat", "frobenius --graph r3.lpa --degrees r3_z3.deg --ring z/3 --bound 4 --samples 30 --triples 10 --seed 12", None, None),
     ("frobenius-infinite-group", "frobenius --graph b.lpa --bound 4", None, None),
 ]
 
