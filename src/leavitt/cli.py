@@ -64,6 +64,7 @@ _DATA_ERRORS = (
     HomogeneityError,
     FrobeniusBuildError,
     OSError,
+    UnicodeDecodeError,
 )
 
 

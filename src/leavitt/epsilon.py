@@ -28,7 +28,7 @@ for flagged graphs, and does not use e = e*.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .algebra import Element, Monomial, enumerate_monomials
 from .graph import is_initial_subpath
@@ -208,6 +208,22 @@ def _local_unit(graph, ring, representatives):
     return unit, tuple(certificate)
 
 
+def _candidate(g, degree_map, len_bound, ring):
+    """The unverified degree-g local identity: the sum of n over the minimal
+    classes, with their certificate, when those are complete; otherwise the
+    report of why there is none."""
+    mcs = minimal_classes(g, degree_map, len_bound)
+    if mcs.verdict != "complete":
+        reason = (
+            "infinite minimal set"
+            if mcs.verdict == "infinite-witness"
+            else f"undetermined at bound {len_bound}"
+        )
+        return EpsilonReport(g, degree_map, len_bound, None, reason, None, 0, mcs)
+    eps, certificate = _local_unit(degree_map.graph, ring, mcs.classes)
+    return EpsilonReport(g, degree_map, len_bound, eps, None, certificate, 0, mcs)
+
+
 def epsilon(g, degree_map, len_bound, ring=INTEGERS):
     """The degree-g local identity, with certificate and identity checks.
 
@@ -220,28 +236,19 @@ def epsilon(g, degree_map, len_bound, ring=INTEGERS):
     counts the monomials covered. An empty monomial set yields zero,
     reported as present.
     """
-    graph = degree_map.graph
-    group = degree_map.group
-    mcs = minimal_classes(g, degree_map, len_bound)
-    if mcs.verdict == "infinite-witness":
-        return EpsilonReport(g, degree_map, len_bound, None, "infinite minimal set", None, 0, mcs)
-    if mcs.verdict == "bound-exhausted":
-        return EpsilonReport(
-            g, degree_map, len_bound, None, f"undetermined at bound {len_bound}", None, 0, mcs
-        )
-
-    eps, certificate = _local_unit(graph, ring, mcs.classes)
+    rep = _candidate(g, degree_map, len_bound, ring)
+    if not rep.present:
+        return rep
     checked = 0
-    for side, h in (("left", g), ("right", group.inverse(g))):
-        failed, count = _first_identity_failure(eps, side, enumerate_Xg(h, degree_map, len_bound))
+    for side, h in (("left", g), ("right", degree_map.group.inverse(g))):
+        failed, count = _first_identity_failure(
+            rep.epsilon, side, enumerate_Xg(h, degree_map, len_bound)
+        )
         checked += count
         if failed is not None:
-            return EpsilonReport(
-                g, degree_map, len_bound, None,
-                f"identity verification failed on {failed.render()}; raise the bound",
-                None, checked, mcs,
-            )
-    return EpsilonReport(g, degree_map, len_bound, eps, None, certificate, checked, mcs)
+            reason = f"identity verification failed on {failed.render()}; raise the bound"
+            return EpsilonReport(g, degree_map, len_bound, None, reason, None, checked, rep.minimal)
+    return replace(rep, identity_checked_on=checked)
 
 
 def _first_identity_failure(unit, side, monos):
@@ -276,6 +283,29 @@ def _minimal_representatives(monos):
     return [first[a] for a in sorted(minimal, key=lambda p: p.sort_key())]
 
 
+def _degree_of_family(elements, degree_map, message):
+    """The one degree of which every nonzero element listed is homogeneous;
+    HomogeneityError with the message when there is none."""
+    degrees = {g for e in elements for g in decompose(e, degree_map)}
+    if len(degrees) != 1:
+        raise HomogeneityError(message)
+    return degrees.pop()
+
+
+def _one_sided_unit(elements, side):
+    """A unit fixing every element of a family of nonzero elements from one
+    side, verified exactly, with its certificate: the sum of n over the
+    minimal classes of the pooled supports, or of the adjoints' supports for
+    the right side."""
+    pool = {m for e in elements for m in (e if side == "left" else e.involution()).terms}
+    reps = _minimal_representatives(sorted(pool, key=Monomial.sort_key))
+    unit, certificate = _local_unit(elements[0].graph, elements[0].ring, reps)
+    for e in elements:
+        if (unit * e if side == "left" else e * unit) != e:
+            raise ConstructionError(f"{side} unit failed on {e}")
+    return unit, certificate
+
+
 def local_units(s, degree_map):
     """Element-specific local units for a nonzero homogeneous element.
 
@@ -285,32 +315,16 @@ def local_units(s, degree_map):
     """
     if s.is_zero():
         raise HomogeneityError("the zero element has no local units")
-    degrees = list(decompose(s, degree_map))
-    if len(degrees) != 1:
-        raise HomogeneityError("element is not homogeneous")
-    g = degrees[0]
-    left, left_cert = _local_unit(s.graph, s.ring, _minimal_representatives(s.support()))
-    right, star_cert = _local_unit(
-        s.graph, s.ring, _minimal_representatives(s.involution().support())
-    )
-    if left * s != s:
-        raise ConstructionError(f"left unit failed on {s}")
-    if s * right != s:
-        raise ConstructionError(f"right unit failed on {s}")
-    return LocalUnitPair(
-        element=s,
-        degree=g,
-        left=left,
-        right=right,
-        left_certificate=left_cert,
-        right_certificate=star_cert,
-    )
+    g = _degree_of_family([s], degree_map, "element is not homogeneous")
+    left, left_cert = _one_sided_unit([s], "left")
+    right, right_cert = _one_sided_unit([s], "right")
+    return LocalUnitPair(s, g, left, right, left_cert, right_cert)
 
 
 def common_local_unit(elements, side, degree_map):
     """One element acting as identity on every listed element from one side.
 
-    Built from the minimal classes of the concatenated supports, so a finite
+    Built from the minimal classes of the pooled supports, so a finite
     family of same-degree elements always has a common unit.
     """
     if side not in ("left", "right"):
@@ -321,20 +335,8 @@ def common_local_unit(elements, side, degree_map):
     nonzero = [e for e in elems if not e.is_zero()]
     if not nonzero:
         return Element.zero(elems[0].graph, elems[0].ring)
-    degrees = {tuple(decompose(e, degree_map)) for e in nonzero}
-    if len(degrees) != 1 or len(degrees.pop()) != 1:
-        raise HomogeneityError("elements must be homogeneous of one common degree")
-    graph, ring = nonzero[0].graph, nonzero[0].ring
-    pool = set()
-    for e in nonzero:
-        pool.update((e if side == "left" else e.involution()).terms)
-    reps = _minimal_representatives(sorted(pool, key=Monomial.sort_key))
-    unit, _ = _local_unit(graph, ring, reps)
-    for e in nonzero:
-        acted = unit * e if side == "left" else e * unit
-        if acted != e:
-            raise ConstructionError(f"common {side} unit failed on {e}")
-    return unit
+    _degree_of_family(nonzero, degree_map, "elements must be homogeneous of one common degree")
+    return _one_sided_unit(nonzero, side)[0]
 
 
 def check_symmetric(degree_map, len_bound, ring=INTEGERS):
@@ -448,24 +450,23 @@ def check_strongly_graded(degree_map, degree_window, len_bound, ring=INTEGERS):
     comp_witness = None
     saw_undetermined = False
     for g in window:
-        mcs = minimal_classes(g, degree_map, len_bound)
-        if mcs.verdict == "infinite-witness":
+        rep = _candidate(g, degree_map, len_bound, ring)
+        if rep.minimal.verdict == "infinite-witness":
             comp_verdict = "NOT_STRONG"
             comp_witness = {
                 "degree": group.render(g),
-                "reason": "infinite minimal set",
-                "sibling-classes": [c.render() for c in mcs.witness],
+                "reason": rep.absent_reason,
+                "sibling-classes": [c.render() for c in rep.minimal.witness],
             }
             break
-        if mcs.verdict == "bound-exhausted":
+        if not rep.present:
             saw_undetermined = True
             continue
-        eps, _ = _local_unit(graph, ring, mcs.classes)
-        if eps != ident:
+        if rep.epsilon != ident:
             comp_verdict = "NOT_STRONG"
             comp_witness = {
                 "degree": group.render(g),
-                "epsilon": str(eps),
+                "epsilon": str(rep.epsilon),
                 "identity": str(ident),
             }
             break
@@ -502,35 +503,34 @@ def check_strongly_graded(degree_map, degree_window, len_bound, ring=INTEGERS):
     )
 
 
+def _sample_units(degree_map, samples, zeros):
+    """local_units of each nonzero sample, built only as the walk reaches
+    it; each zero sample is appended to zeros instead."""
+    for s in samples:
+        if s.is_zero():
+            zeros.append(s)
+        else:
+            yield local_units(s, degree_map)
+
+
 def check_nearly_epsilon(degree_map, samples):
     """Construct and verify local units for every homogeneous sample.
 
     The construction is total, so PASS is a certificate; a verification
-    failure can only mean a defect in the engine and is reported as such.
+    failure can only mean a defect in the engine and raises
+    ConstructionError.
     """
-    certificates = []
-    skipped = 0
-    for s in samples:
-        if s.is_zero():
-            skipped += 1
-            continue
-        try:
-            lu = local_units(s, degree_map)
-        except ConstructionError as exc:
-            return Report(
-                kind="nearly-epsilon-check",
-                verdict="FAIL",
-                fields={"witness": str(s), "note": f"engine defect: {exc}"},
-            )
-        certificates.append(
-            {"element": str(s), "left": str(lu.left), "right": str(lu.right)}
-        )
+    zeros = []
+    certificates = [
+        {"element": str(lu.element), "left": str(lu.left), "right": str(lu.right)}
+        for lu in _sample_units(degree_map, samples, zeros)
+    ]
     return Report(
         kind="nearly-epsilon-check",
         verdict="PASS",
         fields={
             "samples-verified": len(certificates),
-            "skipped-zero": skipped,
+            "skipped-zero": len(zeros),
             "certificates": certificates,
         },
     )
@@ -544,17 +544,13 @@ def check_nondegenerate(degree_map, samples):
     span and a right unit in the (g^-1, g) product span, each reproducing s
     exactly. Zero samples are skipped.
     """
-    witnesses = []
-    for s in samples:
-        if s.is_zero():
-            continue
-        lu = local_units(s, degree_map)
-        witnesses.append(
-            {
-                "element": str(s),
-                "degree": degree_map.group.render(lu.degree),
-                "left-witness": str(lu.left),
-                "right-witness": str(lu.right),
-            }
-        )
+    witnesses = [
+        {
+            "element": str(lu.element),
+            "degree": degree_map.group.render(lu.degree),
+            "left-witness": str(lu.left),
+            "right-witness": str(lu.right),
+        }
+        for lu in _sample_units(degree_map, samples, [])
+    ]
     return Report(kind="nondegeneracy-check", verdict="PASS", fields={"witnesses": witnesses})

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import leavitt
-from leavitt import ConstructionError, parse_element, parse_graph
+from leavitt import ConstructionError, Element, parse_element, parse_graph
 from leavitt.cli import main
 
 from .util import GRAPH_B, GRAPH_C, GRAPH_CHAIN
@@ -415,6 +415,24 @@ class TestErrors:
         assert code == 65
         assert "duplicate" in err
 
+    @pytest.mark.parametrize("undecodable", ["g.lpa", "b.deg", "z2.table"])
+    def test_undecodable_input_file(self, capsys, tmp_path, undecodable):
+        files = {
+            "g.lpa": GRAPH_B.encode(),
+            "b.deg": b"group table z2.table\ndeg e = q\ndeg f = q\n",
+            "z2.table": b"p q\nq p\n",
+        }
+        files[undecodable] = b"\xff\xfe vertices v;"
+        for name, data in files.items():
+            (tmp_path / name).write_bytes(data)
+        code, out, err = run(
+            capsys, "nf", "--graph", str(tmp_path / "g.lpa"),
+            "--degrees", str(tmp_path / "b.deg"), "--expr", "e",
+        )
+        assert code == 65
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_nonhomogeneous_localunits(self, capsys, graph_file):
         code, _, err = run(
             capsys, "localunits", "--graph", graph_file, "--expr", "v1 + f1"
@@ -430,6 +448,18 @@ class TestErrors:
         assert code == 70
         assert out == ""
         assert err == "internal error: left unit failed on f1\n"
+
+    @pytest.mark.parametrize("prop", ["nearly-epsilon", "nondegenerate"])
+    def test_engine_defect_in_a_sampled_check(self, capsys, graph_file, monkeypatch, prop):
+        # the package's `epsilon` attribute is the function, so go by module name
+        module = sys.modules["leavitt.epsilon"]
+        monkeypatch.setattr(module, "_local_unit", lambda graph, ring, reps: (Element.zero(graph, ring), ()))
+        code, out, err = run(
+            capsys, "check", "--graph", graph_file, "--property", prop, "--bound", "2", "--expr", "f1"
+        )
+        assert code == 70
+        assert out == ""
+        assert err.startswith("internal error: ") and err.count("\n") == 1
 
     def test_closed_stdout_is_not_an_error(self, graph_file):
         read_end, write_end = os.pipe()

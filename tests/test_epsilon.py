@@ -30,7 +30,7 @@ from leavitt import (
 )
 from leavitt.epsilon import _first_identity_failure
 
-from .test_path_table import z_graded_graphs
+from .test_path_table import graded_cases, z_graded_graphs
 from .util import GRAPH_R3, brute_first_identity_failure, brute_minimal_alphas, elem, mono
 
 
@@ -358,9 +358,16 @@ class TestCommonLocalUnit:
         t = common_local_unit([elem("f1", chain_graph, ring), elem("f2", chain_graph, ring)], "left", dm_chain)
         assert t == elem("v2", chain_graph, ring)
 
-    def test_singleton(self, chain_graph, dm_chain, ring):
+    def test_singleton(self, chain_graph, dm_chain, dm_a, dm_b, dm_c, ring):
         s = elem("f2 + f4.f3.(f2)*", chain_graph, ring)
         assert common_local_unit([s], "left", dm_chain) == local_units(s, dm_chain).left
+        rng = random.Random(17)
+        for dm in (dm_chain, dm_a, dm_b, dm_c):
+            for _ in range(15):
+                s = random_homogeneous(dm, ring, rng, len_bound=3)
+                lu = local_units(s, dm)
+                assert lu.left == common_local_unit([s], "left", dm)
+                assert lu.right == common_local_unit([s], "right", dm)
 
     def test_dominated_pair(self, chain_graph, dm_chain, ring):
         t = common_local_unit(
@@ -448,6 +455,29 @@ class TestCheckStronglyGraded:
         report = check_strongly_graded(dm, [0, 1], 4, ring)
         assert report.fields["structural"]["applicable"] is False
         assert report.fields["agreement"] is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=graded_cases(), bound=st.integers(1, 4))
+def test_strongly_graded_reads_the_epsilons_when_all_present(case, bound):
+    dm, g = case
+    group = dm.group
+    window = sorted({group.identity, g, group.inverse(g)}, key=group.sort_key)
+    reps = [epsilon(h, dm, bound) for h in window]
+    if not all(rep.present for rep in reps):
+        return
+    comp = check_strongly_graded(dm, window, bound).fields["computational"]
+    ident = Element.identity(dm.graph, INTEGERS)
+    differing = [rep for rep in reps if rep.epsilon != ident]
+    if not differing:
+        assert comp["verdict"] == "STRONG" and "witness" not in comp
+    else:
+        assert comp["verdict"] == "NOT_STRONG"
+        assert comp["witness"] == {
+            "degree": group.render(differing[0].degree),
+            "epsilon": str(differing[0].epsilon),
+            "identity": str(ident),
+        }
 
 
 class TestCheckNearlyEpsilon:
