@@ -153,11 +153,12 @@ def minimal_classes(g, degree_map, len_bound):
     classes = []
     frontier_ok = True
     for p in table.paths:
-        betas = table.buckets.get((p.range.id, group.op(ginv, table.degree[p])), ())
+        split = table.levels.get((p.range.id, group.op(ginv, table.degree[p])))
         parent_covered = p.length > 0 and covered[p.prefix(p.length - 1)]
-        covered[p] = parent_covered or bool(betas)
-        if betas and not parent_covered:
-            classes.append(Monomial(p, betas[0]))
+        covered[p] = parent_covered or split is not None
+        if split is not None and not parent_covered:
+            # the partner: the first path of the lowest non-empty level
+            classes.append(Monomial(p, next(level for level in split if level)[0][0]))
         if p.length == len_bound and not covered[p]:
             frontier_ok = False
 

@@ -9,10 +9,27 @@ groups given by a Cayley table.
 from __future__ import annotations
 
 import itertools
+import weakref
 
 from .algebra import Element, Monomial, enumerate_monomials
+from .graph import GraphError
 from .rings import INTEGERS
 from .reports import Report
+
+
+# owner (DegreeMap or Graph) -> {key: value}. The weak key drops the entry
+# when its owner dies; values never hold their owner, so they do not keep it
+# alive.
+_MEMO = weakref.WeakKeyDictionary()
+
+
+def _memo(owner, key, build):
+    """build(), called on the first request of key for owner, then reused.
+    Threads that race on it at worst build the same value twice."""
+    memo = _MEMO.setdefault(owner, {})
+    if key not in memo:
+        memo[key] = build()
+    return memo[key]
 
 
 class GroupError(ValueError):
@@ -140,12 +157,6 @@ class IntegerTupleGroup(Group):
     def window(self, lo, hi):
         return list(itertools.product(range(lo, hi + 1), repeat=self.rank))
 
-    def __eq__(self, other):
-        return type(self) is type(other) and self.rank == other.rank
-
-    def __hash__(self):
-        return hash((type(self), self.rank))
-
 
 class CyclicGroup(Group):
     """Z/n; elements are canonical residues 0..n-1. n = 1 is the trivial group."""
@@ -182,12 +193,6 @@ class CyclicGroup(Group):
 
     def window(self, lo, hi):
         return sorted({x % self.modulus for x in range(lo, hi + 1)})
-
-    def __eq__(self, other):
-        return type(self) is type(other) and self.modulus == other.modulus
-
-    def __hash__(self):
-        return hash((type(self), self.modulus))
 
 
 class TableGroup(Group):
@@ -320,7 +325,6 @@ class DegreeMap:
         if missing:
             raise DegreeMapError(f"edges without a degree: {', '.join(missing)}")
         self.edge_degrees = degrees
-        self._path_tables = {}
 
     @classmethod
     def canonical(cls, graph):
@@ -353,10 +357,7 @@ class DegreeMap:
 
     def path_table(self, len_bound):
         """The PathTable of this map at len_bound, built on first use."""
-        table = self._path_tables.get(len_bound)
-        if table is None:
-            table = self._path_tables[len_bound] = PathTable(self, len_bound)
-        return table
+        return _memo(self, ("paths", len_bound), lambda: PathTable(self, len_bound))
 
     def __repr__(self):
         return f"DegreeMap({self.group.name}, {len(self.edge_degrees)} edges)"
@@ -371,11 +372,11 @@ def parse_degree_map(text, graph, table_loader=None):
         deg f1 = 1
         deg f2 = -1
 
-    Every listed edge of the graph must receive a degree. The table file
+    Every edge of the graph must receive exactly one degree. The table file
     named after ``group table`` is fetched through table_loader.
     """
     group = None
-    assignments = []
+    assignments = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -400,12 +401,18 @@ def parse_degree_map(text, graph, table_loader=None):
                 value = group.parse(right)
             except GroupError as exc:
                 raise DegreeMapError(f"line {line_no}: {exc}") from None
-            assignments.append((eid, value))
+            try:
+                graph.edge(eid)
+            except GraphError as exc:
+                raise DegreeMapError(f"line {line_no}: {exc}") from None
+            if eid in assignments:
+                raise DegreeMapError(f"line {line_no}: duplicate degree for edge {eid!r}")
+            assignments[eid] = value
         else:
             raise DegreeMapError(f"line {line_no}: expected 'group' or 'deg', got {parts[0]!r}")
     if group is None:
         raise DegreeMapError("missing 'group' header")
-    return DegreeMap(graph, group, dict(assignments))
+    return DegreeMap(graph, group, assignments)
 
 
 def _parse_group_header(spec, table_loader, line_no):
@@ -452,10 +459,10 @@ class PathTable:
     ``paths`` is ``Graph.enumerate_paths(len_bound)`` in its order, which is
     ``Path.sort_key`` order: length first, then edge ids. ``degree`` maps
     each path to its degree, extended from the parent path by one edge.
-    ``buckets`` maps (range vertex id, degree) to the paths with that range
-    and degree, in enumeration order; ``levels`` maps the same keys to that
-    bucket split by length, a tuple whose entry l (0..len_bound) holds the
-    bucket's paths of length l as (path, designated edge) pairs.
+    ``levels`` maps (range vertex id, degree) to the paths with that range
+    and degree split by length: a tuple whose entry l (0..len_bound) holds
+    those paths of length l as (path, designated edge) pairs, in enumeration
+    order. Only keys with at least one path are present.
     ``designated`` maps each path to its last edge when that edge is the
     designated edge of its source, else None: a b* is normal unless
     ``designated[a]`` is an edge and ``designated[b]`` is the same edge,
@@ -469,7 +476,6 @@ class PathTable:
         self.paths = graph.enumerate_paths(len_bound)
         self.degree = {}
         self.designated = {}
-        buckets = {}
         levels = {}
         for p in self.paths:
             if p.length == 0:
@@ -484,12 +490,10 @@ class PathTable:
             self.degree[p] = d
             self.designated[p] = last
             key = (p.range.id, d)
-            buckets.setdefault(key, []).append(p)
             split = levels.get(key)
             if split is None:
                 split = levels[key] = [[] for _ in range(len_bound + 1)]
             split[p.length].append((p, last))
-        self.buckets = {key: tuple(ps) for key, ps in buckets.items()}
         self.levels = {key: tuple(map(tuple, split)) for key, split in levels.items()}
 
 
@@ -501,9 +505,10 @@ def enumerate_Xg(g, degree_map, len_bound):
     ``Path.sort_key`` order (length, then edge ids). The order comes from
     generation, not from a sort: for each weight and each length of a, the
     real paths are taken in table order, and each one's ghost paths from
-    its bucket's level of the remaining length. Only normal pairs become
-    monomials. Flagged vertices contribute their listed sample edges only,
-    so for flagged graphs this is the sample slice of the true monomial set.
+    the level of the remaining length under their (range, degree) key. Only
+    normal pairs become monomials. Flagged vertices contribute their listed
+    sample edges only, so for flagged graphs this is the sample slice of the
+    true monomial set.
     """
     if len_bound < 0:
         raise ValueError("len_bound must be >= 0")

@@ -51,10 +51,11 @@ class CoefficientRing:
         return f"{type(self).__name__}({self.name})"
 
     def __eq__(self, other):
-        return type(self) is type(other)
+        # identity first: every product compares the rings of its factors
+        return self is other or (type(self) is type(other) and self.name == other.name)
 
     def __hash__(self):
-        return hash(type(self))
+        return hash((type(self), self.name))
 
 
 class IntegerRing(CoefficientRing):
@@ -123,12 +124,6 @@ class IntegerModRing(CoefficientRing):
 
     def from_pair(self, numerator, denominator):
         raise RingError(f"fractional scalars are not available in {self.name}")
-
-    def __eq__(self, other):
-        return type(self) is type(other) and self.modulus == other.modulus
-
-    def __hash__(self):
-        return hash((type(self), self.modulus))
 
 
 INTEGERS = IntegerRing()

@@ -2,37 +2,23 @@
 
 Everything takes an explicit random.Random so runs are reproducible from a
 recorded seed. The population a sampler draws from is built once per owner
-and reused: X_g and the realized degrees per DegreeMap, degree and bound, the
-list of all monomials per Graph and bound. Reuse keeps the population order,
-so seeded draws are the same as when every call rebuilt it.
+and reused, through the weak-keyed memo of ``leavitt.grading``: X_g and the
+realized degrees per DegreeMap, degree and bound, the list of all monomials
+per Graph and bound. Reuse keeps the population order, so seeded draws are
+the same as when every call rebuilt it.
 """
 
 from __future__ import annotations
 
-import weakref
 from fractions import Fraction
 
 from .algebra import Element, enumerate_monomials
 from .epsilon import HomogeneityError
-from .grading import enumerate_Xg
+from .grading import _memo, enumerate_Xg
 from .rings import IntegerModRing, RationalRing
 
 # The most monomials in one random element.
 MAX_SUPPORT = 4
-
-# owner (DegreeMap or Graph) -> {key: population}. The weak key drops the
-# entry when its owner dies; values hold monomials and degrees, never the
-# owner, so they do not keep it alive.
-_POPULATIONS = weakref.WeakKeyDictionary()
-
-
-def _population(owner, key, build):
-    """build(), called on the first request of key for owner, then reused.
-    Threads that race on it at worst build the same population twice."""
-    memo = _POPULATIONS.setdefault(owner, {})
-    if key not in memo:
-        memo[key] = build()
-    return memo[key]
 
 
 def random_scalar(ring, rng):
@@ -47,9 +33,7 @@ def random_scalar(ring, rng):
 
 def random_element(graph, ring, rng, len_bound=3):
     """A random element with bounded support; may be zero."""
-    monos = _population(
-        graph, ("monomials", len_bound), lambda: enumerate_monomials(graph, len_bound)
-    )
+    monos = _memo(graph, ("monomials", len_bound), lambda: enumerate_monomials(graph, len_bound))
     if not monos:
         return Element.zero(graph, ring)
     return _random_combination(graph, ring, rng, monos, 0)
@@ -63,7 +47,7 @@ def realized_degrees(degree_map, len_bound):
     ends at a normal monomial within the bound.
     """
     group = degree_map.group
-    keys = degree_map.path_table(len_bound).buckets
+    keys = degree_map.path_table(len_bound).levels
     degs = {group.op(d, group.inverse(e)) for v, d in keys for w, e in keys if v == w}
     return sorted(degs, key=group.sort_key)
 
@@ -73,13 +57,13 @@ def random_homogeneous(degree_map, ring, rng, degree=None, len_bound=3):
     is given. Distinct normal monomials with nonzero coefficients never
     cancel, so the result is always nonzero."""
     if degree is None:
-        options = _population(
+        options = _memo(
             degree_map, ("degrees", len_bound), lambda: realized_degrees(degree_map, len_bound)
         )
         if not options:
             raise HomogeneityError(f"no monomials within bound {len_bound}")
         degree = options[rng.randrange(len(options))]
-    monos = _population(
+    monos = _memo(
         degree_map, ("Xg", degree, len_bound), lambda: enumerate_Xg(degree, degree_map, len_bound)
     )
     if not monos:

@@ -13,6 +13,8 @@ from leavitt.cli import main
 
 from .util import GRAPH_B, GRAPH_C, GRAPH_CHAIN
 
+CORPUS = Path(__file__).parent / "cli_corpus"
+
 
 @pytest.fixture()
 def graph_file(tmp_path):
@@ -432,6 +434,25 @@ class TestErrors:
         assert code == 65
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "lines,message",
+        [
+            (["deg x = 1", "deg x = 5"], "line 3: duplicate degree for edge 'x'"),
+            (["deg q = 1", "deg x = 1"], "line 2: unknown edge 'q'"),
+        ],
+        ids=["duplicate", "unknown"],
+    )
+    def test_degree_file_assigns_each_known_edge_once(self, capsys, tmp_path, lines, message):
+        degrees = tmp_path / "r3.deg"
+        degrees.write_text("\n".join(["group Z", *lines, "deg y = 1", "deg z = 1", "deg w = 1", "deg t = 1"]))
+        code, out, err = run(
+            capsys, "decompose", "--graph", str(CORPUS / "r3.lpa"),
+            "--degrees", str(degrees), "--expr", "x",
+        )
+        assert code == 65
+        assert out == ""
+        assert err == f"error: {message}\n"
 
     def test_nonhomogeneous_localunits(self, capsys, graph_file):
         code, _, err = run(

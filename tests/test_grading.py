@@ -5,12 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leavitt import (
+    RATIONALS,
     CyclicGroup,
     DegreeMap,
     DegreeMapError,
     Element,
     GroupError,
     IntegerGroup,
+    IntegerModRing,
+    IntegerRing,
     IntegerTupleGroup,
     check_grading_axiom,
     decompose,
@@ -73,6 +76,27 @@ class TestGroups:
         for a in g.elements():
             assert g.op(a, g.inverse(a)) == "s0"
 
+    @pytest.mark.parametrize(
+        "make,other",
+        [
+            (lambda: IntegerTupleGroup(2), IntegerTupleGroup(3)),
+            (lambda: CyclicGroup(3), CyclicGroup(4)),
+            (lambda: IntegerModRing(3), IntegerModRing(5)),
+            (IntegerRing, RATIONALS),
+            # one file name, two tables: the identity is p in one, q in the other
+            (
+                lambda: parse_group_table("p q\np q\nq p", name="table:t"),
+                parse_group_table("p q\nq p\np q", name="table:t"),
+            ),
+        ],
+        ids=["Z^2", "Z/3", "ring Z/3", "ring Z", "table"],
+    )
+    def test_equality_and_hash(self, make, other):
+        a, b = make(), make()
+        assert a is not b
+        assert a == b and hash(a) == hash(b)
+        assert a != other and other != a
+
     def test_table_validation(self):
         with pytest.raises(GroupError, match="identity"):
             parse_group_table("a b\nb a\nb a")
@@ -129,6 +153,26 @@ class TestDegreeMap:
             parse_degree_map("group Z/x", chain_graph)
         with pytest.raises(DegreeMapError, match="line 2"):
             parse_degree_map("group Z\ndeg f1 = q", chain_graph)
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            (
+                "group Z\ndeg f1 = 1\ndeg f1 = 5\ndeg f2 = 1\ndeg f3 = 1\ndeg f4 = 1\n",
+                "line 3: duplicate degree for edge 'f1'",
+            ),
+            (
+                "group Z\ndeg f1 = 1\ndeg f2 = 1\ndeg f3 = 1\ndeg f4 = 1\ndeg f4 = 1\n",
+                "line 6: duplicate degree for edge 'f4'",
+            ),
+            ("group Z\ndeg q = 1\ndeg f1 = 1\n", "line 2: unknown edge 'q'"),
+        ],
+        ids=["duplicate", "duplicate-last", "unknown"],
+    )
+    def test_each_edge_is_assigned_once_by_a_known_id(self, chain_graph, text, message):
+        with pytest.raises(DegreeMapError) as info:
+            parse_degree_map(text, chain_graph)
+        assert str(info.value) == message
 
 
 class TestDecompose:

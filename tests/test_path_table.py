@@ -22,7 +22,7 @@ from leavitt import (
 from leavitt.sampling import realized_degrees
 
 from .test_grading import s3_table_text
-from .util import GRAPH_C, GRAPH_R3, brute_minimal_alphas, brute_xg, brute_xg_alphas
+from .util import GRAPH_C, GRAPH_R3, brute_minimal_alphas, brute_monomials, brute_xg, brute_xg_alphas
 
 
 def path_ids(path):
@@ -63,16 +63,16 @@ class TestPathTable:
         table = dm.path_table(3)
         assert table.paths == chain_graph.enumerate_paths(3)
         assert table.degree == {p: dm.degree_of_path(p) for p in table.paths}
-        for (vid, d), ps in table.buckets.items():
-            assert list(ps) == [p for p in table.paths if p.range.id == vid and table.degree[p] == d]
-        assert sum(len(ps) for ps in table.buckets.values()) == len(table.paths)
-        assert table.levels.keys() == table.buckets.keys()
-        for key, split in table.levels.items():
+        total = 0
+        for (vid, d), split in table.levels.items():
             assert len(split) == 4
-            assert [p for level in split for p, _ in level] == list(table.buckets[key])
+            flat = [p for level in split for p, _ in level]
+            assert flat == [p for p in table.paths if p.range.id == vid and table.degree[p] == d]
+            total += len(flat)
             for length, level in enumerate(split):
                 for p, last in level:
                     assert p.length == length and last is table.designated[p]
+        assert total == len(table.paths)
         for p in table.paths:
             # p p* is the one pair whose last edges always agree
             assert (table.designated[p] is None) == Monomial(p, p).is_normal(chain_graph)
@@ -152,6 +152,16 @@ def xg_pairs(degree_map, g, bound):
 def test_xg_is_the_brute_force_list_in_order(case, bound):
     degree_map, g = case
     assert xg_pairs(degree_map, g, bound) == brute_xg(degree_map.graph, degree_map, g, bound)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=graded_cases(), bound=st.integers(0, 4))
+def test_all_monomials_are_the_brute_force_list_in_order(case, bound):
+    # the oracle of realized_degrees above reads enumerate_monomials, which
+    # shares the path table with the code it checks
+    graph = case[0].graph
+    listed = [(path_ids(m.alpha), path_ids(m.beta)) for m in enumerate_monomials(graph, bound)]
+    assert listed == brute_monomials(graph, bound)
 
 
 @pytest.mark.parametrize("bound", range(5))

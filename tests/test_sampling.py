@@ -22,7 +22,7 @@ from leavitt import (
     random_element,
     random_homogeneous,
 )
-from leavitt import sampling
+from leavitt import grading, sampling
 from leavitt.sampling import MAX_SUPPORT, random_scalar, realized_degrees
 
 from .test_path_table import graded_cases
@@ -113,22 +113,23 @@ def test_degree_maps_over_one_graph_do_not_share_xg(monkeypatch):
 
 def test_memo_entries_die_with_their_owners():
     gc.collect()
-    before = len(sampling._POPULATIONS)
+    before = len(grading._MEMO)
     graph = parse_graph(GRAPH_R3)
     dm = DegreeMap.canonical(graph)
     rng = random.Random(8)
     random_homogeneous(dm, INTEGERS, rng, len_bound=2)
     random_element(graph, INTEGERS, rng, len_bound=2)
-    assert len(sampling._POPULATIONS) == before + 2
+    assert len(grading._MEMO) == before + 2
     dm_alive, graph_alive = weakref.ref(dm), weakref.ref(graph)
+    table_alive = weakref.ref(dm.path_table(2))
     del dm
     gc.collect()
-    assert dm_alive() is None
-    assert len(sampling._POPULATIONS) == before + 1
+    assert dm_alive() is None and table_alive() is None
+    assert len(grading._MEMO) == before + 1
     del graph
     gc.collect()
     assert graph_alive() is None
-    assert len(sampling._POPULATIONS) == before
+    assert len(grading._MEMO) == before
 
 
 RINGS = st.sampled_from([INTEGERS, RATIONALS, IntegerModRing(3)])

@@ -97,20 +97,36 @@ def brute_xg(graph, degree_map, g, bound):
             d = group.op(d, degree_map.edge_degrees[eid])
         return d
 
-    def key(path):
-        src, ids, _ = path
-        return (len(ids), ids or (src,))
-
     paths = brute_paths(graph, bound)
     degrees = {p: degree(p) for p in paths}
-    pairs = [
+    return _in_monomial_order(
         (a, b)
         for a in paths
         for b in paths
         if a[2] == b[2]
         and group.op(degrees[a], group.inverse(degrees[b])) == g
         and brute_is_normal(graph, a[1], b[1])
-    ]
+    )
+
+
+def brute_monomials(graph, bound):
+    """All normal monomials within the bound as an ordered list of (real
+    path, ghost path) pairs of brute_paths triples: every pair of matching
+    range that brute_is_normal accepts, in brute_xg's order."""
+    paths = brute_paths(graph, bound)
+    return _in_monomial_order(
+        (a, b) for a in paths for b in paths if a[2] == b[2] and brute_is_normal(graph, a[1], b[1])
+    )
+
+
+def _in_monomial_order(pairs):
+    """Pairs sorted by total length, then the real path's (length, edge ids),
+    then the ghost path's. A vertex path sorts by its id."""
+
+    def key(path):
+        src, ids, _ = path
+        return (len(ids), ids or (src,))
+
     return sorted(pairs, key=lambda ab: (len(ab[0][1]) + len(ab[1][1]), key(ab[0]), key(ab[1])))
 
 
