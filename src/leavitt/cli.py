@@ -33,7 +33,12 @@ from .epsilon import (
     epsilon,
     local_units,
 )
-from .frobenius import FrobeniusBuildError, build_frobenius_system, verify_frobenius
+from .frobenius import (
+    EpsilonUnavailableError,
+    FrobeniusBuildError,
+    build_frobenius_system,
+    verify_frobenius,
+)
 from .grading import (
     DegreeMap,
     DegreeMapError,
@@ -324,9 +329,7 @@ def _cmd_frobenius(args):
     _check_bound(args)
     try:
         system = build_frobenius_system(dmap, args.bound, ring)
-    except FrobeniusBuildError as exc:
-        if "unavailable" not in str(exc):
-            raise
+    except EpsilonUnavailableError as exc:
         report = Report(
             kind="frobenius-verification",
             verdict="UNDETERMINED",

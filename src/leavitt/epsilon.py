@@ -18,12 +18,6 @@ be dominated through its prefix. Two minimal classes that differ only in
 which sample edge of one flagged vertex they use certify an infinite
 minimal set, since each of the infinitely many parallel edges yields an
 incomparable class of its own.
-
-A local identity is verified once per distinct path, not per monomial. For
-x = a b* with r(a) = r(b), e.x = x exactly when e.a = a (multiply on the
-right by b, as b* b = r(b)); for y = c d*, y.e = y exactly when d*.e = d*
-(multiply on the left by c*, as c* c = r(c)). This holds over any ring and
-for flagged graphs, and does not use e = e*.
 """
 
 from __future__ import annotations
@@ -210,9 +204,9 @@ def _local_unit(graph, ring, representatives):
 
 
 def _candidate(g, degree_map, len_bound, ring):
-    """The unverified degree-g local identity: the sum of n over the minimal
-    classes, with their certificate, when those are complete; otherwise the
-    report of why there is none."""
+    """The degree-g local identity, the sum of n over the minimal classes,
+    with its certificate, checked exactly on the classes themselves when
+    those are complete; otherwise the report of why there is none."""
     mcs = minimal_classes(g, degree_map, len_bound)
     if mcs.verdict != "complete":
         reason = (
@@ -221,58 +215,50 @@ def _candidate(g, degree_map, len_bound, ring):
             else f"undetermined at bound {len_bound}"
         )
         return EpsilonReport(g, degree_map, len_bound, None, reason, None, 0, mcs)
-    eps, certificate = _local_unit(degree_map.graph, ring, mcs.classes)
+    graph = degree_map.graph
+    eps, certificate = _local_unit(graph, ring, mcs.classes)
+    _check_unit(eps, "left", [Element.real_path(graph, ring, c.alpha) for c in mcs.classes])
+    _check_unit(eps, "right", [Element.ghost_path(graph, ring, c.alpha) for c in mcs.classes])
     return EpsilonReport(g, degree_map, len_bound, eps, None, certificate, 0, mcs)
 
 
 def epsilon(g, degree_map, len_bound, ring=INTEGERS):
     """The degree-g local identity, with certificate and identity checks.
 
-    When the minimal classes are complete the candidate is the sum of their
-    n-values; it is then verified as a left identity on every enumerated
-    degree-g monomial and as a right identity on every enumerated monomial
-    of the inverse degree. e.(a b*) = a b* reduces to e.a = a and
-    (c d*).e = c d* to d*.e = d*, so one product per distinct real path a
-    and ghost path d decides every monomial; identity_checked_on still
-    counts the monomials covered. An empty monomial set yields zero,
-    reported as present.
+    When the minimal classes are complete the local identity is
+    e = sum of a a* over the classes a, and two exact products per class,
+    e.a = a and a*.e = a*, prove that e fixes every degree-g monomial from
+    the left and every monomial of the inverse degree from the right:
+
+    - The classes are pairwise incomparable, none a prefix of another, so
+      a'* a = 0 for a' != a and e.a = a a* a = a, using only a* a = r(a).
+    - A real path a' of a monomial a' b* of degree g is realized, so its
+      shortest realized prefix is a class a, and a' = a.t. Then
+      e.(a' b*) = (e.a).t.b* = a' b*.
+    - For c d* of degree g^-1 the path d is realized with partner c, so
+      d = a.t for a class a, and (c d*).e = c.t*.(a*.e) = c d*.
+
+    The argument uses only CK1, so it holds at every bound and for flagged
+    graphs; a failed product is a defect of the engine and raises
+    ConstructionError. identity_checked_on counts the monomials of both
+    degrees within the bound, all of which the proof covers. An empty
+    monomial set yields zero, reported as present.
     """
     rep = _candidate(g, degree_map, len_bound, ring)
     if not rep.present:
         return rep
-    checked = 0
-    for side, h in (("left", g), ("right", degree_map.group.inverse(g))):
-        failed, count = _first_identity_failure(
-            rep.epsilon, side, enumerate_Xg(h, degree_map, len_bound)
-        )
-        checked += count
-        if failed is not None:
-            reason = f"identity verification failed on {failed.render()}; raise the bound"
-            return EpsilonReport(g, degree_map, len_bound, None, reason, None, checked, rep.minimal)
+    ginv = degree_map.group.inverse(g)
+    checked = len(enumerate_Xg(g, degree_map, len_bound))
+    checked += len(enumerate_Xg(ginv, degree_map, len_bound))
     return replace(rep, identity_checked_on=checked)
 
 
-def _first_identity_failure(unit, side, monos):
-    """The first monomial of monos that unit does not fix from the given
-    side, or None, with the number of monomials fixed before it. Only the
-    real path (left) or ghost path (right) of a monomial decides, so each
-    distinct one is multiplied out once.
-    """
-    graph, ring = unit.graph, unit.ring
-    fixed = {}
-    for count, m in enumerate(monos):
-        path = m.alpha if side == "left" else m.beta
-        ok = fixed.get(path)
-        if ok is None:
-            if side == "left":
-                e = Element.real_path(graph, ring, path)
-                ok = fixed[path] = unit * e == e
-            else:
-                e = Element.ghost_path(graph, ring, path)
-                ok = fixed[path] = e * unit == e
-        if not ok:
-            return m, count
-    return None, len(monos)
+def _check_unit(unit, side, elements):
+    """ConstructionError on the first element that unit does not fix from
+    the given side."""
+    for e in elements:
+        if (unit * e if side == "left" else e * unit) != e:
+            raise ConstructionError(f"{side} unit failed on {e}")
 
 
 def _minimal_representatives(monos):
@@ -301,9 +287,7 @@ def _one_sided_unit(elements, side):
     pool = {m for e in elements for m in (e if side == "left" else e.involution()).terms}
     reps = _minimal_representatives(sorted(pool, key=Monomial.sort_key))
     unit, certificate = _local_unit(elements[0].graph, elements[0].ring, reps)
-    for e in elements:
-        if (unit * e if side == "left" else e * unit) != e:
-            raise ConstructionError(f"{side} unit failed on {e}")
+    _check_unit(unit, side, elements)
     return unit, certificate
 
 
@@ -431,7 +415,8 @@ def check_strongly_graded(degree_map, degree_window, len_bound, ring=INTEGERS):
     The structural arm applies to unflagged graphs under the canonical
     Z-grading: strongly graded exactly when there is no sink. The
     computational arm declares the window strongly graded exactly when
-    every degree's local identity equals the sum of all vertices. When both
+    every degree's local identity, checked as epsilon() checks it but with
+    no monomial count, equals the sum of all vertices. When both
     arms decide they must agree; a mismatch is reported as DISAGREEMENT.
     """
     graph = degree_map.graph

@@ -22,6 +22,11 @@ class FrobeniusBuildError(ValueError):
     """The system cannot be assembled; carries the blocking reason."""
 
 
+class EpsilonUnavailableError(FrobeniusBuildError):
+    """Some degree's local identity is unavailable at the bound, so the
+    system is undecided there rather than impossible."""
+
+
 @dataclass(frozen=True)
 class FrobeniusSystem:
     degree_map: object
@@ -60,7 +65,7 @@ def build_frobenius_system(degree_map, len_bound, ring=INTEGERS):
     for g in sorted(group.elements(), key=group.sort_key):
         rep = epsilon(g, degree_map, len_bound, ring)
         if not rep.present:
-            raise FrobeniusBuildError(
+            raise EpsilonUnavailableError(
                 f"local identity at degree {group.render(g)} unavailable: {rep.absent_reason}"
             )
         epsilons[g] = rep.epsilon

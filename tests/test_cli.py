@@ -470,14 +470,23 @@ class TestErrors:
         assert out == ""
         assert err == "internal error: left unit failed on f1\n"
 
-    @pytest.mark.parametrize("prop", ["nearly-epsilon", "nondegenerate"])
-    def test_engine_defect_in_a_sampled_check(self, capsys, graph_file, monkeypatch, prop):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--property", "nearly-epsilon", "--expr", "x"],
+            ["check", "--property", "nondegenerate", "--expr", "x"],
+            ["epsilon", "-g", "1"],
+            ["check", "--property", "epsilon-strong", "--window", "-1..1"],
+            ["check", "--property", "strongly-graded", "--window", "-1..1"],
+            ["frobenius", "--degrees", str(CORPUS / "r3_z3.deg")],
+        ],
+        ids=["nearly-epsilon", "nondegenerate", "epsilon", "epsilon-strong", "strongly-graded", "frobenius"],
+    )
+    def test_engine_defect_in_a_sampled_check(self, capsys, monkeypatch, argv):
         # the package's `epsilon` attribute is the function, so go by module name
         module = sys.modules["leavitt.epsilon"]
         monkeypatch.setattr(module, "_local_unit", lambda graph, ring, reps: (Element.zero(graph, ring), ()))
-        code, out, err = run(
-            capsys, "check", "--graph", graph_file, "--property", prop, "--bound", "2", "--expr", "f1"
-        )
+        code, out, err = run(capsys, *argv, "--graph", str(CORPUS / "r3.lpa"), "--bound", "2")
         assert code == 70
         assert out == ""
         assert err.startswith("internal error: ") and err.count("\n") == 1

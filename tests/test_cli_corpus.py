@@ -99,6 +99,8 @@ CASES = [
     ("frobenius-z3", "frobenius --graph r3.lpa --degrees r3_z3.deg --ring z/3 --bound 3 --samples 10 --triples 5 --seed 2", None, None),
     ("frobenius-z3-repeat", "frobenius --graph r3.lpa --degrees r3_z3.deg --ring z/3 --bound 4 --samples 30 --triples 10 --seed 12", None, None),
     ("frobenius-infinite-group", "frobenius --graph b.lpa --bound 4", None, None),
+    ("frobenius-undetermined", "frobenius --graph l.lpa --degrees l_z2.deg --bound 2", None, None),
+    ("frobenius-undetermined-structured", "frobenius --graph l.lpa --degrees l_z2.deg --bound 2 --output structured", None, None),
 ]
 
 

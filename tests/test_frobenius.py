@@ -6,6 +6,7 @@ from leavitt import (
     CyclicGroup,
     DegreeMap,
     Element,
+    EpsilonUnavailableError,
     FrobeniusBuildError,
     FrobeniusSystem,
     IntegerGroup,
@@ -115,6 +116,12 @@ class TestBuild:
         dm = DegreeMap(graph_c, CyclicGroup(2), {e.id: 1 for e in graph_c.edges})
         with pytest.raises(FrobeniusBuildError, match="flagged"):
             build_frobenius_system(dm, 3, ring)
+
+    def test_undecided_degree_is_its_own_error(self, ring):
+        loop = parse_graph("graph l { vertices: v ; edges: e: v -> v; }")
+        dm = DegreeMap(loop, CyclicGroup(2), {"e": 0})
+        with pytest.raises(EpsilonUnavailableError, match="degree 1 unavailable: undetermined at bound 2"):
+            build_frobenius_system(dm, 2, ring)
 
 
 class TestVerify:
