@@ -33,7 +33,13 @@ class ElementSyntaxError(ValueError):
 
 
 class Monomial:
-    """A basis word a b*: an ordered pair of paths with r(a) = r(b)."""
+    """A basis word a b*: an ordered pair of paths with r(a) = r(b).
+
+    ``Monomial(a, b)`` checks that the ranges agree and raises GraphError
+    when they do not. ``Monomial._same_range(a, b)`` skips that check and is
+    only for pairs built with a shared range: two paths of one (range,
+    degree) level of the path table, or the swapped paths of a monomial.
+    """
 
     __slots__ = ("alpha", "beta", "_hash")
 
@@ -44,7 +50,16 @@ class Monomial:
             )
         self.alpha = alpha
         self.beta = beta
-        self._hash = hash((alpha, beta))
+        self._hash = hash((alpha._hash, beta._hash))
+
+    @staticmethod
+    def _same_range(alpha, beta):
+        """A monomial from paths known to share their range, with no check."""
+        mono = Monomial.__new__(Monomial)
+        mono.alpha = alpha
+        mono.beta = beta
+        mono._hash = hash((alpha._hash, beta._hash))
+        return mono
 
     @property
     def range(self):
@@ -54,7 +69,7 @@ class Monomial:
         return self.alpha.length + self.beta.length
 
     def involution(self):
-        return Monomial(self.beta, self.alpha)
+        return Monomial._same_range(self.beta, self.alpha)
 
     def is_normal(self, graph):
         """True unless both paths end in the designated edge of its source."""

@@ -152,7 +152,7 @@ def minimal_classes(g, degree_map, len_bound):
         covered[p] = parent_covered or split is not None
         if split is not None and not parent_covered:
             # the partner: the first path of the lowest non-empty level
-            classes.append(Monomial(p, next(level for level in split if level)[0][0]))
+            classes.append(Monomial._same_range(p, next(level for level in split if level)[0][0]))
         if p.length == len_bound and not covered[p]:
             frontier_ok = False
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import Element
-from .epsilon import ConstructionError, epsilon
+from .epsilon import ConstructionError, _candidate
 from .grading import decompose
 from .reports import Report
 from .rings import INTEGERS
@@ -52,7 +52,9 @@ def build_frobenius_system(degree_map, len_bound, ring=INTEGERS):
     """Assemble the dual pairs from every degree's local-identity certificate.
 
     Requires a finite group and an unflagged graph; any degree whose local
-    identity is unavailable aborts the build with that degree's reason.
+    identity is unavailable aborts the build with that degree's reason. Each
+    degree's unit is the checked candidate of ``epsilon()``, without the
+    listing of X_g that only counts ``identity_checked_on``.
     """
     group = degree_map.group
     graph = degree_map.graph
@@ -63,7 +65,7 @@ def build_frobenius_system(degree_map, len_bound, ring=INTEGERS):
     pairs = []
     epsilons = {}
     for g in sorted(group.elements(), key=group.sort_key):
-        rep = epsilon(g, degree_map, len_bound, ring)
+        rep = _candidate(g, degree_map, len_bound, ring)
         if not rep.present:
             raise EpsilonUnavailableError(
                 f"local identity at degree {group.render(g)} unavailable: {rep.absent_reason}"

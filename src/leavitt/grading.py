@@ -505,10 +505,11 @@ def enumerate_Xg(g, degree_map, len_bound):
     ``Path.sort_key`` order (length, then edge ids). The order comes from
     generation, not from a sort: for each weight and each length of a, the
     real paths are taken in table order, and each one's ghost paths from
-    the level of the remaining length under their (range, degree) key. Only
-    normal pairs become monomials. Flagged vertices contribute their listed
-    sample edges only, so for flagged graphs this is the sample slice of the
-    true monomial set.
+    the level of the remaining length under their (range, degree) key, so
+    both paths of a pair share their range and no pair is checked for it.
+    Only normal pairs become monomials. Flagged vertices contribute their
+    listed sample edges only, so for flagged graphs this is the sample slice
+    of the true monomial set.
     """
     if len_bound < 0:
         raise ValueError("len_bound must be >= 0")
@@ -522,13 +523,16 @@ def enumerate_Xg(g, degree_map, len_bound):
         split = table.levels.get((p.range.id, group.op(ginv, table.degree[p])))
         if split is not None:
             reals[p.length].append((p, table.designated[p], split))
+    pair = Monomial._same_range
     out = []
     for weight in range(2 * len_bound + 1):
         for length in range(max(0, weight - len_bound), min(weight, len_bound) + 1):
             for a, last, split in reals[length]:
-                for b, b_last in split[weight - length]:
-                    if last is None or b_last is not last:
-                        out.append(Monomial(a, b))
+                level = split[weight - length]
+                if last is None:
+                    out.extend([pair(a, b) for b, _ in level])
+                else:
+                    out.extend([pair(a, b) for b, b_last in level if b_last is not last])
     return tuple(out)
 
 

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -11,6 +12,7 @@ from leavitt import (
     FrobeniusSystem,
     IntegerGroup,
     build_frobenius_system,
+    epsilon,
     parse_graph,
     projection_e,
     random_element,
@@ -18,7 +20,7 @@ from leavitt import (
     verify_frobenius,
 )
 
-from .util import elem
+from .util import GRAPH_R3, elem
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +118,26 @@ class TestBuild:
         dm = DegreeMap(graph_c, CyclicGroup(2), {e.id: 1 for e in graph_c.edges})
         with pytest.raises(FrobeniusBuildError, match="flagged"):
             build_frobenius_system(dm, 3, ring)
+
+    def test_build_lists_no_xg(self, monkeypatch, ring):
+        # the Z/3 grading of R3 at the bound of the benchmark's Frobenius run
+        dm = DegreeMap(parse_graph(GRAPH_R3), CyclicGroup(3), {"x": 1, "y": 1, "z": 1, "w": 0, "t": 2})
+        original = sys.modules["leavitt.grading"].enumerate_Xg
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("leavitt") and getattr(module, "enumerate_Xg", None) is original:
+                monkeypatch.setattr(module, "enumerate_Xg", counting)
+        system = build_frobenius_system(dm, 5, ring)
+        assert calls == []
+        reps = [epsilon(g, dm, 5, ring) for g in range(3)]
+        assert system.epsilons == {g: rep.epsilon for g, rep in enumerate(reps)}
+        assert system.pairs == tuple(p for rep in reps for p in rep.certificate)
+        assert calls  # the counter sees epsilon()'s listing
 
     def test_undecided_degree_is_its_own_error(self, ring):
         loop = parse_graph("graph l { vertices: v ; edges: e: v -> v; }")

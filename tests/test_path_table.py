@@ -9,9 +9,11 @@ from leavitt import (
     CyclicGroup,
     DegreeMap,
     Graph,
+    GraphError,
     IntegerGroup,
     IntegerTupleGroup,
     Monomial,
+    Path,
     check_epsilon_strong,
     enumerate_monomials,
     enumerate_Xg,
@@ -175,14 +177,45 @@ def test_xg_builds_only_the_monomials_it_returns(monkeypatch):
     dm = DegreeMap.canonical(parse_graph(GRAPH_R3))
     dm.path_table(5)
     built = []
-    original = Monomial.__init__
+    checked, unchecked = Monomial.__init__, Monomial._same_range
 
-    def counting(self, alpha, beta):
+    def counting_init(self, alpha, beta):
         built.append(None)
-        original(self, alpha, beta)
+        checked(self, alpha, beta)
 
-    monkeypatch.setattr(Monomial, "__init__", counting)
+    def counting_same_range(alpha, beta):
+        built.append(None)
+        return unchecked(alpha, beta)
+
+    monkeypatch.setattr(Monomial, "__init__", counting_init)
+    monkeypatch.setattr(Monomial, "_same_range", staticmethod(counting_same_range))
     for g in (-2, 0, 1):
         built.clear()
         xg = enumerate_Xg(g, dm, 5)
         assert xg and len(built) == len(xg)
+
+
+def checked_copy(m):
+    assert m.alpha.range == m.beta.range
+    copy = Monomial(m.alpha, m.beta)
+    assert m == copy and hash(m) == hash(copy)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=graded_cases(), bound=st.integers(0, 4))
+def test_unchecked_monomials_equal_checked_ones(case, bound):
+    # enumerate_Xg, minimal_classes and involution skip the range check
+    degree_map, g = case
+    monos = list(enumerate_Xg(g, degree_map, bound))
+    if bound >= 1:
+        monos += minimal_classes(g, degree_map, bound).classes
+    for m in monos:
+        checked_copy(m)
+        checked_copy(m.involution())
+
+
+def test_checked_monomial_rejects_different_ranges():
+    graph = parse_graph(GRAPH_R3)
+    x, y = (Path(None, [graph.edge(name)]) for name in ("x", "y"))
+    with pytest.raises(GraphError, match=r"^paths x and y have different ranges$"):
+        Monomial(x, y)
