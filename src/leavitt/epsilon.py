@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 from .algebra import Element, Monomial, enumerate_monomials
 from .graph import is_initial_subpath
-from .grading import decompose, enumerate_Xg
+from .grading import count_Xg, decompose, enumerate_Xg
 from .reports import Report
 from .rings import INTEGERS
 
@@ -368,6 +368,10 @@ def check_epsilon_strong(degree_map, degree_window, len_bound, ring=INTEGERS):
     degree has an infinite minimal set; UNDETERMINED when a degree exhausts
     the bound. For a graph with no flagged vertices the positive verdict is
     unconditional, finiteness alone forces it for every standard grading.
+
+    Each degree reads its checked candidate, as epsilon() does, and
+    identity-checked-on, the sum of epsilon()'s counts over a window closed
+    under inverse, is twice the sum of count_Xg: no X_g is built.
     """
     graph = degree_map.graph
     group = degree_map.group
@@ -375,12 +379,10 @@ def check_epsilon_strong(degree_map, degree_window, len_bound, ring=INTEGERS):
     epsilons = {}
     infinite = []
     undetermined = []
-    checked = 0
     for g in window:
-        rep = epsilon(g, degree_map, len_bound, ring)
+        rep = _candidate(g, degree_map, len_bound, ring)
         if rep.present:
             epsilons[group.render(g)] = str(rep.epsilon)
-            checked += rep.identity_checked_on
         elif rep.minimal.verdict == "infinite-witness":
             infinite.append(rep)
         else:
@@ -405,7 +407,7 @@ def check_epsilon_strong(degree_map, degree_window, len_bound, ring=INTEGERS):
         }
         return Report("epsilon-strong-check", "UNDETERMINED", fields)
     fields["epsilons"] = epsilons
-    fields["identity-checked-on"] = checked
+    fields["identity-checked-on"] = 2 * sum(count_Xg(g, degree_map, len_bound) for g in window)
     return Report("epsilon-strong-check", "EPSILON_STRONG", fields)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import weakref
+from collections import Counter
 
 from .algebra import Element, Monomial, enumerate_monomials
 from .graph import GraphError
@@ -534,6 +535,30 @@ def enumerate_Xg(g, degree_map, len_bound):
                 else:
                     out.extend([pair(a, b) for b, b_last in level if b_last is not last])
     return tuple(out)
+
+
+def count_Xg(g, degree_map, len_bound):
+    """len(enumerate_Xg(g, degree_map, len_bound)), with no monomial built.
+
+    The ghost partners of the real paths under a key k = (v, d) of the path
+    table's levels are the paths under k' = (v, g^-1 d), so |X_g| is the sum
+    over k of |k| |k'| - sum over edges e of c_k(e) c_k'(e), where c_k(e)
+    counts the paths of k whose designated last edge is e: the non-normal pairs.
+    """
+    if len_bound < 0:
+        raise ValueError("len_bound must be >= 0")
+    group = degree_map.group
+    group.check(g)
+    ginv = group.inverse(g)
+    levels = degree_map.path_table(len_bound).levels
+    last = {k: Counter(e for level in split for _, e in level) for k, split in levels.items()}
+    count = 0
+    for (vid, d), reals in last.items():
+        ghosts = last.get((vid, group.op(ginv, d)))
+        if ghosts is not None:
+            count += reals.total() * ghosts.total()
+            count -= sum(n * ghosts[e] for e, n in reals.items() if e is not None)
+    return count
 
 
 def check_grading_axiom(degree_map, len_bound, ring=INTEGERS):

@@ -1,5 +1,6 @@
 import importlib
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -402,6 +403,56 @@ class TestCheckEpsilonStrong:
             check_epsilon_strong(dm_chain, [1, -1], 4, ring)
         with pytest.raises(ValueError, match="inverse"):
             check_epsilon_strong(dm_chain, [0, 1], 4, ring)
+
+    def test_workload_counts_every_monomial_of_the_window(self):
+        # the figure bench/workloads.py counts on its own for epsilon-window
+        report = check_epsilon_strong(DegreeMap.canonical(parse_graph(GRAPH_R3)), range(-3, 4), 8)
+        assert report.verdict == "EPSILON_STRONG"
+        assert report.fields["identity-checked-on"] == 309_138
+
+
+def xg_listings_and_unit_checks(mp):
+    """Record every enumerate_Xg call, at each leavitt import site, and
+    every call of epsilon._check_unit, through the MonkeyPatch mp."""
+    listings, checks = [], []
+    original = sys.modules["leavitt.grading"].enumerate_Xg
+    module = importlib.import_module("leavitt.epsilon")
+    check_unit = module._check_unit
+
+    def listing(*args):
+        listings.append(args)
+        return original(*args)
+
+    def checking(*args):
+        checks.append(args)
+        return check_unit(*args)
+
+    for name, site in list(sys.modules.items()):
+        if name.startswith("leavitt") and getattr(site, "enumerate_Xg", None) is original:
+            mp.setattr(site, "enumerate_Xg", listing)
+    mp.setattr(module, "_check_unit", checking)
+    return listings, checks
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=graded_cases(), bound=st.integers(1, 4))
+def test_epsilon_strong_lists_no_xg_and_checks_every_degree(case, bound):
+    dm = case[0]
+    group = dm.group
+    window = group.elements() if group.is_finite else group.window(-2, 2)
+    with pytest.MonkeyPatch.context() as mp:
+        listings, checks = xg_listings_and_unit_checks(mp)
+        report = check_epsilon_strong(dm, window, bound)
+    assert listings == []
+    # the old path, one epsilon() per degree, is the oracle
+    reps = [epsilon(g, dm, bound) for g in window]
+    assert len(checks) == 2 * sum(rep.present for rep in reps)
+    if all(rep.present for rep in reps):
+        assert report.verdict == "EPSILON_STRONG"
+        assert report.fields["epsilons"] == {group.render(rep.degree): str(rep.epsilon) for rep in reps}
+        assert report.fields["identity-checked-on"] == sum(rep.identity_checked_on for rep in reps)
+    else:
+        assert report.verdict != "EPSILON_STRONG"
 
 
 class TestCheckStronglyGraded:

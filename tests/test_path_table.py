@@ -1,6 +1,6 @@
 """The shared table of paths up to a bound with their degrees, and its readers."""
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import pytest
@@ -21,6 +21,7 @@ from leavitt import (
     parse_graph,
     parse_group_table,
 )
+from leavitt.grading import count_Xg
 from leavitt.sampling import realized_degrees
 
 from .test_grading import s3_table_text
@@ -193,6 +194,16 @@ def test_xg_builds_only_the_monomials_it_returns(monkeypatch):
         built.clear()
         xg = enumerate_Xg(g, dm, 5)
         assert xg and len(built) == len(xg)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=graded_cases(), bound=st.integers(0, 5))
+def test_count_xg_is_the_length_of_xg(case, bound):
+    degree_map, g = case
+    # four loops on one vertex give 1,365 paths and 1.7 million monomials
+    # at bound 5; the oracle builds them all, so keep its lists small
+    assume(len(degree_map.path_table(bound).paths) <= 400)
+    assert count_Xg(g, degree_map, bound) == len(enumerate_Xg(g, degree_map, bound))
 
 
 def checked_copy(m):
