@@ -134,27 +134,33 @@ def minimal_classes(g, degree_map, len_bound):
     prefixes, so a frontier path is dominated exactly when one of its
     prefixes is realized; the verdict is complete when that holds for the
     whole frontier.
+
+    Realized is decided once per (range, degree) key of the path table, and
+    the table is walked by position, reading each path's parent from its
+    ``parent`` column: no path is built or hashed.
     """
     if len_bound < 1:
         raise ValueError("len_bound must be >= 1")
     graph = degree_map.graph
-    group = degree_map.group
-    group.check(g)
-    ginv = group.inverse(g)
     table = degree_map.path_table(len_bound)
+    # the partner of each realized key: the first path of its partner key's
+    # lowest non-empty level
+    partner = {
+        k: next(level for level in table.levels[k2] if level)[0][0]
+        for k, k2 in table.partner_keys(g).items()
+    }
 
-    covered = {}
+    covered = []
     classes = []
-    frontier_ok = True
-    for p in table.paths:
-        split = table.levels.get((p.range.id, group.op(ginv, table.degree[p])))
-        parent_covered = p.length > 0 and covered[p.prefix(p.length - 1)]
-        covered[p] = parent_covered or split is not None
-        if split is not None and not parent_covered:
-            # the partner: the first path of the lowest non-empty level
-            classes.append(Monomial._same_range(p, next(level for level in split if level)[0][0]))
-        if p.length == len_bound and not covered[p]:
-            frontier_ok = False
+    for p, k, j in zip(table.paths, table.key, table.parent):
+        beta = partner.get(k)
+        parent_covered = j >= 0 and covered[j]
+        covered.append(parent_covered or beta is not None)
+        if beta is not None and not parent_covered:
+            classes.append(Monomial._same_range(p, beta))
+    # the paths of length len_bound end the table
+    frontier = sum(len(split[len_bound]) for split in table.levels.values())
+    frontier_ok = all(covered[len(covered) - frontier:])
 
     witness = _sibling_witness(graph, classes)
     if witness is not None:

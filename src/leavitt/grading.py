@@ -458,44 +458,61 @@ class PathTable:
     """The paths up to a length bound with their degrees.
 
     ``paths`` is ``Graph.enumerate_paths(len_bound)`` in its order, which is
-    ``Path.sort_key`` order: length first, then edge ids. ``degree`` maps
-    each path to its degree, extended from the parent path by one edge.
-    ``levels`` maps (range vertex id, degree) to the paths with that range
-    and degree split by length: a tuple whose entry l (0..len_bound) holds
-    those paths of length l as (path, designated edge) pairs, in enumeration
-    order. Only keys with at least one path are present.
-    ``designated`` maps each path to its last edge when that edge is the
-    designated edge of its source, else None: a b* is normal unless
-    ``designated[a]`` is an edge and ``designated[b]`` is the same edge,
-    which is the rule of ``Monomial.is_normal``. Build it through
-    ``DegreeMap.path_table``, which keeps one per bound.
+    ``Path.sort_key`` order: length first, then edge ids. Three columns hold
+    one fact per path, by its position i in ``paths``: ``parent[i]`` is the
+    position of the path less its last edge, or -1 for a vertex;
+    ``key[i]`` is its (range vertex id, degree), the degree extended from
+    the parent's by one edge; ``designated[i]`` is its last edge when that
+    edge is the designated edge of its source, else None. A monomial a b* is
+    normal unless both paths have the same designated last edge, which is
+    the rule of ``Monomial.is_normal``.
+    ``levels`` maps each key to the paths under it split by length: a tuple
+    whose entry l (0..len_bound) holds those paths of length l as (path,
+    designated edge) pairs, in enumeration order. Only keys with at least
+    one path are present. ``designated_counts`` maps each key to the
+    ``Counter`` of its paths' designated edges, None included. Build it
+    through ``DegreeMap.path_table``, which keeps one per bound.
     """
 
     def __init__(self, degree_map, len_bound):
         graph = degree_map.graph
-        group = degree_map.group
+        group = self.group = degree_map.group
         self.paths = graph.enumerate_paths(len_bound)
-        self.degree = {}
-        self.designated = {}
+        parents, keys, designated = [], [], []
+        position = {}
         levels = {}
-        for p in self.paths:
+        for i, p in enumerate(self.paths):
+            position[p] = i
             if p.length == 0:
+                j = -1
                 d = group.identity
                 last = None
             else:
-                parent = self.degree[p.prefix(p.length - 1)]
+                j = position[p.prefix(p.length - 1)]
                 last = p.edges[-1]
-                d = group.op(parent, degree_map.degree_of_edge(last))
+                d = group.op(keys[j][1], degree_map.degree_of_edge(last))
                 if graph.special_edge(last.source) != last:
                     last = None
-            self.degree[p] = d
-            self.designated[p] = last
             key = (p.range.id, d)
+            parents.append(j)
+            keys.append(key)
+            designated.append(last)
             split = levels.get(key)
             if split is None:
                 split = levels[key] = [[] for _ in range(len_bound + 1)]
             split[p.length].append((p, last))
+        self.parent, self.key, self.designated = tuple(parents), tuple(keys), tuple(designated)
         self.levels = {key: tuple(map(tuple, split)) for key, split in levels.items()}
+        self.designated_counts = {
+            key: Counter(e for level in split for _, e in level) for key, split in self.levels.items()
+        }
+
+    def partner_keys(self, g):
+        """Each key (v, d) that has ghost partners for degree g, mapped to
+        their key (v, g^-1 d): one lookup per key, not one per path."""
+        op, ginv = self.group.op, self.group.inverse(self.group.check(g))
+        pairs = (((vid, d), (vid, op(ginv, d))) for vid, d in self.levels)
+        return {k: k2 for k, k2 in pairs if k2 in self.levels}
 
 
 def enumerate_Xg(g, degree_map, len_bound):
@@ -514,16 +531,14 @@ def enumerate_Xg(g, degree_map, len_bound):
     """
     if len_bound < 0:
         raise ValueError("len_bound must be >= 0")
-    group = degree_map.group
-    group.check(g)
-    ginv = group.inverse(g)
     table = degree_map.path_table(len_bound)
+    partners = {k: table.levels[k2] for k, k2 in table.partner_keys(g).items()}
     # real paths by length, each with its designated edge and its partner levels
     reals = [[] for _ in range(len_bound + 1)]
-    for p in table.paths:
-        split = table.levels.get((p.range.id, group.op(ginv, table.degree[p])))
+    for p, k, last in zip(table.paths, table.key, table.designated):
+        split = partners.get(k)
         if split is not None:
-            reals[p.length].append((p, table.designated[p], split))
+            reals[p.length].append((p, last, split))
     pair = Monomial._same_range
     out = []
     for weight in range(2 * len_bound + 1):
@@ -542,22 +557,19 @@ def count_Xg(g, degree_map, len_bound):
 
     The ghost partners of the real paths under a key k = (v, d) of the path
     table's levels are the paths under k' = (v, g^-1 d), so |X_g| is the sum
-    over k of |k| |k'| - sum over edges e of c_k(e) c_k'(e), where c_k(e)
-    counts the paths of k whose designated last edge is e: the non-normal pairs.
+    over k of |k| |k'| - sum over edges e of c_k(e) c_k'(e), where c_k(e),
+    the table's ``designated_counts``, counts the paths of k whose designated
+    last edge is e: the non-normal pairs.
     """
     if len_bound < 0:
         raise ValueError("len_bound must be >= 0")
-    group = degree_map.group
-    group.check(g)
-    ginv = group.inverse(g)
-    levels = degree_map.path_table(len_bound).levels
-    last = {k: Counter(e for level in split for _, e in level) for k, split in levels.items()}
+    table = degree_map.path_table(len_bound)
+    counts = table.designated_counts
     count = 0
-    for (vid, d), reals in last.items():
-        ghosts = last.get((vid, group.op(ginv, d)))
-        if ghosts is not None:
-            count += reals.total() * ghosts.total()
-            count -= sum(n * ghosts[e] for e, n in reals.items() if e is not None)
+    for k, k2 in table.partner_keys(g).items():
+        reals, ghosts = counts[k], counts[k2]
+        count += reals.total() * ghosts.total()
+        count -= sum(n * ghosts[e] for e, n in reals.items() if e is not None)
     return count
 
 

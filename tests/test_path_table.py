@@ -1,5 +1,7 @@
 """The shared table of paths up to a bound with their degrees, and its readers."""
 
+from collections import Counter
+
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -25,7 +27,15 @@ from leavitt.grading import count_Xg
 from leavitt.sampling import realized_degrees
 
 from .test_grading import s3_table_text
-from .util import GRAPH_C, GRAPH_R3, brute_minimal_alphas, brute_monomials, brute_xg, brute_xg_alphas
+from .util import (
+    GRAPH_C,
+    GRAPH_R3,
+    brute_minimal_alphas,
+    brute_monomials,
+    brute_xg,
+    brute_xg_alphas,
+    reference_minimal_classes,
+)
 
 
 def path_ids(path):
@@ -54,6 +64,23 @@ def z_graded_graphs(draw):
     return graph, degrees
 
 
+def assert_columns(table, degree_map):
+    """Each positional column against the path at its position, and each
+    key's designated-edge counts against its levels."""
+    n = len(table.paths)
+    assert len(table.parent) == len(table.key) == len(table.designated) == n
+    for i, p in enumerate(table.paths):
+        if p.is_vertex():
+            assert table.parent[i] == -1
+        else:
+            assert 0 <= table.parent[i] < i
+            assert table.paths[table.parent[i]] == p.prefix(p.length - 1)
+        assert table.key[i] == (p.range.id, degree_map.degree_of_path(p))
+    assert table.designated_counts == {
+        k: Counter(e for level in split for _, e in level) for k, split in table.levels.items()
+    }
+
+
 class TestPathTable:
     def test_built_once_per_bound(self, chain_graph):
         dm = DegreeMap.canonical(chain_graph)
@@ -65,21 +92,22 @@ class TestPathTable:
         dm = DegreeMap(chain_graph, group, {"f1": "s3", "f2": "s4", "f3": "s1", "f4": "s2"})
         table = dm.path_table(3)
         assert table.paths == chain_graph.enumerate_paths(3)
-        assert table.degree == {p: dm.degree_of_path(p) for p in table.paths}
+        assert_columns(table, dm)
+        position = {p: i for i, p in enumerate(table.paths)}
         total = 0
         for (vid, d), split in table.levels.items():
             assert len(split) == 4
             flat = [p for level in split for p, _ in level]
-            assert flat == [p for p in table.paths if p.range.id == vid and table.degree[p] == d]
+            assert flat == [p for p, k in zip(table.paths, table.key) if k == (vid, d)]
             total += len(flat)
             for length, level in enumerate(split):
                 for p, last in level:
-                    assert p.length == length and last is table.designated[p]
+                    assert p.length == length and last is table.designated[position[p]]
         assert total == len(table.paths)
-        for p in table.paths:
+        for p, last in zip(table.paths, table.designated):
             # p p* is the one pair whose last edges always agree
-            assert (table.designated[p] is None) == Monomial(p, p).is_normal(chain_graph)
-            assert table.designated[p] in (None, p.edges[-1] if p.edges else None)
+            assert (last is None) == Monomial(p, p).is_normal(chain_graph)
+            assert last in (None, p.edges[-1] if p.edges else None)
 
     def test_realized_degrees_under_a_nonabelian_grading(self, graph_a):
         group = parse_group_table(s3_table_text())
@@ -230,3 +258,62 @@ def test_checked_monomial_rejects_different_ranges():
     x, y = (Path(None, [graph.edge(name)]) for name in ("x", "y"))
     with pytest.raises(GraphError, match=r"^paths x and y have different ranges$"):
         Monomial(x, y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=graded_cases(), bound=st.integers(0, 4))
+def test_columns_match_each_path(case, bound):
+    degree_map, _ = case
+    assert_columns(degree_map.path_table(bound), degree_map)
+
+
+def pair_ids(pair):
+    return tuple(path_ids(p) for p in pair)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=graded_cases(), bound=st.integers(1, 4))
+def test_minimal_classes_are_the_reference_scan(case, bound):
+    degree_map, g = case
+    assume(len(degree_map.path_table(bound).paths) <= 400)
+    mcs = minimal_classes(g, degree_map, bound)
+    classes, verdict, witness = reference_minimal_classes(degree_map, g, bound)
+    assert (mcs.degree, mcs.bound_used) == (g, bound)
+    assert [pair_ids((c.alpha, c.beta)) for c in mcs.classes] == [pair_ids(c) for c in classes]
+    assert mcs.verdict == verdict
+    if witness is None:
+        assert mcs.witness is None
+    else:
+        assert [pair_ids((c.alpha, c.beta)) for c in mcs.witness] == [pair_ids(c) for c in witness]
+
+
+def test_classes_and_counts_rebuild_nothing_from_a_built_table(monkeypatch):
+    dm = DegreeMap.canonical(parse_graph(GRAPH_R3))
+    dm.path_table(8)
+    built = Counter()
+    derived, init, counter_init = Path._derived, Path.__init__, Counter.__init__
+
+    def counting_derived(*args):
+        built["Path._derived"] += 1
+        return derived(*args)
+
+    def counting_init(self, *args, **kwargs):
+        built["Path.__init__"] += 1
+        init(self, *args, **kwargs)
+
+    def counting_counter(self, *args, **kwargs):
+        built["Counter"] += 1
+        counter_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "_derived", staticmethod(counting_derived))
+    monkeypatch.setattr(Path, "__init__", counting_init)
+    monkeypatch.setattr(Counter, "__init__", counting_counter)
+    counts = []
+    for g in range(-3, 4):
+        assert minimal_classes(g, dm, 8).verdict == "complete"
+        counts.append(count_Xg(g, dm, 8))
+    monkeypatch.undo()
+    assert built == Counter()
+    assert 2 * sum(counts) == 309_138
+    report = check_epsilon_strong(dm, range(-3, 4), 8)
+    assert report.fields["identity-checked-on"] == 309_138

@@ -174,3 +174,51 @@ def brute_first_identity_failure(unit, side, monos):
         if (unit * e if side == "left" else e * unit) != e:
             return m, count
     return None, len(monos)
+
+
+def reference_minimal_classes(degree_map, g, bound):
+    """minimal_classes by a scan of its own, as (classes, verdict, witness).
+
+    Each path's degree comes from degree_of_path and its parent's covered
+    flag from a dict keyed by the rebuilt prefix path; a path is realized
+    when some path of its range has degree g^-1 d, and its partner is the
+    first such path in enumeration order. classes and witness hold (real
+    path, ghost path) pairs; the witness is the first pair of classes that
+    differ only at one edge, the two edges leaving one flagged vertex.
+    """
+    group, graph = degree_map.group, degree_map.graph
+    ginv = group.inverse(g)
+    paths = graph.enumerate_paths(bound)
+    degree = {p: degree_map.degree_of_path(p) for p in paths}
+    first = {}
+    for p in paths:
+        first.setdefault((p.range.id, degree[p]), p)
+    covered = {}
+    classes = []
+    frontier_ok = True
+    for p in paths:
+        beta = first.get((p.range.id, group.op(ginv, degree[p])))
+        parent_covered = p.length > 0 and covered[p.prefix(p.length - 1)]
+        covered[p] = parent_covered or beta is not None
+        if beta is not None and not parent_covered:
+            classes.append((p, beta))
+        if p.length == bound and not covered[p]:
+            frontier_ok = False
+    flagged = {v.id for v in graph.infinite_emitters}
+
+    def siblings(a, b):
+        diff = [k for k in range(a.length) if a.edges[k] != b.edges[k]] if a.length == b.length else []
+        if len(diff) != 1:
+            return False
+        ea, eb = a.edges[diff[0]], b.edges[diff[0]]
+        return ea.source == eb.source and ea.source.id in flagged
+
+    witness = next(
+        ((x, y) for i, x in enumerate(classes) for y in classes[i + 1:] if siblings(x[0], y[0])),
+        None,
+    )
+    if witness:
+        verdict = "infinite-witness"
+    else:
+        verdict = "complete" if frontier_ok else "bound-exhausted"
+    return classes, verdict, witness
