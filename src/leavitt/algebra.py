@@ -472,21 +472,24 @@ class _ExprParser:
         tok = self.peek()
         if tok[0] == "id":
             self.next()
-            starred = self.peek()[0] == "*"
-            if starred:
-                self.next()
-            return self._generator(tok, starred)
+            return self._generator(tok, self._starred())
         if tok[0] == "(":
             self.next()
             path = self._path()
             self.expect(")")
-            starred = self.peek()[0] == "*"
-            if starred:
-                self.next()
-            if starred:
-                return Element.ghost_path(self.graph, self.ring, path)
-            return Element.real_path(self.graph, self.ring, path)
+            return self._path_element(path, self._starred())
         self.fail("an identifier or '('")
+
+    def _starred(self):
+        """Consume an optional '*' and say whether there was one."""
+        if self.peek()[0] != "*":
+            return False
+        self.next()
+        return True
+
+    def _path_element(self, path, starred):
+        make = Element.ghost_path if starred else Element.real_path
+        return make(self.graph, self.ring, path)
 
     def _generator(self, tok, starred):
         name = tok[1]
@@ -495,10 +498,7 @@ class _ExprParser:
             return Element.vertex(g, ring, name)
         if name in g._edge_by_id:
             e = g.edge(name)
-            path = Path(e.source, (e,))
-            if starred:
-                return Element.ghost_path(g, ring, path)
-            return Element.real_path(g, ring, path)
+            return self._path_element(Path(e.source, (e,)), starred)
         raise ElementSyntaxError(f"unknown vertex or edge {name!r}", tok[2])
 
     def _path(self):

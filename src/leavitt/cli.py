@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Subcommands: nf, mul, involve, decompose, xg, epsilon, localunits, check,
-frobenius. Every command loads a graph file, an optional degree-map file
-(default: the canonical Z-grading) and a coefficient ring; element
-expressions come from --expr or stdin. Output is text or a structured JSON
-document; all values are exact.
+Each subcommand is declared once in `_COMMANDS` (help, option groups,
+answer) and each check property once in `_PROPERTIES` (options read, answer).
+`main` runs every command the same way: parse, reject unread check options,
+load the graph, degree map (default: the canonical Z-grading) and ring, check
+the bounds, answer with one Report and print it as text or structured JSON.
+Expressions come from --expr or stdin; all values are exact.
 
 Exit codes: 0 success or PASS, 1 property failure with witness,
 2 undetermined at the given bound, 64 usage errors, 65 parse or data errors,
@@ -90,40 +91,26 @@ class _ArgumentParser(argparse.ArgumentParser):
 def _build_parser():
     parser = _ArgumentParser(prog="leavitt", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, bound=False, exprs=False, degree=False, samples=False):
+    for name, (help_text, groups, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--graph", required=True, help="graph description file")
         p.add_argument("--degrees", default="canonical", help="degree-map file or 'canonical'")
         p.add_argument("--ring", default="z", help="coefficient ring: z, q, or z/N")
         p.add_argument("--output", choices=("text", "structured"), default="text")
-        if bound:
+        if "bound" in groups:
             p.add_argument("--bound", type=int, required=True, help="path length bound (>= 1)")
-        if exprs:
+        if "expr" in groups:
             p.add_argument("--expr", action="append", default=None, help="element expression (repeatable); stdin otherwise")
-        if degree:
+        if "degree" in groups:
             p.add_argument("-g", "--degree", required=True, help="group element")
-        if samples:
+        if "samples" in groups:
             p.add_argument("--samples", type=int, default=None, help=f"number of random samples (default {DEFAULT_SAMPLES})")
             p.add_argument("--seed", type=int, default=None, help=f"random seed, recorded in reports (default {DEFAULT_SEED})")
-
-    common(sub.add_parser("nf", help="normal form of an element expression"), exprs=True)
-    common(sub.add_parser("mul", help="product of two element expressions"), exprs=True)
-    common(sub.add_parser("involve", help="involution of an element expression"), exprs=True)
-    common(sub.add_parser("decompose", help="homogeneous decomposition"), exprs=True)
-    common(sub.add_parser("xg", help="monomials of one degree up to a bound"), bound=True, degree=True)
-    common(sub.add_parser("epsilon", help="the degree-g local identity"), bound=True, degree=True)
-    common(sub.add_parser("localunits", help="element-specific local units"), exprs=True)
-    check = sub.add_parser("check", help="run a grading property checker")
-    common(check, bound=True, exprs=True, samples=True)
-    check.add_argument(
-        "--property",
-        required=True,
-        choices=("grading", "symmetric", "epsilon-strong", "strongly-graded", "nearly-epsilon", "nondegenerate"),
-    )
-    check.add_argument("--window", default=None, help="degree window A..B (epsilon-strong, strongly-graded)")
-    frob = sub.add_parser("frobenius", help="build and verify a Frobenius system")
-    common(frob, bound=True, samples=True)
-    frob.add_argument("--triples", type=int, default=25, help="bimodule-law triples to sample")
+        if "property" in groups:
+            p.add_argument("--property", required=True, choices=tuple(_PROPERTIES))
+            p.add_argument("--window", default=None, help="degree window A..B (epsilon-strong, strongly-graded)")
+        if "triples" in groups:
+            p.add_argument("--triples", type=int, default=25, help="bimodule-law triples to sample")
     return parser
 
 
@@ -145,17 +132,15 @@ def _load_context(args):
     return graph, ring, dmap
 
 
-def _expressions(args, graph, ring, count=None):
+def _expressions(args, graph, ring, count):
     texts = args.expr
     if texts is None:
         data = sys.stdin.read()
         texts = [line.strip() for line in data.splitlines() if line.strip()]
         if count == 1 and len(texts) > 1:
             texts = [" ".join(texts)]
-    if count is not None and len(texts) != count:
+    if len(texts) != count:
         raise UsageError(f"expected {count} element expression(s), got {len(texts)}")
-    if not texts:
-        raise UsageError("no element expressions given")
     return [parse_element(t, graph, ring) for t in texts]
 
 
@@ -200,16 +185,10 @@ def _sampling(args):
 
 def _check_options(args):
     """Reject the check options that the chosen property does not read."""
-    prop = args.property
-    if prop in ("nearly-epsilon", "nondegenerate"):
-        unread = ("window",)
-    elif prop in ("epsilon-strong", "strongly-graded"):
-        unread = ("expr", "samples", "seed")
-    else:
-        unread = ("expr", "samples", "seed", "window")
-    for name in unread:
-        if getattr(args, name) is not None:
-            raise UsageError(f"--{name} does not apply to --property {prop}")
+    reads, _ = _PROPERTIES[args.property]
+    for name in ("expr", "samples", "seed", "window"):
+        if name not in reads and getattr(args, name) is not None:
+            raise UsageError(f"--{name} does not apply to --property {args.property}")
     if args.expr is not None:
         for name in ("samples", "seed"):
             if getattr(args, name) is not None:
@@ -232,110 +211,86 @@ def _emit(args, report):
     return report.exit_code()
 
 
-def _value(kind, element):
-    text = str(element)
-    return Report(kind, fields={"element": text}, lines=[text])
+# Answers map (args, graph, ring, dmap) to a Report and look library functions
+# up at call time, so a test or tracer that rebinds one on this module sees it.
 
 
-def _cmd_nf(args):
-    graph, ring, _ = _load_context(args)
-    (value,) = _expressions(args, graph, ring, count=1)
-    return _emit(args, _value("normal-form", value))
+def _plain(kind, count, fn):
+    """The answer of a command whose value is fn of `count` element expressions."""
+
+    def answer(args, graph, ring, dmap):
+        text = str(fn(*_expressions(args, graph, ring, count=count)))
+        return Report(kind, fields={"element": text}, lines=[text])
+
+    return answer
 
 
-def _cmd_mul(args):
-    graph, ring, _ = _load_context(args)
-    a, b = _expressions(args, graph, ring, count=2)
-    return _emit(args, _value("product", a * b))
-
-
-def _cmd_involve(args):
-    graph, ring, _ = _load_context(args)
-    (value,) = _expressions(args, graph, ring, count=1)
-    return _emit(args, _value("involution", value.involution()))
-
-
-def _cmd_decompose(args):
-    graph, ring, dmap = _load_context(args)
+def _decompose(args, graph, ring, dmap):
     (value,) = _expressions(args, graph, ring, count=1)
     parts = {dmap.group.render(g): str(part) for g, part in decompose(value, dmap).items()}
     lines = [f"{g}: {part}" for g, part in parts.items()]
-    return _emit(args, Report("decomposition", fields={"parts": parts}, lines=lines))
+    return Report("decomposition", fields={"parts": parts}, lines=lines)
 
 
-def _cmd_xg(args):
-    graph, ring, dmap = _load_context(args)
-    _check_bound(args)
+def _xg(args, graph, ring, dmap):
     g = dmap.group.parse(args.degree)
     monos = [m.render() for m in enumerate_Xg(g, dmap, args.bound)]
     fields = {"degree": dmap.group.render(g), "bound": args.bound, "monomials": monos}
-    return _emit(args, Report("xg", fields=fields, lines=monos))
+    return Report("xg", fields=fields, lines=monos)
 
 
-def _cmd_epsilon(args):
-    graph, ring, dmap = _load_context(args)
-    _check_bound(args)
+def _epsilon(args, graph, ring, dmap):
     g = dmap.group.parse(args.degree)
-    return _emit(args, epsilon(g, dmap, args.bound, ring).to_report())
+    return epsilon(g, dmap, args.bound, ring).to_report()
 
 
-def _cmd_localunits(args):
-    graph, ring, dmap = _load_context(args)
+def _localunits(args, graph, ring, dmap):
     (value,) = _expressions(args, graph, ring, count=1)
     lu = local_units(value, dmap)
-    report = Report(
-        kind="local-units",
-        verdict="PASS",
-        fields={
-            "element": str(value),
-            "degree": dmap.group.render(lu.degree),
-            "left": str(lu.left),
-            "right": str(lu.right),
-            "left-certificate": [[str(x), str(y)] for x, y in lu.left_certificate],
-            "right-certificate": [[str(x), str(y)] for x, y in lu.right_certificate],
-        },
-    )
-    return _emit(args, report)
+    fields = {
+        "element": str(value),
+        "degree": dmap.group.render(lu.degree),
+        "left": str(lu.left),
+        "right": str(lu.right),
+        "left-certificate": [[str(x), str(y)] for x, y in lu.left_certificate],
+        "right-certificate": [[str(x), str(y)] for x, y in lu.right_certificate],
+    }
+    return Report(kind="local-units", verdict="PASS", fields=fields)
 
 
-def _cmd_check(args):
-    _check_options(args)
-    graph, ring, dmap = _load_context(args)
-    _check_bound(args)
-    prop = args.property
-    if prop == "grading":
-        report = check_grading_axiom(dmap, args.bound, ring)
-    elif prop == "symmetric":
-        report = check_symmetric(dmap, args.bound, ring)
-    elif prop == "epsilon-strong":
-        report = check_epsilon_strong(dmap, _parse_window(args.window, dmap.group), args.bound, ring)
-    elif prop == "strongly-graded":
-        report = check_strongly_graded(dmap, _parse_window(args.window, dmap.group), args.bound, ring)
-    else:
-        sampled_check = check_nearly_epsilon if prop == "nearly-epsilon" else check_nondegenerate
-        if args.expr:
-            report = sampled_check(dmap, [parse_element(t, graph, ring) for t in args.expr])
-        else:
-            count, seed = _sampling(args)
-            rng = random.Random(seed)
-            samples = [random_homogeneous(dmap, ring, rng, len_bound=args.bound) for _ in range(count)]
-            report = sampled_check(dmap, samples)
-            report.fields["seed"] = seed
-    return _emit(args, report)
+def _sampled(check, args, graph, ring, dmap):
+    """A sampled check on the --expr elements, or on seeded random samples."""
+    if args.expr:
+        return check(dmap, [parse_element(t, graph, ring) for t in args.expr])
+    count, seed = _sampling(args)
+    rng = random.Random(seed)
+    report = check(dmap, [random_homogeneous(dmap, ring, rng, len_bound=args.bound) for _ in range(count)])
+    report.fields["seed"] = seed
+    return report
 
 
-def _cmd_frobenius(args):
-    graph, ring, dmap = _load_context(args)
-    _check_bound(args)
+# property -> (the check options it reads, its answer)
+_PROPERTIES = {
+    "grading": ((), lambda args, graph, ring, dmap: check_grading_axiom(dmap, args.bound, ring)),
+    "symmetric": ((), lambda args, graph, ring, dmap: check_symmetric(dmap, args.bound, ring)),
+    "epsilon-strong": (("window",), lambda args, graph, ring, dmap: check_epsilon_strong(
+        dmap, _parse_window(args.window, dmap.group), args.bound, ring)),
+    "strongly-graded": (("window",), lambda args, graph, ring, dmap: check_strongly_graded(
+        dmap, _parse_window(args.window, dmap.group), args.bound, ring)),
+    "nearly-epsilon": (("expr", "samples", "seed"), lambda *ctx: _sampled(check_nearly_epsilon, *ctx)),
+    "nondegenerate": (("expr", "samples", "seed"), lambda *ctx: _sampled(check_nondegenerate, *ctx)),
+}
+
+
+def _check(args, graph, ring, dmap):
+    return _PROPERTIES[args.property][1](args, graph, ring, dmap)
+
+
+def _frobenius(args, graph, ring, dmap):
     try:
         system = build_frobenius_system(dmap, args.bound, ring)
     except EpsilonUnavailableError as exc:
-        report = Report(
-            kind="frobenius-verification",
-            verdict="UNDETERMINED",
-            fields={"reason": str(exc)},
-        )
-        return _emit(args, report)
+        return Report(kind="frobenius-verification", verdict="UNDETERMINED", fields={"reason": str(exc)})
     count, seed = _sampling(args)
     rng = random.Random(seed)
     samples = [
@@ -349,20 +304,22 @@ def _cmd_frobenius(args):
         a = random_element(graph, ring, rng, len_bound=min(args.bound, 3))
         t2 = random_homogeneous(dmap, ring, rng, degree=e, len_bound=min(args.bound, 3))
         triples.append((t, a, t2))
-    report = verify_frobenius(system, samples, triples, seed=seed)
-    return _emit(args, report)
+    return verify_frobenius(system, samples, triples, seed=seed)
 
 
-_HANDLERS = {
-    "nf": _cmd_nf,
-    "mul": _cmd_mul,
-    "involve": _cmd_involve,
-    "decompose": _cmd_decompose,
-    "xg": _cmd_xg,
-    "epsilon": _cmd_epsilon,
-    "localunits": _cmd_localunits,
-    "check": _cmd_check,
-    "frobenius": _cmd_frobenius,
+# subcommand -> (help text, the option groups it reads, its answer); the
+# groups are bound, expr, degree, samples (with --seed), property (with
+# --window) and triples, added to the parser in that order.
+_COMMANDS = {
+    "nf": ("normal form of an element expression", ("expr",), _plain("normal-form", 1, lambda v: v)),
+    "mul": ("product of two element expressions", ("expr",), _plain("product", 2, lambda a, b: a * b)),
+    "involve": ("involution of an element expression", ("expr",), _plain("involution", 1, lambda v: v.involution())),
+    "decompose": ("homogeneous decomposition", ("expr",), _decompose),
+    "xg": ("monomials of one degree up to a bound", ("bound", "degree"), _xg),
+    "epsilon": ("the degree-g local identity", ("bound", "degree"), _epsilon),
+    "localunits": ("element-specific local units", ("expr",), _localunits),
+    "check": ("run a grading property checker", ("bound", "expr", "samples", "property"), _check),
+    "frobenius": ("build and verify a Frobenius system", ("bound", "samples", "triples"), _frobenius),
 }
 
 
@@ -370,7 +327,13 @@ def main(argv=None):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _HANDLERS[args.command](args)
+        _, groups, answer = _COMMANDS[args.command]
+        if "property" in groups:
+            _check_options(args)
+        graph, ring, dmap = _load_context(args)
+        if "bound" in groups:
+            _check_bound(args)
+        return _emit(args, answer(args, graph, ring, dmap))
     except (UsageError, WindowError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

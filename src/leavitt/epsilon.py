@@ -13,11 +13,16 @@ constructions, plus the structural sink criterion for strong gradings, into
 verdicts with explicit certificates and witnesses.
 
 A bounded enumeration is declared complete when every path of length equal
-to the bound already extends some minimal class: any longer candidate would
-be dominated through its prefix. Two minimal classes that differ only in
-which sample edge of one flagged vertex they use certify an infinite
-minimal set, since each of the infinitely many parallel edges yields an
-incomparable class of its own.
+to the bound already extends some minimal class found within the bound.
+That is all `complete` checks; it does not prove that no other class is
+minimal. A path counts as realized only when its partner also lies within
+the bound, so a class whose partner lies beyond the bound is missed. The
+`known-wrong` CLI goldens `epsilon-loop-exit-b1`, `epsilon-two-tails` and
+`epsilon-z4-loop` are `complete` this way, and each prints a wrong epsilon
+and exits 0; ROADMAP items 1 (finite groups) and 5 (Z) plan exact
+deciders. Two minimal classes that differ only in which sample edge of one
+flagged vertex they use certify an infinite minimal set, since each of the
+infinitely many parallel edges yields an incomparable class of its own.
 """
 
 from __future__ import annotations
@@ -130,10 +135,11 @@ def minimal_classes(g, degree_map, len_bound):
 
     A path is realized when some second path of matching range and degree
     exists within the bound; minimal classes are realized paths none of
-    whose proper prefixes is realized. Every cover relation runs through
-    prefixes, so a frontier path is dominated exactly when one of its
-    prefixes is realized; the verdict is complete when that holds for the
-    whole frontier.
+    whose proper prefixes is realized. The verdict is complete when every
+    path of length len_bound has a realized prefix. Realized is tested
+    only against partners within the bound, so a class whose partner lies
+    beyond it is missed and `complete` is not a proof; the module docstring
+    names the goldens where this gives a wrong class set.
 
     Realized is decided once per (range, degree) key of the path table, and
     the table is walked by position, reading each path's parent from its
@@ -372,8 +378,10 @@ def check_epsilon_strong(degree_map, degree_window, len_bound, ring=INTEGERS):
     EPSILON_STRONG when every degree in the window has a verified local
     identity; NOT_EPSILON_STRONG with the sibling-class witness when some
     degree has an infinite minimal set; UNDETERMINED when a degree exhausts
-    the bound. For a graph with no flagged vertices the positive verdict is
-    unconditional, finiteness alone forces it for every standard grading.
+    the bound. `unconditional` is reported true for every graph with no
+    flagged vertex, under every degree map; ROADMAP item 3 records the cx
+    degree map (deg c = 0, deg e = 1) where no epsilon_1 exists, so there
+    it overclaims.
 
     Each degree reads its checked candidate, as epsilon() does, and
     identity-checked-on, the sum of epsilon()'s counts over a window closed

@@ -210,10 +210,7 @@ class Graph:
             flagged.add(vid)
         self.infinite_emitters = frozenset(self._vertex_by_id[v] for v in flagged)
 
-        self._special = {}
-        for v in self.vertices:
-            if self._out[v.id] and v not in self.infinite_emitters:
-                self._special[v.id] = self._out[v.id][0]
+        self._special = {v.id: self._out[v.id][0] for v in self.regular_vertices()}
 
     def vertex(self, vid):
         try:

@@ -368,6 +368,25 @@ class TestErrors:
         assert out == ""
         assert err == f"usage error: {flag} does not apply with --expr\n"
 
+    def test_unread_check_option_is_reported_before_a_missing_file(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys, "check", "--graph", str(tmp_path / "missing.lpa"),
+            "--property", "grading", "--window", "0..1", "--bound", "1",
+        )
+        assert (code, out) == (64, "")
+        assert err == "usage error: --window does not apply to --property grading\n"
+
+    def test_missing_file_is_reported_before_a_bad_bound(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "xg", "--graph", str(tmp_path / "missing.lpa"), "-g", "1", "--bound", "0")
+        assert (code, out) == (65, "")
+
+    def test_missing_degree_file_is_reported_before_bad_triples(self, capsys, tmp_path, graph_b_file):
+        code, out, _ = run(
+            capsys, "frobenius", "--graph", graph_b_file, "--degrees", str(tmp_path / "missing.deg"),
+            "--bound", "4", "--triples", "-1",
+        )
+        assert (code, out) == (65, "")
+
     @pytest.mark.parametrize("prop", ["nearly-epsilon", "nondegenerate"])
     def test_sampling_a_graph_without_vertices(self, capsys, tmp_path, prop):
         graph = tmp_path / "empty.lpa"
