@@ -1,16 +1,18 @@
-"""Order theory on monomial sets and the constructive grading checkers.
+"""Minimal classes, local identities and the constructive grading checkers.
 
-Monomials of one degree are preordered by comparing their real paths: x is
-below y when the real path of x is an initial subpath of the real path of y.
-Two monomials are equivalent exactly when their real paths agree, so classes
-are keyed by that path, and n(x) = x x* depends only on the class.
+Monomials of one degree fall into classes keyed by their real paths, and
+n(x) = x x* depends only on the class. A path is realized in a degree when it
+is the real path of a monomial of that degree; the minimal classes are the
+realized paths none of whose proper prefixes is realized.
 
 For a finite graph the minimal classes of each degree are finite and the sum
 of their n-values is a two-sided local identity for that degree; for
 arbitrary elements the same construction applied to the element's own
-support yields element-specific local units. The checkers below turn these
-constructions, plus the structural sink criterion for strong gradings, into
-verdicts with explicit certificates and witnesses.
+support yields element-specific local units. Each degree has one verdict,
+`EpsilonReport.verdict` (PRESENT, ABSENT or UNDETERMINED), which every
+checker reads. The checkers below turn these constructions, plus the
+structural sink criterion for strong gradings, into verdicts with explicit
+certificates and witnesses.
 
 A bounded enumeration is declared complete when every path of length equal
 to the bound already extends some minimal class found within the bound.
@@ -19,7 +21,7 @@ minimal. A path counts as realized only when its partner also lies within
 the bound, so a class whose partner lies beyond the bound is missed. The
 `known-wrong` CLI goldens `epsilon-loop-exit-b1`, `epsilon-two-tails` and
 `epsilon-z4-loop` are `complete` this way, and each prints a wrong epsilon
-and exits 0; ROADMAP items 1 (finite groups) and 5 (Z) plan exact
+and exits 0; ROADMAP items 1 (finite groups) and 2 (Z) plan exact
 deciders. Two minimal classes that differ only in which sample edge of one
 flagged vertex they use certify an infinite minimal set, since each of the
 infinitely many parallel edges yields an incomparable class of its own.
@@ -34,10 +36,6 @@ from .graph import is_initial_subpath
 from .grading import count_Xg, decompose, enumerate_Xg
 from .reports import Report
 from .rings import INTEGERS
-
-
-class DegreeMismatchError(ValueError):
-    """Comparison of monomials of different degrees."""
 
 
 class WindowError(ValueError):
@@ -61,13 +59,16 @@ class MinimalClassSet:
     witness: tuple = None
 
 
+# the degree verdict of each minimal-class verdict; any other is UNDETERMINED
+_DEGREE_VERDICTS = {"complete": "PRESENT", "infinite-witness": "ABSENT"}
+
+
 @dataclass(frozen=True)
 class EpsilonReport:
     degree: object
     degree_map: object
     bound_used: int
     epsilon: object  # Element or None
-    absent_reason: str
     certificate: tuple  # pairs of Elements, or None
     identity_checked_on: int
     minimal: MinimalClassSet
@@ -76,10 +77,25 @@ class EpsilonReport:
     def present(self):
         return self.epsilon is not None
 
+    @property
+    def verdict(self):
+        """The degree's one verdict, which every checker reads: PRESENT when
+        the minimal classes are complete, ABSENT only when an infinite
+        minimal set proves it, and UNDETERMINED otherwise."""
+        return _DEGREE_VERDICTS.get(self.minimal.verdict, "UNDETERMINED")
+
+    @property
+    def absent_reason(self):
+        """Why there is no local identity; None when there is one."""
+        if self.verdict == "PRESENT":
+            return None
+        if self.verdict == "ABSENT":
+            return "infinite minimal set"
+        return f"undetermined at bound {self.bound_used}"
+
     def to_report(self):
-        """PRESENT, ABSENT only when an infinite minimal set proves it, and
-        UNDETERMINED otherwise; the text is the local identity, or the verdict
-        and the reason."""
+        """The report of the degree's verdict; its text is the local
+        identity, or the verdict and the reason."""
         group = self.degree_map.group
         fields = {
             "degree": group.render(self.degree),
@@ -87,14 +103,14 @@ class EpsilonReport:
             "minimal-verdict": self.minimal.verdict,
             "minimal-classes": [c.render() for c in self.minimal.classes],
         }
+        verdict = self.verdict
         if self.present:
             fields["epsilon"] = str(self.epsilon)
             fields["certificate"] = [[str(x), str(y)] for x, y in self.certificate]
             fields["identity-checked-on"] = self.identity_checked_on
-            verdict, lines = "PRESENT", [fields["epsilon"]]
+            lines = [fields["epsilon"]]
         else:
             fields["reason"] = self.absent_reason
-            verdict = "ABSENT" if self.minimal.verdict == "infinite-witness" else "UNDETERMINED"
             lines = [f"{verdict}: {self.absent_reason}"]
             if self.minimal.witness:
                 fields["witness"] = [c.render() for c in self.minimal.witness]
@@ -114,15 +130,6 @@ class LocalUnitPair:
     right: object
     left_certificate: tuple
     right_certificate: tuple
-
-
-def class_leq(x, y, degree_map):
-    """The preorder on one degree: real path of x initial in that of y."""
-    if degree_map.degree_of(x) != degree_map.degree_of(y):
-        raise DegreeMismatchError(
-            f"{x.render()} and {y.render()} have different degrees"
-        )
-    return is_initial_subpath(x.alpha, y.alpha)
 
 
 def nmap(graph, ring, x):
@@ -220,18 +227,14 @@ def _candidate(g, degree_map, len_bound, ring):
     with its certificate, checked exactly on the classes themselves when
     those are complete; otherwise the report of why there is none."""
     mcs = minimal_classes(g, degree_map, len_bound)
-    if mcs.verdict != "complete":
-        reason = (
-            "infinite minimal set"
-            if mcs.verdict == "infinite-witness"
-            else f"undetermined at bound {len_bound}"
-        )
-        return EpsilonReport(g, degree_map, len_bound, None, reason, None, 0, mcs)
+    rep = EpsilonReport(g, degree_map, len_bound, None, None, 0, mcs)
+    if rep.verdict != "PRESENT":
+        return rep
     graph = degree_map.graph
     eps, certificate = _local_unit(graph, ring, mcs.classes)
     _check_unit(eps, "left", [Element.real_path(graph, ring, c.alpha) for c in mcs.classes])
     _check_unit(eps, "right", [Element.ghost_path(graph, ring, c.alpha) for c in mcs.classes])
-    return EpsilonReport(g, degree_map, len_bound, eps, None, certificate, 0, mcs)
+    return replace(rep, epsilon=eps, certificate=certificate)
 
 
 def epsilon(g, degree_map, len_bound, ring=INTEGERS):
@@ -282,24 +285,13 @@ def _minimal_representatives(monos):
     return [first[a] for a in sorted(minimal, key=lambda p: p.sort_key())]
 
 
-def _degree_of_family(elements, degree_map, message):
-    """The one degree of which every nonzero element listed is homogeneous;
-    HomogeneityError with the message when there is none."""
-    degrees = {g for e in elements for g in decompose(e, degree_map)}
-    if len(degrees) != 1:
-        raise HomogeneityError(message)
-    return degrees.pop()
-
-
-def _one_sided_unit(elements, side):
-    """A unit fixing every element of a family of nonzero elements from one
-    side, verified exactly, with its certificate: the sum of n over the
-    minimal classes of the pooled supports, or of the adjoints' supports for
-    the right side."""
-    pool = {m for e in elements for m in (e if side == "left" else e.involution()).terms}
-    reps = _minimal_representatives(sorted(pool, key=Monomial.sort_key))
-    unit, certificate = _local_unit(elements[0].graph, elements[0].ring, reps)
-    _check_unit(unit, side, elements)
+def _one_sided_unit(s, side):
+    """A unit fixing the nonzero element s from one side, verified exactly,
+    with its certificate: the sum of n over the minimal classes of s's
+    support, or of its adjoint's support for the right side."""
+    reps = _minimal_representatives((s if side == "left" else s.involution()).support())
+    unit, certificate = _local_unit(s.graph, s.ring, reps)
+    _check_unit(unit, side, [s])
     return unit, certificate
 
 
@@ -312,28 +304,13 @@ def local_units(s, degree_map):
     """
     if s.is_zero():
         raise HomogeneityError("the zero element has no local units")
-    g = _degree_of_family([s], degree_map, "element is not homogeneous")
-    left, left_cert = _one_sided_unit([s], "left")
-    right, right_cert = _one_sided_unit([s], "right")
+    degrees = decompose(s, degree_map)
+    if len(degrees) != 1:
+        raise HomogeneityError("element is not homogeneous")
+    (g,) = degrees
+    left, left_cert = _one_sided_unit(s, "left")
+    right, right_cert = _one_sided_unit(s, "right")
     return LocalUnitPair(s, g, left, right, left_cert, right_cert)
-
-
-def common_local_unit(elements, side, degree_map):
-    """One element acting as identity on every listed element from one side.
-
-    Built from the minimal classes of the pooled supports, so a finite
-    family of same-degree elements always has a common unit.
-    """
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    elems = list(elements)
-    if not elems:
-        raise ValueError("need at least one element")
-    nonzero = [e for e in elems if not e.is_zero()]
-    if not nonzero:
-        return Element.zero(elems[0].graph, elems[0].ring)
-    _degree_of_family(nonzero, degree_map, "elements must be homogeneous of one common degree")
-    return _one_sided_unit(nonzero, side)[0]
 
 
 def check_symmetric(degree_map, len_bound, ring=INTEGERS):
@@ -390,37 +367,30 @@ def check_epsilon_strong(degree_map, degree_window, len_bound, ring=INTEGERS):
     graph = degree_map.graph
     group = degree_map.group
     window = _validate_window(group, degree_window)
-    epsilons = {}
-    infinite = []
-    undetermined = []
+    by_verdict = {"PRESENT": [], "ABSENT": [], "UNDETERMINED": []}
     for g in window:
         rep = _candidate(g, degree_map, len_bound, ring)
-        if rep.present:
-            epsilons[group.render(g)] = str(rep.epsilon)
-        elif rep.minimal.verdict == "infinite-witness":
-            infinite.append(rep)
-        else:
-            undetermined.append(rep)
+        by_verdict[rep.verdict].append(rep)
     fields = {
         "bound": len_bound,
         "window": [group.render(g) for g in window],
         "unconditional": not graph.infinite_emitters,
     }
-    if infinite:
-        rep = infinite[0]
+    if by_verdict["ABSENT"]:
+        rep = by_verdict["ABSENT"][0]
         fields["witness"] = {
             "degree": group.render(rep.degree),
             "sibling-classes": [c.render() for c in rep.minimal.witness],
         }
         return Report("epsilon-strong-check", "NOT_EPSILON_STRONG", fields)
-    if undetermined:
-        rep = undetermined[0]
+    if by_verdict["UNDETERMINED"]:
+        rep = by_verdict["UNDETERMINED"][0]
         fields["witness"] = {
             "degree": group.render(rep.degree),
             "reason": rep.absent_reason,
         }
         return Report("epsilon-strong-check", "UNDETERMINED", fields)
-    fields["epsilons"] = epsilons
+    fields["epsilons"] = {group.render(rep.degree): str(rep.epsilon) for rep in by_verdict["PRESENT"]}
     fields["identity-checked-on"] = 2 * sum(count_Xg(g, degree_map, len_bound) for g in window)
     return Report("epsilon-strong-check", "EPSILON_STRONG", fields)
 
@@ -453,7 +423,7 @@ def check_strongly_graded(degree_map, degree_window, len_bound, ring=INTEGERS):
     saw_undetermined = False
     for g in window:
         rep = _candidate(g, degree_map, len_bound, ring)
-        if rep.minimal.verdict == "infinite-witness":
+        if rep.verdict == "ABSENT":
             comp_verdict = "NOT_STRONG"
             comp_witness = {
                 "degree": group.render(g),
@@ -505,16 +475,6 @@ def check_strongly_graded(degree_map, degree_window, len_bound, ring=INTEGERS):
     )
 
 
-def _sample_units(degree_map, samples, zeros):
-    """local_units of each nonzero sample, built only as the walk reaches
-    it; each zero sample is appended to zeros instead."""
-    for s in samples:
-        if s.is_zero():
-            zeros.append(s)
-        else:
-            yield local_units(s, degree_map)
-
-
 def check_nearly_epsilon(degree_map, samples):
     """Construct and verify local units for every homogeneous sample.
 
@@ -522,17 +482,17 @@ def check_nearly_epsilon(degree_map, samples):
     failure can only mean a defect in the engine and raises
     ConstructionError.
     """
-    zeros = []
+    samples = list(samples)
     certificates = [
         {"element": str(lu.element), "left": str(lu.left), "right": str(lu.right)}
-        for lu in _sample_units(degree_map, samples, zeros)
+        for lu in (local_units(s, degree_map) for s in samples if not s.is_zero())
     ]
     return Report(
         kind="nearly-epsilon-check",
         verdict="PASS",
         fields={
             "samples-verified": len(certificates),
-            "skipped-zero": len(zeros),
+            "skipped-zero": len(samples) - len(certificates),
             "certificates": certificates,
         },
     )
@@ -553,6 +513,6 @@ def check_nondegenerate(degree_map, samples):
             "left-witness": str(lu.left),
             "right-witness": str(lu.right),
         }
-        for lu in _sample_units(degree_map, samples, [])
+        for lu in (local_units(s, degree_map) for s in samples if not s.is_zero())
     ]
     return Report(kind="nondegeneracy-check", verdict="PASS", fields={"witnesses": witnesses})

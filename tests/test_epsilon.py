@@ -8,20 +8,20 @@ from hypothesis import strategies as st
 
 from leavitt import (
     DegreeMap,
-    DegreeMismatchError,
     Element,
+    EpsilonUnavailableError,
     HomogeneityError,
     INTEGERS,
+    build_frobenius_system,
     check_epsilon_strong,
     check_nearly_epsilon,
     check_strongly_graded,
     check_symmetric,
-    class_leq,
-    common_local_unit,
     decompose,
     enumerate_Xg,
     enumerate_monomials,
     epsilon,
+    is_initial_subpath,
     local_units,
     minimal_classes,
     nmap,
@@ -36,37 +36,6 @@ from .util import GRAPH_R3, brute_first_identity_failure, brute_minimal_alphas, 
 
 def alpha_ids(cls):
     return (cls.alpha.source.id, tuple(e.id for e in cls.alpha.edges), cls.alpha.range.id)
-
-
-class TestClassLeq:
-    def test_degree_guard(self, chain_graph, dm_chain):
-        x = mono(chain_graph, ("f2",), ("v3",))
-        y = mono(chain_graph, ("f2",), ("f4", "f3"))
-        with pytest.raises(DegreeMismatchError):
-            class_leq(x, y, dm_chain)
-
-    def test_vertex_not_below_unrelated_edge(self, chain_graph, dm_chain):
-        x = mono(chain_graph, ("v3",), ("f2",))
-        y = mono(chain_graph, ("f2",), ("f4", "f3"))
-        assert not class_leq(x, y, dm_chain)
-        assert not class_leq(y, x, dm_chain)
-
-    def test_reflexive(self, chain_graph, dm_chain):
-        for g in (-1, 0, 1):
-            for m in enumerate_Xg(g, dm_chain, 3):
-                assert class_leq(m, m, dm_chain)
-
-    def test_transitive_and_quotient_antisymmetric(self, dm_a, dm_chain):
-        for dm in (dm_a, dm_chain):
-            for g in (-1, 0, 1):
-                xs = enumerate_Xg(g, dm, 3)
-                for x in xs:
-                    for y in xs:
-                        if class_leq(x, y, dm) and class_leq(y, x, dm):
-                            assert x.alpha == y.alpha
-                        for z in xs:
-                            if class_leq(x, y, dm) and class_leq(y, z, dm):
-                                assert class_leq(x, z, dm)
 
 
 class TestMinimalClasses:
@@ -95,8 +64,6 @@ class TestMinimalClasses:
                 assert got == brute_minimal_alphas(graph, degree_by_edge, g, 4)
 
     def test_classes_pairwise_incomparable(self, dm_chain, dm_a, dm_b):
-        from leavitt import is_initial_subpath
-
         for dm in (dm_chain, dm_a, dm_b):
             for g in (-2, -1, 0, 1, 2):
                 classes = minimal_classes(g, dm, 4).classes
@@ -284,9 +251,9 @@ class TestPropSubpathDichotomy:
                     nx = nmap(graph, ring, x)
                     for y in xs:
                         ey = Element.monomial(graph, ring, y)
-                        if class_leq(x, y, dm):
+                        if is_initial_subpath(x.alpha, y.alpha):
                             assert nx * ey == ey
-                        elif not class_leq(y, x, dm):
+                        elif not is_initial_subpath(y.alpha, x.alpha):
                             assert (nx * ey).is_zero()
 
 
@@ -331,41 +298,6 @@ class TestLocalUnits:
                 s = random_homogeneous(dm, ring, rng, len_bound=3)
                 lu = local_units(s, dm)
                 assert lu.left * s == s and s * lu.right == s
-
-
-class TestCommonLocalUnit:
-    def test_pair_of_edges(self, chain_graph, dm_chain, ring):
-        t = common_local_unit([elem("f1", chain_graph, ring), elem("f2", chain_graph, ring)], "left", dm_chain)
-        assert t == elem("v2", chain_graph, ring)
-
-    def test_singleton(self, chain_graph, dm_chain, dm_a, dm_b, dm_c, ring):
-        s = elem("f2 + f4.f3.(f2)*", chain_graph, ring)
-        assert common_local_unit([s], "left", dm_chain) == local_units(s, dm_chain).left
-        rng = random.Random(17)
-        for dm in (dm_chain, dm_a, dm_b, dm_c):
-            for _ in range(15):
-                s = random_homogeneous(dm, ring, rng, len_bound=3)
-                lu = local_units(s, dm)
-                assert lu.left == common_local_unit([s], "left", dm)
-                assert lu.right == common_local_unit([s], "right", dm)
-
-    def test_dominated_pair(self, chain_graph, dm_chain, ring):
-        t = common_local_unit(
-            [elem("f4", chain_graph, ring), elem("f4.f3.(f2)*", chain_graph, ring)], "left", dm_chain
-        )
-        assert t == elem("v5", chain_graph, ring)
-
-    def test_right_side(self, chain_graph, dm_chain, ring):
-        items = [elem("f1", chain_graph, ring), elem("f2", chain_graph, ring)]
-        t = common_local_unit(items, "right", dm_chain)
-        for s in items:
-            assert s * t == s
-
-    def test_mixed_degrees_rejected(self, chain_graph, dm_chain, ring):
-        with pytest.raises(HomogeneityError):
-            common_local_unit(
-                [elem("f1", chain_graph, ring), elem("f4.f3", chain_graph, ring)], "left", dm_chain
-            )
 
 
 class TestCheckSymmetric:
@@ -453,6 +385,36 @@ def test_epsilon_strong_lists_no_xg_and_checks_every_degree(case, bound):
         assert report.fields["identity-checked-on"] == sum(rep.identity_checked_on for rep in reps)
     else:
         assert report.verdict != "EPSILON_STRONG"
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=graded_cases(), bound=st.integers(1, 4))
+def test_every_reader_maps_the_degree_verdicts_alike(case, bound):
+    dm = case[0]
+    group = dm.group
+    window = group.elements() if group.is_finite else group.window(-2, 2)
+    reps = [epsilon(g, dm, bound) for g in window]
+    verdicts = [rep.to_report().verdict for rep in reps]
+    undetermined = "UNDETERMINED" in verdicts
+    if "ABSENT" in verdicts:
+        expected = "NOT_EPSILON_STRONG"
+    else:
+        expected = "UNDETERMINED" if undetermined else "EPSILON_STRONG"
+    assert check_epsilon_strong(dm, window, bound).verdict == expected
+
+    ident = Element.identity(dm.graph, INTEGERS)
+    blocking = any(
+        v == "ABSENT" or (v == "PRESENT" and rep.epsilon != ident) for v, rep in zip(verdicts, reps)
+    )
+    comp = check_strongly_graded(dm, window, bound).fields["computational"]["verdict"]
+    assert comp == ("NOT_STRONG" if blocking else "UNDETERMINED" if undetermined else "STRONG")
+
+    if group.is_finite and not dm.graph.infinite_emitters:
+        if set(verdicts) == {"PRESENT"}:
+            build_frobenius_system(dm, bound)
+        else:
+            with pytest.raises(EpsilonUnavailableError):
+                build_frobenius_system(dm, bound)
 
 
 class TestCheckStronglyGraded:
