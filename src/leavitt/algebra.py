@@ -38,7 +38,8 @@ class Monomial:
     ``Monomial(a, b)`` checks that the ranges agree and raises GraphError
     when they do not. ``Monomial._same_range(a, b)`` skips that check and is
     only for pairs built with a shared range: two paths of one (range,
-    degree) level of the path table, or the swapped paths of a monomial.
+    degree) level of the path table, the swapped paths of a monomial, or a
+    path and the vertex at its range.
     """
 
     __slots__ = ("alpha", "beta", "_hash")
@@ -75,8 +76,8 @@ class Monomial:
         """True unless both paths end in the designated edge of its source."""
         if not self.alpha.edges or not self.beta.edges:
             return True
-        last = self.alpha.edges[-1]
-        if last != self.beta.edges[-1]:
+        last, other = self.alpha.edges[-1], self.beta.edges[-1]
+        if last is not other and last != other:
             return True
         return graph.special_edge(last.source) != last
 
@@ -161,9 +162,21 @@ class Element:
     @classmethod
     def from_terms(cls, graph, ring, items):
         """Normal form of a raw combination of (monomial, scalar) pairs."""
+        return cls._normal(graph, ring, items, ring.coerce)
+
+    @classmethod
+    def _normal(cls, graph, ring, items, coerce=None):
+        """Normal form of (monomial, coefficient) pairs, each coefficient a
+        ring element unless ``coerce`` is given to map it into the ring.
+
+        Products and the involution pass ring elements and skip coercion.
+        ``from_terms`` passes ``ring.coerce`` rather than building a coerced
+        list, which cost ~3% of an ``epsilon-window`` op (many one-term calls).
+        """
         acc = {}
-        for mono, coeff in items:
-            c = ring.coerce(coeff)
+        for mono, c in items:
+            if coerce is not None:
+                c = coerce(c)
             if ring.is_zero(c):
                 continue
             if mono.is_normal(graph):
@@ -261,14 +274,14 @@ class Element:
                 m = _mono_product(m1, m2)
                 if m is not None:
                     raw.append((m, ring.mul(c1, c2)))
-        return Element.from_terms(self.graph, ring, raw)
+        return Element._normal(self.graph, ring, raw)
 
     def __rmul__(self, scalar):
         return self.scaled(scalar)
 
     def involution(self):
         """Term-by-term adjoint: (a b*)* = b a*, coefficients unchanged."""
-        return Element.from_terms(
+        return Element._normal(
             self.graph, self.ring, [(m.involution(), c) for m, c in self.terms.items()]
         )
 
@@ -359,9 +372,12 @@ def enumerate_monomials(graph, len_bound):
 #   scalar  := int ['/' int]
 #
 # A '*' after an id or a parenthesized path is the involution, so f2* is the
-# ghost edge of f2 and "f2*.f2" multiplies it by f2. Atoms multiply left to
-# right, which lets one word denote any product of generators; "f2.(f4.f3)*"
-# is the monomial with real part f2 and ghost part f4.f3.
+# ghost edge of f2 and "f2*.f2" multiplies it by f2. Each atom is one raw
+# monomial (a vertex v v*, a real path p r(p)* or a ghost path r(p) p*), and
+# only the path relations act on a product of monomials, so a word, any
+# product of generators, folds to one raw monomial or to 0; "f2.(f4.f3)*" is
+# the monomial with real part f2 and ghost part f4.f3. Each term is then
+# normalized once, with its sign and scalar.
 # --------------------------------------------------------------------------
 
 _EXPR_SYMBOLS = "+-*/.()"
@@ -405,6 +421,7 @@ class _ExprParser:
         self.pos = 0
         self.graph = graph
         self.ring = ring
+        self._generators = {}
 
     def peek(self):
         return self.tokens[self.pos]
@@ -425,17 +442,15 @@ class _ExprParser:
         if self.peek()[0] in "+-":
             if self.next()[0] == "-":
                 sign = -1
-        total = self._term().scaled(sign)
+        total = self._term(sign)
         while self.peek()[0] in "+-":
-            op = self.next()[0]
-            term = self._term()
-            total = total + (term.scaled(-1) if op == "-" else term)
+            total = total + self._term(-1 if self.next()[0] == "-" else 1)
         if self.peek()[0] != "eof":
             self.fail("'+', '-' or end of input")
         return total
 
-    def _term(self):
-        scalar = None
+    def _term(self, sign):
+        scalar = 1
         if self.peek()[0] == "int":
             tok = self.next()
             num = int(tok[1])
@@ -455,13 +470,31 @@ class _ExprParser:
                 except ValueError as exc:
                     raise ElementSyntaxError(str(exc), tok[2]) from None
             self.expect("*", "'*' after a scalar")
-        value = self._atom()
-        while self.peek()[0] == ".":
+        mono = self._word()
+        items = [] if mono is None else [(mono, sign * scalar)]
+        return Element.from_terms(self.graph, self.ring, items)
+
+    def _word(self):
+        """The raw monomial of a word, or None when the word is 0.
+
+        A binary counter: the stack holds products of 2^i adjacent atoms
+        (None once zero), equal sizes merge as each atom is parsed and the
+        rest merge at the end, so n atoms take at most n - 1 products and
+        O(log n) partial products stay alive. A zero does not stop the
+        parse: every atom is still checked.
+        """
+        stack = []
+        while True:
+            size, mono = 1, self._atom()
+            more = self.peek()[0] == "."
+            while stack and (stack[-1][0] == size or not more):
+                left_size, left = stack.pop()
+                size += left_size
+                mono = None if left is None or mono is None else _mono_product(left, mono)
+            if not more:
+                return mono
+            stack.append((size, mono))
             self.next()
-            value = value * self._atom()
-        if scalar is not None:
-            value = value.scaled(scalar)
-        return value
 
     def expect(self, kind, expected=None):
         if self.peek()[0] != kind:
@@ -477,7 +510,7 @@ class _ExprParser:
             self.next()
             path = self._path()
             self.expect(")")
-            return self._path_element(path, self._starred())
+            return self._path_monomial(path, self._starred())
         self.fail("an identifier or '('")
 
     def _starred(self):
@@ -487,19 +520,27 @@ class _ExprParser:
         self.next()
         return True
 
-    def _path_element(self, path, starred):
-        make = Element.ghost_path if starred else Element.real_path
-        return make(self.graph, self.ring, path)
+    @staticmethod
+    def _path_monomial(path, starred):
+        """The monomial r(p) p* of a ghost path, or p r(p)* of a real one."""
+        end = Path(path.range)
+        return Monomial._same_range(end, path) if starred else Monomial._same_range(path, end)
 
     def _generator(self, tok, starred):
         name = tok[1]
-        g, ring = self.graph, self.ring
+        mono = self._generators.get((name, starred))
+        if mono is not None:
+            return mono
+        g = self.graph
         if name in g._vertex_by_id:
-            return Element.vertex(g, ring, name)
-        if name in g._edge_by_id:
+            mono = self._path_monomial(Path(g.vertex(name)), starred)
+        elif name in g._edge_by_id:
             e = g.edge(name)
-            return self._path_element(Path(e.source, (e,)), starred)
-        raise ElementSyntaxError(f"unknown vertex or edge {name!r}", tok[2])
+            mono = self._path_monomial(Path(e.source, (e,)), starred)
+        else:
+            raise ElementSyntaxError(f"unknown vertex or edge {name!r}", tok[2])
+        self._generators[name, starred] = mono
+        return mono
 
     def _path(self):
         tok = self.peek()

@@ -164,7 +164,8 @@ class Path:
 def is_initial_subpath(a, b):
     """True when a is an initial subpath of b; a vertex qualifies at b's source."""
     if not a.edges:
-        return a.base == b.source
+        source = b.base
+        return a.base is source or a.base == source
     return b.edges[: len(a.edges)] == a.edges
 
 

@@ -1,10 +1,14 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import leavitt.algebra as algebra
 from leavitt import (
+    INTEGERS,
+    Edge,
     Element,
     ElementSyntaxError,
     IntegerModRing,
@@ -17,7 +21,7 @@ from leavitt import (
     parse_graph,
 )
 
-from .util import GRAPH_R3, elem, mono
+from .util import GRAPH_C, GRAPH_CHAIN, GRAPH_R3, elem, mono
 
 TEST_GRAPH_SOURCES = {}
 
@@ -42,6 +46,13 @@ class TestMonomial:
         assert mono(chain_graph, ("f2",), ("f2",)).is_normal(chain_graph)
         assert mono(chain_graph, ("f2",), ("f3",)).is_normal(chain_graph)
         assert not mono(chain_graph, ("f4", "f3"), ("f4", "f3")).is_normal(chain_graph)
+
+    def test_normal_flag_compares_equal_edges(self, chain_graph):
+        f1 = chain_graph.edge("f1")
+        twin = Edge(f1.id, Vertex(f1.source.id), Vertex(f1.range.id))
+        # f1 f1* with the second f1 an equal but distinct object
+        m = Monomial(Path(f1.source, (f1,)), Path(twin.source, (twin,)))
+        assert not m.is_normal(chain_graph)
 
     def test_flagged_vertex_never_rewrites(self, graph_c):
         assert mono(graph_c, ("f1",), ("f1",)).is_normal(graph_c)
@@ -221,12 +232,7 @@ class TestLongPaths:
 
     def test_parsing_a_long_word_compares_vertices_linearly(self, ring, monkeypatch):
         graph = parse_graph(GRAPH_R3)
-        rng = random.Random(7)
-        v, word = graph.vertex("a"), []
-        for _ in range(600):
-            e = rng.choice(graph.out_edges(v))
-            word.append(e.id)
-            v = e.range
+        word = _r3_walk(graph, 600, 7)
         text = ".".join(word)
         calls = 0
         compare = Vertex.__eq__
@@ -299,6 +305,123 @@ class TestGrammar:
     def test_roundtrip_ghost_only(self, chain_graph, ring):
         a = elem("(f4.f3)* + 2*(f2)*", chain_graph, ring)
         assert parse_element(str(a), chain_graph, ring) == a
+
+
+def _atoms(graph, ring):
+    """(text, Element) for every atom of the grammar, paths up to length 2."""
+    out = []
+    for v in graph.vertices:
+        vertex = Element.vertex(graph, ring, v)
+        out += [(v.id, vertex), (f"{v.id}*", vertex)]
+    for e in graph.edges:
+        edge = Path(e.source, (e,))
+        out += [(e.id, Element.real_path(graph, ring, edge)),
+                (f"{e.id}*", Element.ghost_path(graph, ring, edge))]
+    for p in graph.enumerate_paths(2):
+        out += [(f"({p.render()})", Element.real_path(graph, ring, p)),
+                (f"({p.render()})*", Element.ghost_path(graph, ring, p))]
+    return out
+
+
+def _r3_walk(graph, length, seed):
+    """The edge ids of a seeded real path of R3."""
+    rng = random.Random(seed)
+    v, word = graph.vertex("a"), []
+    for _ in range(length):
+        e = rng.choice(graph.out_edges(v))
+        word.append(e.id)
+        v = e.range
+    return word
+
+
+WORD_GRAPHS = {"chain": parse_graph(GRAPH_CHAIN), "flagged": parse_graph(GRAPH_C)}
+
+
+class TestWordFold:
+    """A word folds to one raw monomial and each term is normalized once."""
+
+    @pytest.mark.parametrize("ring", [INTEGERS, IntegerModRing(3)], ids=["z", "z/3"])
+    @pytest.mark.parametrize("name", sorted(WORD_GRAPHS))
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_word_equals_left_to_right_product(self, name, ring, data):
+        graph = WORD_GRAPHS[name]
+        atoms = st.sampled_from(_atoms(graph, ring))
+        term = st.tuples(
+            st.sampled_from(["+", "-"]),
+            st.one_of(st.none(), st.integers(0, 4)),
+            st.lists(atoms, min_size=1, max_size=7),
+        )
+        terms = data.draw(st.lists(term, min_size=1, max_size=3))
+        text, expected = "", Element.zero(graph, ring)
+        for sign, scalar, word in terms:
+            value = word[0][1]
+            for _, atom in word[1:]:
+                value = value * atom
+            if scalar is not None:
+                value = value.scaled(scalar)
+            expected = expected + (value.scaled(-1) if sign == "-" else value)
+            prefix = "" if scalar is None else f"{scalar}*"
+            text += f" {sign} {prefix}" + ".".join(t for t, _ in word)
+        got = parse_element(text, graph, ring)
+        assert got == expected
+        assert str(got) == str(expected)
+
+    def test_zero_word_still_checks_every_atom(self, chain_graph, ring):
+        assert parse_element("f2*.f3.v1", chain_graph, ring).is_zero()
+        with pytest.raises(ElementSyntaxError, match="column 8: unknown"):
+            parse_element("f2*.f3.zz.v1", chain_graph, ring)
+        with pytest.raises(ElementSyntaxError, match="column 12: unknown edge"):
+            parse_element("f2*.f3.(f1.zz)", chain_graph, ring)
+
+    def test_products_and_normalizations_per_word(self, ring, monkeypatch):
+        graph = parse_graph(GRAPH_R3)
+        counts = {"mono": 0, "mul": 0, "from_terms": 0}
+        product, mul = algebra._mono_product, Element.__mul__
+        from_terms = Element.from_terms.__func__
+
+        def counting_product(m1, m2):
+            counts["mono"] += 1
+            return product(m1, m2)
+
+        def counting_mul(self, other):
+            counts["mul"] += 1
+            return mul(self, other)
+
+        def counting_from_terms(cls, *args):
+            counts["from_terms"] += 1
+            return from_terms(cls, *args)
+
+        monkeypatch.setattr(algebra, "_mono_product", counting_product)
+        monkeypatch.setattr(Element, "__mul__", counting_mul)
+        monkeypatch.setattr(Element, "from_terms", classmethod(counting_from_terms))
+        words = [
+            ["w"] * 37 + ["w*"] * 37,
+            _r3_walk(graph, 300, 3),
+            ["a", "x", "(y)*", "t"],  # zero at the third atom
+            ["x"],
+        ]
+        for text, letters, terms in [(".".join(word), len(word), 1) for word in words] + [
+            ("2*x.y - w.w*.w + (x.y)*.t*", 2 + 3 + 2, 3)
+        ]:
+            counts.update(mono=0, mul=0, from_terms=0)
+            parse_element(text, graph, ring)
+            assert counts["mono"] <= letters - terms
+            assert (counts["mul"], counts["from_terms"]) == (0, terms)
+
+    def test_long_word_keeps_few_partial_products(self, ring):
+        graph = parse_graph(GRAPH_R3)
+        text = ".".join(_r3_walk(graph, 3000, 11))
+        tracemalloc.start()
+        try:
+            value = parse_element(text, graph, ring)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(value) == text
+        # the token list is most of this peak; keeping all 3,000 atom
+        # monomials until the end peaks near 1.4 MiB
+        assert peak < 1 << 20
 
 
 class TestEnumerateMonomials:

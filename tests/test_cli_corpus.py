@@ -42,6 +42,9 @@ CASES = [
     ("nf-stdin", "nf --graph chain.lpa", "f1.(f1)* + f2.(f2)*\n", None),
     ("nf-zero", "nf --graph chain.lpa --expr 0", None, None),
     ("nf-r3-rational", "nf --graph r3.lpa --ring q --expr '3/2*w.w.(w)* + x.(x)*'", None, None),
+    ("nf-r3-power", "nf --graph r3.lpa --expr w.w.w.w.w.w.w.w*.w*.w*.w*.w*.w*.w*", None, None),
+    ("nf-r3-zero-mid-word", "nf --graph r3.lpa --expr 'a.w.x.(x.y)*.y.b.t + w.(w)*'", None, None),
+    ("nf-r3-scaled-z3", "nf --graph r3.lpa --ring z/3 --expr '2*w.w.(w)*.w.x - 4*a.x.(x)*.x.y.(y)* + 5*t.w.(w)*'", None, None),
     ("mul-text", "mul --graph chain.lpa --expr f2.(f4.f3)* --expr f4.f3.(f2)*", None, None),
     ("mul-structured-z3", "mul --graph r3.lpa --ring z/3 --expr '2*x.y' --expr '2*(x.y)*' --output structured", None, None),
     ("involve-text", "involve --graph chain.lpa --expr f4.f3", None, None),

@@ -179,6 +179,9 @@ class TestInitialSubpath:
         f2 = Path(None, (chain_graph.edge("f2"),))
         assert is_initial_subpath(v2, f1)
         assert not is_initial_subpath(f1, f2)
+        # equal vertices that are distinct objects still match
+        assert is_initial_subpath(Path(Vertex("v2")), f1)
+        assert not is_initial_subpath(Path(Vertex("v1")), f1)
 
     def test_reflexive_transitive(self, graph_a):
         paths = graph_a.enumerate_paths(3)
