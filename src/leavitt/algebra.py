@@ -266,14 +266,18 @@ class Element:
     def __mul__(self, other):
         if not isinstance(other, Element):
             return self.scaled(other)
-        self._compatible(other)
         ring = self.ring
+        # _compatible's test, with the identity checks that decide it first
+        if self.graph is not other.graph or (ring is not other.ring and ring != other.ring):
+            self._compatible(other)
         raw = []
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = _mono_product(m1, m2)
                 if m is not None:
                     raw.append((m, ring.mul(c1, c2)))
+        if not raw:
+            return Element(self.graph, ring, {})
         return Element._normal(self.graph, ring, raw)
 
     def __rmul__(self, scalar):
@@ -384,7 +388,7 @@ _EXPR_SYMBOLS = "+-*/.()"
 
 
 def _tokenize_expr(text):
-    tokens = []
+    """The (kind, text, column) tokens of text, one at a time, then eof."""
     i = 0
     n = len(text)
     while i < n:
@@ -396,40 +400,42 @@ def _tokenize_expr(text):
             j = i
             while j < n and text[j].isdigit():
                 j += 1
-            tokens.append(("int", text[i:j], i + 1))
+            yield ("int", text[i:j], i + 1)
             i = j
             continue
         if ch.isalpha():
             j = i
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            tokens.append(("id", text[i:j], i + 1))
+            yield ("id", text[i:j], i + 1)
             i = j
             continue
         if ch in _EXPR_SYMBOLS:
-            tokens.append((ch, ch, i + 1))
+            yield (ch, ch, i + 1)
             i += 1
             continue
         raise ElementSyntaxError(f"unexpected character {ch!r}", i + 1)
-    tokens.append(("eof", "", n + 1))
-    return tokens
+    yield ("eof", "", n + 1)
 
 
 class _ExprParser:
+    """A recursive-descent parser over a token stream with one token of
+    lookahead: no token list is held."""
+
     def __init__(self, text, graph, ring):
         self.tokens = _tokenize_expr(text)
-        self.pos = 0
+        self.token = next(self.tokens)
         self.graph = graph
         self.ring = ring
         self._generators = {}
 
     def peek(self):
-        return self.tokens[self.pos]
+        return self.token
 
     def next(self):
-        tok = self.peek()
+        tok = self.token
         if tok[0] != "eof":
-            self.pos += 1
+            self.token = next(self.tokens)
         return tok
 
     def fail(self, expected, tok=None):
@@ -438,6 +444,17 @@ class _ExprParser:
         raise ElementSyntaxError(f"expected {expected}, found {found!r}", tok[2])
 
     def parse(self):
+        """The element of the whole text. An unexpected character anywhere
+        in it outranks an error found before it, so on an error the rest of
+        the text is still scanned, storing nothing."""
+        try:
+            return self._element()
+        except ElementSyntaxError:
+            for _ in self.tokens:
+                pass
+            raise
+
+    def _element(self):
         sign = 1
         if self.peek()[0] in "+-":
             if self.next()[0] == "-":

@@ -69,13 +69,20 @@ class EpsilonReport:
     degree_map: object
     bound_used: int
     epsilon: object  # Element or None
-    certificate: tuple  # pairs of Elements, or None
     identity_checked_on: int
     minimal: MinimalClassSet
 
     @property
     def present(self):
         return self.epsilon is not None
+
+    @property
+    def certificate(self):
+        """The (a b*, b a*) pair of each minimal class a b*, whose products
+        sum to the local identity; None when there is none."""
+        if self.epsilon is None:
+            return None
+        return _certificate(self.degree_map.graph, self.epsilon.ring, self.minimal.classes)
 
     @property
     def verdict(self):
@@ -128,8 +135,16 @@ class LocalUnitPair:
     degree: object
     left: object
     right: object
-    left_certificate: tuple
-    right_certificate: tuple
+    left_classes: tuple  # one representative Monomial per minimal class
+    right_classes: tuple  # the same, over the adjoint's support
+
+    @property
+    def left_certificate(self):
+        return _certificate(self.element.graph, self.element.ring, self.left_classes)
+
+    @property
+    def right_certificate(self):
+        return _certificate(self.element.graph, self.element.ring, self.right_classes)
 
 
 def nmap(graph, ring, x):
@@ -210,16 +225,19 @@ def _sibling_witness(graph, classes):
 
 
 def _local_unit(graph, ring, representatives):
-    """The sum of n(rep) over the representatives, with the (rep, rep*)
-    certificate of each, in the given order."""
-    unit = Element.zero(graph, ring)
-    certificate = []
-    for rep in representatives:
-        unit = unit + nmap(graph, ring, rep)
-        certificate.append(
-            (Element.monomial(graph, ring, rep), Element.monomial(graph, ring, rep.involution()))
-        )
-    return unit, tuple(certificate)
+    """The sum of n(rep) over the representatives, normalized once: normal
+    forms are linear, so this is the sum of the nmap values."""
+    return Element.from_terms(
+        graph, ring, [(Monomial._same_range(rep.alpha, rep.alpha), 1) for rep in representatives]
+    )
+
+
+def _certificate(graph, ring, representatives):
+    """The (rep, rep*) pair of each representative, in the given order."""
+    return tuple(
+        (Element.monomial(graph, ring, rep), Element.monomial(graph, ring, rep.involution()))
+        for rep in representatives
+    )
 
 
 def _candidate(g, degree_map, len_bound, ring):
@@ -227,14 +245,14 @@ def _candidate(g, degree_map, len_bound, ring):
     with its certificate, checked exactly on the classes themselves when
     those are complete; otherwise the report of why there is none."""
     mcs = minimal_classes(g, degree_map, len_bound)
-    rep = EpsilonReport(g, degree_map, len_bound, None, None, 0, mcs)
+    rep = EpsilonReport(g, degree_map, len_bound, None, 0, mcs)
     if rep.verdict != "PRESENT":
         return rep
     graph = degree_map.graph
-    eps, certificate = _local_unit(graph, ring, mcs.classes)
+    eps = _local_unit(graph, ring, mcs.classes)
     _check_unit(eps, "left", [Element.real_path(graph, ring, c.alpha) for c in mcs.classes])
     _check_unit(eps, "right", [Element.ghost_path(graph, ring, c.alpha) for c in mcs.classes])
-    return replace(rep, epsilon=eps, certificate=certificate)
+    return replace(rep, epsilon=eps)
 
 
 def epsilon(g, degree_map, len_bound, ring=INTEGERS):
@@ -287,12 +305,15 @@ def _minimal_representatives(monos):
 
 def _one_sided_unit(s, side):
     """A unit fixing the nonzero element s from one side, verified exactly,
-    with its certificate: the sum of n over the minimal classes of s's
-    support, or of its adjoint's support for the right side."""
-    reps = _minimal_representatives((s if side == "left" else s.involution()).support())
-    unit, certificate = _local_unit(s.graph, s.ring, reps)
+    with its class representatives: the sum of n over the minimal classes
+    of s's support, or of its adjoint's support for the right side. The
+    adjoint's support is the swapped support, since swapping keeps a
+    monomial normal."""
+    monos = s.terms if side == "left" else [m.involution() for m in s.terms]
+    reps = tuple(_minimal_representatives(sorted(monos, key=Monomial.sort_key)))
+    unit = _local_unit(s.graph, s.ring, reps)
     _check_unit(unit, side, [s])
-    return unit, certificate
+    return unit, reps
 
 
 def local_units(s, degree_map):
@@ -308,9 +329,9 @@ def local_units(s, degree_map):
     if len(degrees) != 1:
         raise HomogeneityError("element is not homogeneous")
     (g,) = degrees
-    left, left_cert = _one_sided_unit(s, "left")
-    right, right_cert = _one_sided_unit(s, "right")
-    return LocalUnitPair(s, g, left, right, left_cert, right_cert)
+    left, left_classes = _one_sided_unit(s, "left")
+    right, right_classes = _one_sided_unit(s, "right")
+    return LocalUnitPair(s, g, left, right, left_classes, right_classes)
 
 
 def check_symmetric(degree_map, len_bound, ring=INTEGERS):

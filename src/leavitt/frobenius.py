@@ -44,8 +44,11 @@ class FrobeniusSystem:
 
 
 def projection_e(a, degree_map):
-    """The identity-degree part of an element."""
-    return decompose(a, degree_map).get(degree_map.group.identity, Element.zero(a.graph, a.ring))
+    """The identity-degree part of an element: its terms of that degree."""
+    identity = degree_map.group.identity
+    return Element(
+        a.graph, a.ring, {m: c for m, c in a.terms.items() if degree_map.degree_of(m) == identity}
+    )
 
 
 def build_frobenius_system(degree_map, len_bound, ring=INTEGERS):

@@ -577,20 +577,26 @@ def check_grading_axiom(degree_map, len_bound, ring=INTEGERS):
     """Verify that products land in the product degree, over all monomial
     pairs up to the length bound. Returns a PASS report or the first
     counterexample.
+
+    Every pair is multiplied as elements, and every term of every product
+    is graded by ``degree_of``. The first pair with a term off its expected
+    degree is the witness, and its found degree is the first off degree of
+    the product in group sort order.
     """
     graph = degree_map.graph
     group = degree_map.group
+    degree_of = degree_map.degree_of
     monos = enumerate_monomials(graph, len_bound)
-    elements = {m: Element.monomial(graph, ring, m) for m in monos}
-    degrees = {m: degree_map.degree_of(m) for m in monos}
+    graded = [(m, Element.monomial(graph, ring, m), degree_of(m)) for m in monos]
     pairs = 0
-    for x in monos:
-        for y in monos:
+    for x, ex, dx in graded:
+        for y, ey, dy in graded:
             pairs += 1
-            expected = group.op(degrees[x], degrees[y])
-            product = elements[x] * elements[y]
-            for d in decompose(product, degree_map):
-                if d != expected:
+            expected = group.op(dx, dy)
+            product = ex * ey
+            for m in product.terms:
+                if degree_of(m) != expected:
+                    found = next(d for d in decompose(product, degree_map) if d != expected)
                     return Report(
                         kind="grading-axiom-check",
                         verdict="FAIL",
@@ -600,7 +606,7 @@ def check_grading_axiom(degree_map, len_bound, ring=INTEGERS):
                                 "left": x.render(),
                                 "right": y.render(),
                                 "expected-degree": group.render(expected),
-                                "found-degree": group.render(d),
+                                "found-degree": group.render(found),
                                 "product": str(product),
                             },
                         },

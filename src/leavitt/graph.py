@@ -162,11 +162,20 @@ class Path:
 
 
 def is_initial_subpath(a, b):
-    """True when a is an initial subpath of b; a vertex qualifies at b's source."""
+    """True when a is an initial subpath of b; a vertex qualifies at b's source.
+
+    Edge paths are compared by their edge ids, which is exact for two paths
+    of one graph: its ids are unique across vertices and edges, so a vertex
+    path's id key never matches an edge id. The package's two callers hold
+    such paths: ``algebra._mono_product``, whose monomials come from one
+    element's graph (``Element`` checks that both factors share it) or one
+    parsed expression, and ``epsilon._minimal_representatives``, on one
+    element's support.
+    """
     if not a.edges:
         source = b.base
         return a.base is source or a.base == source
-    return b.edges[: len(a.edges)] == a.edges
+    return b._key[1][: len(a.edges)] == a._key[1]
 
 
 class Graph:

@@ -504,7 +504,7 @@ class TestErrors:
     def test_engine_defect_in_a_sampled_check(self, capsys, monkeypatch, argv):
         # the package's `epsilon` attribute is the function, so go by module name
         module = sys.modules["leavitt.epsilon"]
-        monkeypatch.setattr(module, "_local_unit", lambda graph, ring, reps: (Element.zero(graph, ring), ()))
+        monkeypatch.setattr(module, "_local_unit", lambda graph, ring, reps: Element.zero(graph, ring))
         code, out, err = run(capsys, *argv, "--graph", str(CORPUS / "r3.lpa"), "--bound", "2")
         assert code == 70
         assert out == ""

@@ -198,7 +198,7 @@ class TestIdentityCheckPerPath:
     @pytest.mark.parametrize("g", [1, -1])
     def test_wrong_unit_reported_by_epsilon(self, dm_r3, wrong_unit, monkeypatch, g):
         module = importlib.import_module("leavitt.epsilon")
-        monkeypatch.setattr(module, "_local_unit", lambda graph, ring, reps: (wrong_unit, ()))
+        monkeypatch.setattr(module, "_local_unit", lambda graph, ring, reps: wrong_unit)
         with pytest.raises(ConstructionError, match="unit failed on"):
             epsilon(g, dm_r3, 3)
 
@@ -310,6 +310,15 @@ class TestCheckSymmetric:
     def test_vertex_case(self, chain_graph, ring):
         v = elem("v1", chain_graph, ring)
         assert v * v * v == v
+
+    def test_engine_defect_names_the_first_failing_monomial(self, dm_chain, ring, monkeypatch):
+        # an involution that returns its argument keeps m = m m* m on the
+        # vertices and breaks it on the ghost edge (f1)*, the next monomial
+        monkeypatch.setattr(Element, "involution", lambda self: self)
+        report = check_symmetric(dm_chain, 2, ring)
+        assert report.verdict == "FAIL"
+        assert report.fields == {"bound": 2, "witness": "(f1)*"}
+        assert report.text() == "symmetric-grading-check: FAIL\n  bound: 2\n  witness: (f1)*"
 
 
 class TestCheckEpsilonStrong:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import leavitt.algebra as algebra
 from leavitt import (
     RATIONALS,
     CyclicGroup,
@@ -15,11 +16,13 @@ from leavitt import (
     IntegerModRing,
     IntegerRing,
     IntegerTupleGroup,
+    Monomial,
     check_grading_axiom,
     decompose,
     enumerate_Xg,
     enumerate_monomials,
     parse_degree_map,
+    parse_graph,
     parse_group_table,
 )
 
@@ -267,6 +270,28 @@ class TestEnumerateXg:
         assert [m.render() for m in enumerate_Xg(1, dm_c, 3)] == ["f1", "f2", "f3"]
 
 
+def reference_witness(degree_map, len_bound, ring):
+    """The witness of the first pair whose product leaves its expected
+    degree, scanned pair by pair with each product's first off degree in
+    group sort order taken from decompose."""
+    graph, group = degree_map.graph, degree_map.group
+    monos = enumerate_monomials(graph, len_bound)
+    for x in monos:
+        for y in monos:
+            expected = group.op(degree_map.degree_of(x), degree_map.degree_of(y))
+            product = Element.monomial(graph, ring, x) * Element.monomial(graph, ring, y)
+            for d in decompose(product, degree_map):
+                if d != expected:
+                    return {
+                        "left": x.render(),
+                        "right": y.render(),
+                        "expected-degree": group.render(expected),
+                        "found-degree": group.render(d),
+                        "product": str(product),
+                    }
+    return None
+
+
 class TestGradingAxiom:
     def test_pass_chain(self, dm_chain, ring):
         report = check_grading_axiom(dm_chain, 3, ring)
@@ -292,4 +317,45 @@ class TestGradingAxiom:
         bad = CorruptedMap(chain_graph, IntegerGroup(), {e.id: 1 for e in chain_graph.edges})
         report = check_grading_axiom(bad, 2, ring)
         assert report.verdict == "FAIL"
-        assert "witness" in report.fields
+        assert report.fields == {"bound": 2, "witness": reference_witness(bad, 2, ring)}
+        assert report.fields["witness"] == {
+            "left": "(f3)*",
+            "right": "(f4)*",
+            "expected-degree": "-12",
+            "found-degree": "-2",
+            "product": "(f4.f3)*",
+        }
+
+    def test_engine_defect_witness_is_first_off_degree_in_sort_order(self, ring, monkeypatch):
+        # A map whose degree_of is a function of the monomial cannot make the
+        # first bad product split across degrees: every term of a product is
+        # a listed monomial t, and a pair with a one-term product that is
+        # listed earlier (a vertex or a ghost path times t) already disagrees.
+        # So the split comes from a CK2 rewrite that pairs each sibling edge
+        # with the next one, here at v, whose designated edge is e1.
+        graph = parse_graph("graph par { vertices: v w ; edges: e1: v -> w; e2: v -> w; e3: v -> w; }")
+        dm = DegreeMap(graph, IntegerGroup(), {"e1": 1, "e2": 2, "e3": 3})
+        honest = algebra._expand_normal
+
+        def crossed(graph, mono):
+            out = honest(graph, mono)
+            if len(out) == 1:
+                return out
+            *siblings, vertex = out
+            shifted = siblings[1:] + siblings[:1]
+            crossed = [(Monomial(m.alpha, s.beta), c) for (m, c), (s, _) in zip(siblings, shifted)]
+            return crossed[::-1] + [vertex]
+
+        monkeypatch.setattr(algebra, "_expand_normal", crossed)
+        report = check_grading_axiom(dm, 1, ring)
+        assert report.verdict == "FAIL"
+        assert report.fields == {"bound": 1, "witness": reference_witness(dm, 1, ring)}
+        # the off terms lie in degrees 1 and -1, and the product's first
+        # term is the one in degree 1: the witness names -1, first in sort order
+        assert report.fields["witness"] == {
+            "left": "e1",
+            "right": "(e1)*",
+            "expected-degree": "0",
+            "found-degree": "-1",
+            "product": "v - e2.(e3)* - e3.(e2)*",
+        }

@@ -206,6 +206,18 @@ def small_graphs(draw):
     return parse_graph(text)
 
 
+@settings(max_examples=150, deadline=None)
+@given(graph=small_graphs(), data=st.data())
+def test_initial_subpath_by_ids_agrees_with_edge_tuples(graph, data):
+    # the definition: a vertex at b's source, or b's edges start with a's
+    paths = graph.enumerate_paths(3)
+    a = data.draw(st.sampled_from(paths))
+    b = data.draw(st.sampled_from(paths))
+    for p, q in ((a, b), (b, a), (a, a), (a.prefix(0), b)):
+        expected = q.edges[: p.length] == p.edges if p.edges else p.base == q.source
+        assert is_initial_subpath(p, q) is expected
+
+
 def full_check(base, edges):
     """The path, or the GraphError text, of a full check of the edge list."""
     try:
