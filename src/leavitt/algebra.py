@@ -21,7 +21,7 @@ elements is structural equality of normal forms.
 
 from __future__ import annotations
 
-from .graph import GraphError, Path, is_initial_subpath
+from .graph import GraphError, Path
 
 
 class ElementSyntaxError(ValueError):
@@ -38,8 +38,11 @@ class Monomial:
     ``Monomial(a, b)`` checks that the ranges agree and raises GraphError
     when they do not. ``Monomial._same_range(a, b)`` skips that check and is
     only for pairs built with a shared range: two paths of one (range,
-    degree) level of the path table, the swapped paths of a monomial, or a
-    path and the vertex at its range.
+    degree) level of the path table, the swapped paths of a monomial, a
+    path and the vertex at its range, the product of two monomials (both
+    paths end at the range of the longer meeting path), or the terms of a
+    Cuntz-Krieger rewrite (each sibling's paths end at r(f), the stripped
+    paths at the source of the shared edge).
     """
 
     __slots__ = ("alpha", "beta", "_hash")
@@ -123,21 +126,48 @@ def _expand_normal(graph, mono):
                 b2 = beta.prefix(beta.length - 1)
                 for f in graph.out_edges(last.source):
                     if f != last:
-                        out.append((Monomial(a2.extended(f), b2.extended(f)), -1))
+                        out.append((Monomial._same_range(a2.extended(f), b2.extended(f)), -1))
                 alpha, beta = a2, b2
                 continue
-        out.append((Monomial(alpha, beta), 1))
+        out.append((Monomial._same_range(alpha, beta), 1))
         return out
 
 
 def _mono_product(m1, m2):
-    """The raw product monomial of m1 and m2, or None when it is zero."""
+    """The raw product monomial of m1 and m2, or None when it is zero.
+
+    The ghost path b of m1 meets the real path a of m2, and the product is
+    nonzero only when the shorter of them is an initial subpath of the
+    longer. For two edge paths that is one comparison of edge-id keys, the
+    shorter's as a prefix of the longer's: exact, since both monomials come
+    from one graph (``Element`` checks that its factors share it, and the
+    parser folds the words of one expression). A vertex path is initial
+    exactly at the other path's source, so it compares by its base: first
+    by ``is``, which holds for the graph's own vertex, then by ``==``,
+    which an equal but distinct ``Vertex`` passes. Both paths of the
+    product end at the range of the longer meeting path, so it is built
+    with ``Monomial._same_range``; ``joined`` still checks the new junction.
+    """
     b, a = m1.beta, m2.alpha
-    if is_initial_subpath(b, a):
-        return Monomial(m1.alpha.joined(a, b.length), m2.beta)
-    if is_initial_subpath(a, b):
-        return Monomial(m1.alpha, m2.beta.joined(b, a.length))
-    return None
+    if not b.edges:
+        base = a.base
+        if b.base is not base and b.base != base:
+            return None
+        return Monomial._same_range(m1.alpha.joined(a, 0), m2.beta)
+    if not a.edges:
+        base = b.base
+        if a.base is not base and a.base != base:
+            return None
+        return Monomial._same_range(m1.alpha, m2.beta.joined(b, 0))
+    n, b_ids = b._key
+    k, a_ids = a._key
+    if n <= k:
+        if a_ids[:n] != b_ids:
+            return None
+        return Monomial._same_range(m1.alpha.joined(a, n), m2.beta)
+    if b_ids[:k] != a_ids:
+        return None
+    return Monomial._same_range(m1.alpha, m2.beta.joined(b, k))
 
 
 class Element:

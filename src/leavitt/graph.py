@@ -166,11 +166,10 @@ def is_initial_subpath(a, b):
 
     Edge paths are compared by their edge ids, which is exact for two paths
     of one graph: its ids are unique across vertices and edges, so a vertex
-    path's id key never matches an edge id. The package's two callers hold
-    such paths: ``algebra._mono_product``, whose monomials come from one
-    element's graph (``Element`` checks that both factors share it) or one
-    parsed expression, and ``epsilon._minimal_representatives``, on one
-    element's support.
+    path's id key never matches an edge id. The package's one caller,
+    ``epsilon._minimal_representatives``, holds such paths: the support of
+    one element. (``algebra._mono_product`` makes the same key comparison
+    inline, once per product.)
     """
     if not a.edges:
         source = b.base

@@ -17,6 +17,7 @@ from leavitt import (
     IntegerRing,
     IntegerTupleGroup,
     Monomial,
+    Path,
     check_grading_axiom,
     decompose,
     enumerate_Xg,
@@ -27,7 +28,7 @@ from leavitt import (
 )
 
 from .test_algebra import elements_strategy
-from .util import brute_xg_alphas, elem, mono
+from .util import GRAPH_R3, brute_xg_alphas, elem, mono
 
 
 def s3_table_text():
@@ -137,6 +138,38 @@ class TestDegreeMap:
         assert dm_chain.degree_of(mono(chain_graph, ("f4", "f3"), ("v3",))) == 2
         assert dm_chain.degree_of(mono(chain_graph, ("v1",), ("v1",))) == 0
         assert dm_chain.degree_of(mono(chain_graph, ("f2",), ("f4", "f3"))) == -1
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_degree_of_path_is_the_left_fold_of_edge_degrees(self, data):
+        graph = parse_graph(GRAPH_R3)
+        s3 = parse_group_table(s3_table_text())
+        group, values = data.draw(
+            st.sampled_from(
+                [
+                    (IntegerGroup(), st.integers(-5, 5)),
+                    (IntegerTupleGroup(2), st.tuples(st.integers(-3, 3), st.integers(-3, 3))),
+                    (CyclicGroup(4), st.integers(0, 3)),
+                    (s3, st.sampled_from(s3.symbols)),
+                ]
+            )
+        )
+        dm = DegreeMap(graph, group, {e.id: data.draw(values) for e in graph.edges})
+        for p in graph.enumerate_paths(4):
+            g = group.identity
+            for e in p.edges:
+                g = group.op(g, dm.edge_degrees[e.id])
+            assert dm.degree_of_path(p) == g
+
+    def test_edge_of_another_graph_is_an_unknown_edge(self, chain_graph, dm_chain):
+        other = parse_graph("vertices v1 v2; edges: f1: v2 -> v1; zz: v1 -> v2;")
+        f1_zz = Path(None, (other.edge("f1"), other.edge("zz")))
+        with pytest.raises(DegreeMapError, match="^unknown edge 'zz'$"):
+            dm_chain.degree_of_path(f1_zz)
+        with pytest.raises(DegreeMapError, match="^unknown edge 'zz'$"):
+            dm_chain.degree_of(Monomial(f1_zz, Path(other.vertex("v2"))))
+        # the edge ids of this graph alone still fold
+        assert dm_chain.degree_of_path(f1_zz.prefix(1)) == 1
 
     def test_parse_degree_file(self, chain_graph):
         text = "# degrees\ngroup Z\ndeg f1 = 1\ndeg f2 = -1\ndeg f3 = 0\ndeg f4 = 2\n"
@@ -305,6 +338,33 @@ class TestGradingAxiom:
         table = parse_group_table(s3_table_text())
         dm = DegreeMap(chain_graph, table, {"f1": "s1", "f2": "s2", "f3": "s3", "f4": "s4"})
         assert check_grading_axiom(dm, 2, ring).verdict == "PASS"
+
+    def test_every_pair_is_multiplied_and_every_term_graded(self, ring, monkeypatch):
+        # no pair is skipped, cached or answered without the engine: one
+        # Element product and one monomial product per ordered pair of the
+        # 345 monomials of R3 at bound 3
+        counts = {"mul": 0, "mono": 0, "degree": 0}
+        mul, product, degree_of = Element.__mul__, algebra._mono_product, DegreeMap.degree_of
+
+        def counting_mul(self, other):
+            counts["mul"] += 1
+            return mul(self, other)
+
+        def counting_product(m1, m2):
+            counts["mono"] += 1
+            return product(m1, m2)
+
+        def counting_degree_of(self, m):
+            counts["degree"] += 1
+            return degree_of(self, m)
+
+        monkeypatch.setattr(Element, "__mul__", counting_mul)
+        monkeypatch.setattr(algebra, "_mono_product", counting_product)
+        monkeypatch.setattr(DegreeMap, "degree_of", counting_degree_of)
+        report = check_grading_axiom(DegreeMap.canonical(parse_graph(GRAPH_R3)), 3, ring)
+        assert report.verdict == "PASS"
+        assert report.fields == {"bound": 3, "monomials": 345, "pairs-checked": 119025}
+        assert counts == {"mul": 119025, "mono": 119025, "degree": 22190}
 
     def test_corrupted_map_reports_counterexample(self, chain_graph, ring):
         class CorruptedMap(DegreeMap):

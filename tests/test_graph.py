@@ -292,17 +292,27 @@ class TestDerivedPaths:
             a = data.draw(st.sampled_from(firsts))
             return Monomial(a, data.draw(st.sampled_from(by_range[a.range])))
 
+        def vertex_at(v):
+            # the graph's vertex path, or one on an equal but distinct Vertex
+            return data.draw(st.sampled_from([Path(v), Path(Vertex(v.id))]))
+
         for _ in range(10):
             m1 = monomial(paths)
+            if not data.draw(st.integers(0, 3)):
+                m1 = Monomial(m1.alpha, vertex_at(m1.alpha.range))
             b = m1.beta
             # mostly a meeting path that b is a prefix of, or one that is a prefix of b
             linked = [p for p in paths if is_initial_subpath(b, p) or is_initial_subpath(p, b)]
             m2 = monomial(linked if data.draw(st.integers(0, 3)) else paths)
+            if not data.draw(st.integers(0, 3)):
+                m2 = Monomial(vertex_at(m2.beta.range), m2.beta)
             got, want = _mono_product(m1, m2), old_mono_product(m1, m2)
             assert got == want
             if got is not None:
                 same_path(got.alpha, want.alpha)
                 same_path(got.beta, want.beta)
+                assert got.alpha.range == got.beta.range
+                assert hash(got) == hash(want)
 
     def test_non_composing_junction_keeps_the_error_text(self, chain_graph):
         f1, f2, f3, f4 = (chain_graph.edge(f"f{i}") for i in range(1, 5))
