@@ -192,21 +192,14 @@ class Element:
     @classmethod
     def from_terms(cls, graph, ring, items):
         """Normal form of a raw combination of (monomial, scalar) pairs."""
-        return cls._normal(graph, ring, items, ring.coerce)
+        return cls._normal(graph, ring, [(m, ring.coerce(c)) for m, c in items])
 
     @classmethod
-    def _normal(cls, graph, ring, items, coerce=None):
+    def _normal(cls, graph, ring, items):
         """Normal form of (monomial, coefficient) pairs, each coefficient a
-        ring element unless ``coerce`` is given to map it into the ring.
-
-        Products and the involution pass ring elements and skip coercion.
-        ``from_terms`` passes ``ring.coerce`` rather than building a coerced
-        list, which cost ~3% of an ``epsilon-window`` op (many one-term calls).
-        """
+        ring element: products and the involution pass those uncoerced."""
         acc = {}
         for mono, c in items:
-            if coerce is not None:
-                c = coerce(c)
             if ring.is_zero(c):
                 continue
             if mono.is_normal(graph):

@@ -370,6 +370,14 @@ def _validate_window(group, window):
     return sorted(seen, key=group.sort_key)
 
 
+def _window_walk(degree_map, degree_window, len_bound, ring):
+    """The validated window in group order, and a generator of its degrees'
+    checked candidates in that order: the one walk that epsilon-strong,
+    strongly-graded and frobenius read, each with its own stop rule."""
+    window = _validate_window(degree_map.group, degree_window)
+    return window, (_candidate(g, degree_map, len_bound, ring) for g in window)
+
+
 def check_epsilon_strong(degree_map, degree_window, len_bound, ring=INTEGERS):
     """Run the local-identity construction over a degree window.
 
@@ -387,10 +395,9 @@ def check_epsilon_strong(degree_map, degree_window, len_bound, ring=INTEGERS):
     """
     graph = degree_map.graph
     group = degree_map.group
-    window = _validate_window(group, degree_window)
+    window, reps = _window_walk(degree_map, degree_window, len_bound, ring)
     by_verdict = {"PRESENT": [], "ABSENT": [], "UNDETERMINED": []}
-    for g in window:
-        rep = _candidate(g, degree_map, len_bound, ring)
+    for rep in reps:
         by_verdict[rep.verdict].append(rep)
     fields = {
         "bound": len_bound,
@@ -428,7 +435,7 @@ def check_strongly_graded(degree_map, degree_window, len_bound, ring=INTEGERS):
     """
     graph = degree_map.graph
     group = degree_map.group
-    window = _validate_window(group, degree_window)
+    window, reps = _window_walk(degree_map, degree_window, len_bound, ring)
 
     structural_applicable = degree_map.is_canonical_z() and not graph.infinite_emitters
     sinks = sorted(v.id for v in graph.sinks())
@@ -438,53 +445,34 @@ def check_strongly_graded(degree_map, degree_window, len_bound, ring=INTEGERS):
         "sinks": sinks,
     }
 
+    # an undetermined degree leaves the verdict UNDETERMINED unless a later
+    # degree blocks; the first ABSENT degree or epsilon other than 1 blocks
     ident = Element.identity(graph, ring)
-    comp_verdict = "STRONG"
-    comp_witness = None
-    saw_undetermined = False
-    for g in window:
-        rep = _candidate(g, degree_map, len_bound, ring)
-        if rep.verdict == "ABSENT":
-            comp_verdict = "NOT_STRONG"
-            comp_witness = {
-                "degree": group.render(g),
-                "reason": rep.absent_reason,
-                "sibling-classes": [c.render() for c in rep.minimal.witness],
-            }
-            break
-        if not rep.present:
-            saw_undetermined = True
-            continue
-        if rep.epsilon != ident:
-            comp_verdict = "NOT_STRONG"
-            comp_witness = {
-                "degree": group.render(g),
-                "epsilon": str(rep.epsilon),
-                "identity": str(ident),
-            }
-            break
-    if comp_verdict == "STRONG" and saw_undetermined:
-        comp_verdict = "UNDETERMINED"
     computational = {
-        "verdict": comp_verdict,
-        "bound": len_bound,
-        "window": [group.render(g) for g in window],
+        "verdict": "STRONG", "bound": len_bound, "window": [group.render(g) for g in window]
     }
-    if comp_witness:
-        computational["witness"] = comp_witness
+    for rep in reps:
+        if rep.verdict == "UNDETERMINED":
+            computational["verdict"] = "UNDETERMINED"
+            continue
+        if rep.verdict == "ABSENT":
+            classes = [c.render() for c in rep.minimal.witness]
+            witness = {"reason": rep.absent_reason, "sibling-classes": classes}
+        elif rep.epsilon != ident:
+            witness = {"epsilon": str(rep.epsilon), "identity": str(ident)}
+        else:
+            continue
+        computational["verdict"] = "NOT_STRONG"
+        computational["witness"] = {"degree": group.render(rep.degree), **witness}
+        break
 
-    agreement = None
-    if structural_applicable and comp_verdict != "UNDETERMINED":
-        agreement = structural["verdict"] == comp_verdict
-
+    computed = computational["verdict"]
+    decided = computed != "UNDETERMINED"
+    agreement = structural["verdict"] == computed if structural_applicable and decided else None
     if agreement is False:
         verdict = "DISAGREEMENT"
-    elif comp_verdict != "UNDETERMINED":
-        verdict = comp_verdict
-    elif structural_applicable:
-        verdict = structural["verdict"]
     else:
-        verdict = "UNDETERMINED"
+        verdict = computed if decided or not structural_applicable else structural["verdict"]
     return Report(
         kind="strongly-graded-check",
         verdict=verdict,

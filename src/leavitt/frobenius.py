@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import Element
-from .epsilon import ConstructionError, _candidate
+from .epsilon import ConstructionError, _window_walk
 from .grading import decompose
 from .reports import Report
 from .rings import INTEGERS
@@ -55,9 +55,10 @@ def build_frobenius_system(degree_map, len_bound, ring=INTEGERS):
     """Assemble the dual pairs from every degree's local-identity certificate.
 
     Requires a finite group and an unflagged graph; any degree whose local
-    identity is unavailable aborts the build with that degree's reason. Each
-    degree's unit is the checked candidate of ``epsilon()``, without the
-    listing of X_g that only counts ``identity_checked_on``.
+    identity is unavailable aborts the build with that degree's reason: the
+    walk over the group's degrees stops at the first that is not PRESENT.
+    Each degree's unit is the checked candidate of ``epsilon()``, without
+    the listing of X_g that only counts ``identity_checked_on``.
     """
     group = degree_map.group
     graph = degree_map.graph
@@ -67,13 +68,13 @@ def build_frobenius_system(degree_map, len_bound, ring=INTEGERS):
         raise FrobeniusBuildError("graph has flagged infinite emitters")
     pairs = []
     epsilons = {}
-    for g in sorted(group.elements(), key=group.sort_key):
-        rep = _candidate(g, degree_map, len_bound, ring)
+    _, reps = _window_walk(degree_map, group.elements(), len_bound, ring)
+    for rep in reps:
         if not rep.present:
             raise EpsilonUnavailableError(
-                f"local identity at degree {group.render(g)} unavailable: {rep.absent_reason}"
+                f"local identity at degree {group.render(rep.degree)} unavailable: {rep.absent_reason}"
             )
-        epsilons[g] = rep.epsilon
+        epsilons[rep.degree] = rep.epsilon
         pairs.extend(rep.certificate)
 
     total = Element.zero(graph, ring)

@@ -407,7 +407,7 @@ def parse_degree_map(text, graph, table_loader=None):
             if not eid:
                 raise DegreeMapError(f"line {line_no}: missing edge id")
             try:
-                value = group.parse(right)
+                value = group.parse(right.strip())
             except GroupError as exc:
                 raise DegreeMapError(f"line {line_no}: {exc}") from None
             try:

@@ -17,7 +17,12 @@ _KEYWORDS = frozenset({"graph", "vertices", "edges", "infinite"})
 
 
 class GraphError(ValueError):
-    """A structurally invalid graph."""
+    """A structurally invalid graph; ``culprit``, when set, is the argument
+    of ``Graph(...)`` at fault (a vertex, an edge, an endpoint or a flag)."""
+
+    def __init__(self, message, culprit=None):
+        super().__init__(message)
+        self.culprit = culprit
 
 
 class GraphSyntaxError(GraphError):
@@ -178,47 +183,49 @@ def is_initial_subpath(a, b):
 
 
 class Graph:
-    """Immutable directed graph with optional infinite-emitter flags."""
+    """Immutable directed graph with optional infinite-emitter flags.
+
+    The one graph validator: in the order given it checks each vertex
+    (duplicate id), then each edge (duplicate id, source, range declared),
+    then each flag (declared, two listed edges), and raises GraphError with
+    the first bad argument as culprit; it sorts by id only after that.
+    """
 
     def __init__(self, vertices, edges, infinite_emitters=(), name=""):
         self.name = name
-        self.vertices = tuple(sorted(vertices, key=lambda v: v.id))
-        self.edges = tuple(sorted(edges, key=lambda e: e.id))
-
-        seen = {}
-        for v in self.vertices:
-            if v.id in seen:
-                raise GraphError(f"duplicate id {v.id!r}")
-            seen[v.id] = v
-        self._vertex_by_id = dict(seen)
-        for e in self.edges:
-            if e.id in seen:
-                raise GraphError(f"duplicate id {e.id!r}")
-            seen[e.id] = e
-        self._edge_by_id = {e.id: e for e in self.edges}
-
-        out = {v.id: [] for v in self.vertices}
-        for e in self.edges:
+        self._vertex_by_id = {}
+        for v in vertices:
+            if v.id in self._vertex_by_id:
+                raise GraphError(f"duplicate id {v.id!r}", v)
+            self._vertex_by_id[v.id] = v
+        self._edge_by_id = {}
+        out = {vid: [] for vid in self._vertex_by_id}
+        for e in edges:
+            if e.id in self._vertex_by_id or e.id in self._edge_by_id:
+                raise GraphError(f"duplicate id {e.id!r}", e)
             for endpoint in (e.source, e.range):
                 if self._vertex_by_id.get(endpoint.id) != endpoint:
                     raise GraphError(
-                        f"edge {e.id} endpoint {endpoint.id!r} is not a declared vertex"
+                        f"edge endpoint {endpoint.id!r} is not a declared vertex", endpoint
                     )
+            self._edge_by_id[e.id] = e
             out[e.source.id].append(e)
-        self._out = {vid: tuple(es) for vid, es in out.items()}
 
         flagged = set()
         for item in infinite_emitters:
             vid = item.id if isinstance(item, Vertex) else item
             if vid not in self._vertex_by_id:
-                raise GraphError(f"flagged vertex {vid!r} is not declared")
-            if len(self._out[vid]) < 2:
+                raise GraphError(f"flagged vertex {vid!r} is not declared", item)
+            if len(out[vid]) < 2:
                 raise GraphError(
-                    f"infinite emitter {vid!r} needs at least 2 listed sample edges"
+                    f"infinite emitter {vid!r} needs at least 2 listed sample edges", item
                 )
             flagged.add(vid)
         self.infinite_emitters = frozenset(self._vertex_by_id[v] for v in flagged)
 
+        self.vertices = tuple(sorted(self._vertex_by_id.values(), key=lambda v: v.id))
+        self.edges = tuple(sorted(self._edge_by_id.values(), key=lambda e: e.id))
+        self._out = {vid: tuple(sorted(es, key=lambda e: e.id)) for vid, es in out.items()}
         self._special = {v.id: self._out[v.id][0] for v in self.regular_vertices()}
 
     def vertex(self, vid):
@@ -354,12 +361,6 @@ class _Parser:
             self.fail(expected or f"'{kind}'")
         return self.next()
 
-    def expect_id(self, what="an identifier"):
-        tok = self.peek()
-        if tok.kind != "id":
-            self.fail(what)
-        return self.next()
-
     def skip_optional(self, kind):
         if self.peek().kind == kind:
             self.next()
@@ -380,19 +381,26 @@ def parse_graph(text):
     ``#`` starts a comment, and whitespace between tokens is free. The
     keywords graph/vertices/edges/infinite are reserved and cannot name
     vertices or edges. Vertices and edges share a single id namespace.
+
+    The parser only parses and locates: it builds one object per declaration
+    token and lets ``Graph`` validate them, then raises the GraphError of
+    the first bad declaration as a GraphSyntaxError at its culprit's token.
     """
     p = _Parser(_tokenize(text))
     name = ""
     braced = False
     if p.peek().kind == "id" and p.peek().value == "graph":
         p.next()
-        name = p.expect_id("a graph name").value
+        name = p.expect("id", "a graph name").value
         p.expect("{")
         braced = True
 
-    vertex_decls = []
-    edge_decls = []
-    flag_decls = []
+    vertices, edge_decls, flags = [], [], []
+    token_of = {}  # one object per declaration token: its id() -> the token
+
+    def declare(obj, tok):
+        token_of[id(obj)] = tok
+        return obj
 
     while True:
         tok = p.peek()
@@ -416,13 +424,15 @@ def parse_graph(text):
         p.skip_optional(":")
         if keyword.value == "vertices":
             while p.peek().kind == "id" and p.peek().value not in _KEYWORDS:
-                vertex_decls.append(p.next())
+                tok = p.next()
+                vertices.append(declare(Vertex(tok.value), tok))
             p.expect(";", "';' closing the vertices section")
         elif keyword.value == "infinite":
             if p.peek().kind != "id" or p.peek().value in _KEYWORDS:
                 p.fail("a vertex id")
             while p.peek().kind == "id" and p.peek().value not in _KEYWORDS:
-                flag_decls.append(p.next())
+                tok = p.next()
+                flags.append(declare(Vertex(tok.value), tok))
             p.expect(";", "';' closing the infinite section")
         elif keyword.value == "edges":
             if p.peek().kind == ";":
@@ -435,50 +445,23 @@ def parse_graph(text):
             ):
                 eid = p.next()
                 p.expect(":")
-                src = p.expect_id("a source vertex")
+                src = p.expect("id", "a source vertex")
                 p.expect("->", "'->'")
-                rng = p.expect_id("a range vertex")
+                rng = p.expect("id", "a range vertex")
                 p.expect(";", "';' closing the edge declaration")
                 edge_decls.append((eid, src, rng))
         else:
             p.fail("a section keyword (vertices, edges, infinite)")
 
-    declared = {}
-    for tok in vertex_decls:
-        if tok.value in declared:
-            raise GraphSyntaxError(f"duplicate id {tok.value!r}", tok.line, tok.column)
-        declared[tok.value] = Vertex(tok.value)
+    # an endpoint is the declared vertex of its id itself, else its own Vertex
+    declared = {v.id: v for v in vertices}
 
-    edges = []
-    edge_ids = set()
-    for eid, src, rng in edge_decls:
-        if eid.value in declared or eid.value in edge_ids:
-            raise GraphSyntaxError(f"duplicate id {eid.value!r}", eid.line, eid.column)
-        for endpoint in (src, rng):
-            if endpoint.value not in declared:
-                raise GraphSyntaxError(
-                    f"edge endpoint {endpoint.value!r} is not a declared vertex",
-                    endpoint.line,
-                    endpoint.column,
-                )
-        edge_ids.add(eid.value)
-        edges.append(Edge(eid.value, declared[src.value], declared[rng.value]))
+    def endpoint(tok):
+        return declared.get(tok.value) or declare(Vertex(tok.value), tok)
 
-    out_count = {}
-    for e in edges:
-        out_count[e.source.id] = out_count.get(e.source.id, 0) + 1
-    flags = []
-    for tok in flag_decls:
-        if tok.value not in declared:
-            raise GraphSyntaxError(
-                f"flagged vertex {tok.value!r} is not declared", tok.line, tok.column
-            )
-        if out_count.get(tok.value, 0) < 2:
-            raise GraphSyntaxError(
-                f"infinite emitter {tok.value!r} needs at least 2 listed sample edges",
-                tok.line,
-                tok.column,
-            )
-        flags.append(tok.value)
-
-    return Graph(declared.values(), edges, flags, name=name)
+    edges = [declare(Edge(eid.value, endpoint(src), endpoint(rng)), eid) for eid, src, rng in edge_decls]
+    try:
+        return Graph(vertices, edges, flags, name=name)
+    except GraphError as exc:
+        tok = token_of[id(exc.culprit)]
+        raise GraphSyntaxError(str(exc), tok.line, tok.column) from None

@@ -62,6 +62,17 @@ class TestElementCommands:
         assert code == 0
         assert out.strip() == "v2"
 
+    def test_nf_joins_stdin_lines_into_one_expression(self, capsys, graph_file, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("f1.(f1)*\n+ f2.(f2)*\n"))
+        code, out, _ = run(capsys, "nf", "--graph", graph_file)
+        assert code == 0
+        assert out == "v2\n"
+
+    def test_mul_needs_two_expressions(self, capsys, graph_file):
+        code, out, err = run(capsys, "mul", "--graph", graph_file, "--expr", "f1")
+        assert code == 64 and out == ""
+        assert err == "usage error: expected 2 element expression(s), got 1\n"
+
     def test_mul(self, capsys, graph_file):
         code, out, _ = run(
             capsys, "mul", "--graph", graph_file,
@@ -419,6 +430,24 @@ class TestErrors:
         )
         assert code == 64
         assert "inverse" in err
+
+    @pytest.mark.parametrize(
+        "window,message",
+        [
+            ("all", "--window all needs a finite group, not Z"),
+            ("3", "window must look like A..B or 'all'"),
+            ("a..b", "bad window bounds in 'a..b'"),
+            ("2..1", "window lower bound exceeds upper bound"),
+        ],
+        ids=["all-of-Z", "no-range", "not-integers", "reversed"],
+    )
+    def test_malformed_window(self, capsys, graph_file, window, message):
+        code, out, err = run(
+            capsys, "check", "--graph", graph_file,
+            "--property", "epsilon-strong", "--window", window, "--bound", "2",
+        )
+        assert code == 64 and out == ""
+        assert err == f"usage error: {message}\n"
 
     def test_parse_error_names_token(self, capsys, graph_file):
         code, _, err = run(capsys, "nf", "--graph", graph_file, "--expr", "f9")

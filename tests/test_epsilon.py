@@ -28,7 +28,7 @@ from leavitt import (
     parse_graph,
     random_homogeneous,
 )
-from leavitt.epsilon import ConstructionError
+from leavitt.epsilon import ConstructionError, WindowError
 
 from .test_path_table import graded_cases
 from .util import GRAPH_R3, brute_first_identity_failure, brute_minimal_alphas, elem, mono
@@ -344,6 +344,8 @@ class TestCheckEpsilonStrong:
             check_epsilon_strong(dm_chain, [1, -1], 4, ring)
         with pytest.raises(ValueError, match="inverse"):
             check_epsilon_strong(dm_chain, [0, 1], 4, ring)
+        with pytest.raises(WindowError, match="degree window must be nonempty"):
+            check_epsilon_strong(dm_chain, [], 4, ring)
 
     def test_workload_counts_every_monomial_of_the_window(self):
         # the figure bench/workloads.py counts on its own for epsilon-window
@@ -448,6 +450,15 @@ class TestCheckStronglyGraded:
         assert report.verdict == "NOT_STRONG"
         assert report.fields["structural"]["sinks"] == ["v1", "v3"]
         assert report.fields["agreement"] is True
+
+    def test_arms_that_disagree_are_reported(self, dm_a, ring, monkeypatch):
+        # a defect that compares each epsilon with 0 instead of 1
+        monkeypatch.setattr(Element, "identity", classmethod(lambda cls, graph, ring: cls.zero(graph, ring)))
+        report = check_strongly_graded(dm_a, range(-1, 2), 4, ring)
+        assert report.verdict == "DISAGREEMENT"
+        assert report.fields["structural"]["verdict"] == "STRONG"
+        assert report.fields["computational"]["verdict"] == "NOT_STRONG"
+        assert report.fields["agreement"] is False
 
     def test_structural_arm_skipped_for_noncanonical(self, chain_graph, ring):
         from leavitt import CyclicGroup

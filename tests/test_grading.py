@@ -210,6 +210,23 @@ class TestDegreeMap:
             parse_degree_map(text, chain_graph)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        "group,value,message",
+        [
+            ("Z", "1x", "line 2: '1x' is not an integer"),
+            ("Z^2", "1", "line 2: '1' does not have 2 components"),
+            ("Z^2", "1, q", "line 2: '1, q' is not a tuple of integers"),
+            ("Z/3", "q", "line 2: 'q' is not a residue mod 3"),
+            ("table s3.tbl", "q", "line 2: 'q' is not a symbol of this group"),
+        ],
+        ids=["Z", "Z^2-components", "Z^2-integers", "Z/n", "table"],
+    )
+    def test_a_bad_degree_is_quoted_as_written(self, chain_graph, group, value, message):
+        text = f"group {group}\ndeg f1 =  {value}  \n"
+        with pytest.raises(DegreeMapError) as info:
+            parse_degree_map(text, chain_graph, table_loader=lambda name: s3_table_text())
+        assert str(info.value) == message
+
 
 class TestDecompose:
     def test_simple_split(self, chain_graph, dm_chain, ring):

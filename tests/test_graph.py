@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leavitt import (
+    Edge,
     Graph,
     GraphError,
     GraphSyntaxError,
@@ -76,20 +77,131 @@ class TestParse:
             parse_graph("graph g { vertices a;")
 
 
+def constructor_faults():
+    """One Graph(...) argument list per raise site, with its culprit and message."""
+    a, b, again, stray, sampled = Vertex("a"), Vertex("b"), Vertex("a"), Vertex("c"), Vertex("a")
+    x, named_b, from_stray, to_stray = Edge("x", a, b), Edge("b", a, a), Edge("y", stray, a), Edge("y", a, stray)
+    flags = ["z"]
+    endpoint = "edge endpoint 'c' is not a declared vertex"
+    return [
+        pytest.param(([a, b, again], [x]), again, "duplicate id 'a'", id="duplicate-vertex"),
+        pytest.param(([a, b], [x, named_b]), named_b, "duplicate id 'b'", id="duplicate-edge"),
+        pytest.param(([a, b], [from_stray]), stray, endpoint, id="source"),
+        pytest.param(([a, b], [to_stray]), stray, endpoint, id="range"),
+        pytest.param(([a], [], flags), flags[0], "flagged vertex 'z' is not declared", id="flag"),
+        pytest.param(
+            ([a, b], [x], [sampled]), sampled, "infinite emitter 'a' needs at least 2 listed sample edges",
+            id="flag-samples",
+        ),
+    ]
+
+
 class TestConstructor:
     def test_programmatic(self):
         a, b = Vertex("a"), Vertex("b")
-        from leavitt import Edge
-
         g = Graph([a, b], [Edge("x", a, b)])
         assert g.sinks() == frozenset({b})
 
     def test_rejects_foreign_endpoint(self):
         a = Vertex("a")
-        from leavitt import Edge
-
         with pytest.raises(GraphError):
             Graph([a], [Edge("x", a, Vertex("zz"))])
+
+    @pytest.mark.parametrize("args,culprit,message", constructor_faults())
+    def test_each_check_names_its_culprit(self, args, culprit, message):
+        with pytest.raises(GraphError) as err:
+            Graph(*args)
+        assert str(err.value) == message
+        assert err.value.culprit is culprit
+
+    def test_checks_run_in_the_order_given(self):
+        # sorted by id, the first fault would be the one on 'a', then on 'x'
+        a, b = Vertex("a"), Vertex("b")
+        with pytest.raises(GraphError, match="duplicate id 'b'"):
+            Graph([b, Vertex("b"), a, Vertex("a")], [])
+        with pytest.raises(GraphError, match="endpoint 'q'"):
+            Graph([a, b], [Edge("y", a, Vertex("q")), Edge("x", a, b), Edge("x", b, a)])
+
+
+IDS = st.sampled_from("abcd")
+DECLARATIONS = st.tuples(
+    st.lists(IDS, max_size=3),
+    st.lists(st.tuples(IDS, IDS, IDS), max_size=3),
+    st.lists(IDS, max_size=2),
+)
+
+
+def render(vertex_ids, edge_decls, flag_ids):
+    """The graph text, one declaration a line, and the (line, column) of
+    each declaration's token, keyed as first_fault keys it."""
+    lines, at = ["vertices"], {}
+    for i, v in enumerate(vertex_ids):
+        lines.append(v)
+        at["vertex", i] = (len(lines), 1)
+    lines += [";", "edges"]
+    for j, (e, s, r) in enumerate(edge_decls):
+        lines.append(f"{e}: {s} -> {r};")
+        at["edge", j], at["source", j], at["range", j] = (len(lines), 1), (len(lines), 4), (len(lines), 9)
+    if flag_ids:
+        lines.append("infinite")
+        for k, f in enumerate(flag_ids):
+            lines.append(f)
+            at["flag", k] = (len(lines), 1)
+        lines.append(";")
+    return "\n".join(lines), at
+
+
+def first_fault(vertex_ids, edge_decls, flag_ids):
+    """The message and key of the first bad declaration, in declaration
+    order (vertices, edges, flags), or None."""
+    ids = set()
+    for i, v in enumerate(vertex_ids):
+        if v in ids:
+            return f"duplicate id {v!r}", ("vertex", i)
+        ids.add(v)
+    for j, (e, s, r) in enumerate(edge_decls):
+        if e in ids:
+            return f"duplicate id {e!r}", ("edge", j)
+        ids.add(e)
+        for end, v in (("source", s), ("range", r)):
+            if v not in vertex_ids:
+                return f"edge endpoint {v!r} is not a declared vertex", (end, j)
+    for k, f in enumerate(flag_ids):
+        if f not in vertex_ids:
+            return f"flagged vertex {f!r} is not declared", ("flag", k)
+        if sum(s == f for _, s, _ in edge_decls) < 2:
+            return f"infinite emitter {f!r} needs at least 2 listed sample edges", ("flag", k)
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(decls=DECLARATIONS)
+def test_the_parser_and_the_validator_agree(decls):
+    vertex_ids, edge_decls, flag_ids = decls
+    text, at = render(*decls)
+
+    def construct():
+        edges = [Edge(e, Vertex(s), Vertex(r)) for e, s, r in edge_decls]
+        return Graph([Vertex(v) for v in vertex_ids], edges, flag_ids)
+
+    fault = first_fault(*decls)
+    if fault is None:
+        direct, parsed = construct(), parse_graph(text)
+        assert parsed.vertices == direct.vertices and parsed.edges == direct.edges
+        assert parsed.infinite_emitters == direct.infinite_emitters
+        # each endpoint is the declared vertex object itself
+        assert all(e.source is parsed.vertex(e.source.id) for e in parsed.edges)
+        assert all(e.range is parsed.vertex(e.range.id) for e in parsed.edges)
+        return
+    message, key = fault
+    with pytest.raises(GraphError) as direct:
+        construct()
+    with pytest.raises(GraphSyntaxError) as parsed:
+        parse_graph(text)
+    line, column = at[key]
+    assert str(direct.value) == message
+    assert str(parsed.value) == f"line {line}, column {column}: {message}"
+    assert (parsed.value.line, parsed.value.column) == (line, column)
 
 
 class TestQueries:
