@@ -15,6 +15,7 @@ from leavitt import (
     build_frobenius_system,
     check_epsilon_strong,
     check_nearly_epsilon,
+    check_nondegenerate,
     check_strongly_graded,
     check_symmetric,
     decompose,
@@ -30,7 +31,7 @@ from leavitt import (
 )
 from leavitt.epsilon import ConstructionError, WindowError
 
-from .test_path_table import graded_cases
+from .test_path_table import S3, graded_cases
 from .util import GRAPH_R3, brute_first_identity_failure, brute_minimal_alphas, elem, mono
 
 
@@ -528,6 +529,27 @@ class TestCheckNondegenerate:
         w = local_units(s, dm_c)
         assert s * w.right == s
         assert w.left * s == s
+
+    @pytest.mark.parametrize("grading", ["Z", "S3"])
+    def test_both_checkers_read_the_same_units(self, graph_c, ring, grading):
+        if grading == "Z":
+            dm = DegreeMap.canonical(graph_c)
+        else:
+            dm = DegreeMap(graph_c, S3, {"f1": "s3", "f2": "s3", "f3": "s1"})
+        texts = ["f1 - f2", "0", "f3.f1* + f3.f2*"]
+        samples = [elem(t, graph_c, ring) for t in texts]
+        nearly = check_nearly_epsilon(dm, samples).fields
+        witnesses = check_nondegenerate(dm, samples).fields["witnesses"]
+        assert nearly["samples-verified"] == 2 and nearly["skipped-zero"] == 1
+        nonzero = [s for s in samples if not s.is_zero()]
+        assert [w["element"] for w in witnesses] == [str(s) for s in nonzero]
+        assert [c["element"] for c in nearly["certificates"]] == [str(s) for s in nonzero]
+        for s, c, w in zip(nonzero, nearly["certificates"], witnesses):
+            (g,) = decompose(s, dm)
+            assert w["degree"] == dm.group.render(g)
+            assert (w["left-witness"], w["right-witness"]) == (c["left"], c["right"])
+            lu = local_units(s, dm)
+            assert (c["left"], c["right"]) == (str(lu.left), str(lu.right))
 
 
 class TestEpsilonSubsumesLocalUnits:
