@@ -419,9 +419,10 @@ def _tokenize_expr(text):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
+            # exactly the digits int() reads; "²" is isdigit() but not decimal
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             yield ("int", text[i:j], i + 1)
             i = j
@@ -493,22 +494,18 @@ class _ExprParser:
         scalar = 1
         if self.peek()[0] == "int":
             tok = self.next()
-            num = int(tok[1])
+            den = None
             if self.peek()[0] == "/":
                 self.next()
-                den_tok = self.peek()
-                if den_tok[0] != "int":
+                if self.peek()[0] != "int":
                     self.fail("a denominator")
-                self.next()
-                try:
-                    scalar = self.ring.from_pair(num, int(den_tok[1]))
-                except ValueError as exc:
-                    raise ElementSyntaxError(str(exc), tok[2]) from None
-            else:
-                try:
-                    scalar = self.ring.coerce(num)
-                except ValueError as exc:
-                    raise ElementSyntaxError(str(exc), tok[2]) from None
+                den = self.next()[1]
+            try:
+                # int() itself refuses a literal past the interpreter's digit limit
+                num = int(tok[1])
+                scalar = self.ring.coerce(num) if den is None else self.ring.from_pair(num, int(den))
+            except ValueError as exc:
+                raise ElementSyntaxError(str(exc), tok[2]) from None
             self.expect("*", "'*' after a scalar")
         mono = self._word()
         items = [] if mono is None else [(mono, sign * scalar)]

@@ -98,7 +98,7 @@ def _build_parser():
         p.add_argument("--ring", default="z", help="coefficient ring: z, q, or z/N")
         p.add_argument("--output", choices=("text", "structured"), default="text")
         if "bound" in groups:
-            p.add_argument("--bound", type=int, required=True, help="path length bound (>= 1)")
+            p.add_argument("--bound", type=int, required="property" not in groups, help="path length bound (>= 1)")
         if "expr" in groups:
             p.add_argument("--expr", action="append", default=None, help="element expression (repeatable); stdin otherwise")
         if "degree" in groups:
@@ -168,7 +168,7 @@ def _parse_window(text, group):
 
 
 def _check_bound(args):
-    if args.bound < 1:
+    if args.bound is not None and args.bound < 1:
         raise UsageError("--bound must be >= 1")
     for name in ("samples", "triples"):
         value = getattr(args, name, None)
@@ -184,8 +184,12 @@ def _sampling(args):
 
 
 def _check_options(args):
-    """Reject the check options that the chosen property does not read."""
+    """Reject the check options that the chosen property does not read, and
+    require --bound where it reads the bound: always, or when it samples."""
     reads, _ = _PROPERTIES[args.property]
+    reads_bound = "bound" in reads or ("samples" in reads and args.expr is None)
+    if reads_bound and args.bound is None:
+        raise UsageError("the following arguments are required: --bound")
     for name in ("expr", "samples", "seed", "window"):
         if name not in reads and getattr(args, name) is not None:
             raise UsageError(f"--{name} does not apply to --property {args.property}")
@@ -269,13 +273,14 @@ def _sampled(check, args, graph, ring, dmap):
     return report
 
 
-# property -> (the check options it reads, its answer)
+# property -> (the check options it reads, its answer); a property that reads
+# samples reads the bound whenever it samples, that is without --expr
 _PROPERTIES = {
-    "grading": ((), lambda args, graph, ring, dmap: check_grading_axiom(dmap, args.bound, ring)),
-    "symmetric": ((), lambda args, graph, ring, dmap: check_symmetric(dmap, args.bound, ring)),
-    "epsilon-strong": (("window",), lambda args, graph, ring, dmap: check_epsilon_strong(
+    "grading": (("bound",), lambda args, graph, ring, dmap: check_grading_axiom(dmap, args.bound, ring)),
+    "symmetric": (("bound",), lambda args, graph, ring, dmap: check_symmetric(dmap, args.bound, ring)),
+    "epsilon-strong": (("bound", "window"), lambda args, graph, ring, dmap: check_epsilon_strong(
         dmap, _parse_window(args.window, dmap.group), args.bound, ring)),
-    "strongly-graded": (("window",), lambda args, graph, ring, dmap: check_strongly_graded(
+    "strongly-graded": (("bound", "window"), lambda args, graph, ring, dmap: check_strongly_graded(
         dmap, _parse_window(args.window, dmap.group), args.bound, ring)),
     "nearly-epsilon": (("expr", "samples", "seed"), lambda *ctx: _sampled(check_nearly_epsilon, *ctx)),
     "nondegenerate": (("expr", "samples", "seed"), lambda *ctx: _sampled(check_nondegenerate, *ctx)),
@@ -309,7 +314,8 @@ def _frobenius(args, graph, ring, dmap):
 
 # subcommand -> (help text, the option groups it reads, its answer); the
 # groups are bound, expr, degree, samples (with --seed), property (with
-# --window) and triples, added to the parser in that order.
+# --window; its property decides whether --bound is required) and triples,
+# added to the parser in that order.
 _COMMANDS = {
     "nf": ("normal form of an element expression", ("expr",), _plain("normal-form", 1, lambda v: v)),
     "mul": ("product of two element expressions", ("expr",), _plain("product", 2, lambda a, b: a * b)),

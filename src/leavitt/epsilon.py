@@ -151,7 +151,7 @@ class LocalUnitPair:
 
 def nmap(graph, ring, x):
     """n(x) = x x*; collapses to the normal form of (alpha, alpha)."""
-    return Element.from_terms(graph, ring, [(Monomial(x.alpha, x.alpha), 1)])
+    return _local_unit(graph, ring, [x])
 
 
 def minimal_classes(g, degree_map, len_bound):

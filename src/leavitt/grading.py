@@ -9,7 +9,6 @@ groups given by a Cayley table.
 from __future__ import annotations
 
 import itertools
-import weakref
 from collections import Counter
 
 from .algebra import Element, Monomial, enumerate_monomials
@@ -18,16 +17,11 @@ from .rings import INTEGERS
 from .reports import Report
 
 
-# owner (DegreeMap or Graph) -> {key: value}. The weak key drops the entry
-# when its owner dies; values never hold their owner, so they do not keep it
-# alive.
-_MEMO = weakref.WeakKeyDictionary()
-
-
 def _memo(owner, key, build):
-    """build(), called on the first request of key for owner, then reused.
+    """build(), called on the first request of key for owner, then kept on
+    owner (a DegreeMap or Graph), so it lives exactly as long as owner.
     Threads that race on it at worst build the same value twice."""
-    memo = _MEMO.setdefault(owner, {})
+    memo = vars(owner).setdefault("_memo", {})
     if key not in memo:
         memo[key] = build()
     return memo[key]
@@ -337,12 +331,6 @@ class DegreeMap:
             d == 1 for d in self.edge_degrees.values()
         )
 
-    def degree_of_edge(self, edge):
-        try:
-            return self.edge_degrees[edge.id]
-        except KeyError:
-            raise DegreeMapError(f"unknown edge {edge.id!r}") from None
-
     def degree_of_path(self, path):
         """The edge degrees of the path multiplied left to right, looked up
         by edge id (the order matters in a non-abelian group)."""
@@ -498,7 +486,7 @@ class PathTable:
             else:
                 j = position[p.prefix(p.length - 1)]
                 last = p.edges[-1]
-                d = group.op(keys[j][1], degree_map.degree_of_edge(last))
+                d = group.op(keys[j][1], degree_map.edge_degrees[last.id])
                 if graph.special_edge(last.source) != last:
                     last = None
             key = (p.range.id, d)

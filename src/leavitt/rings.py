@@ -38,11 +38,12 @@ class CoefficientRing:
         return a == 0
 
     def is_negative(self, a):
-        """Whether the renderer should pull a minus sign out of the scalar."""
-        return False
+        """Whether the renderer should pull a minus sign out of the scalar;
+        never for Z/m, whose scalars are residues 0..m-1."""
+        return a < 0
 
     def magnitude(self, a):
-        return a
+        return -a if a < 0 else a
 
     def render(self, a):
         return str(a)
@@ -75,12 +76,6 @@ class IntegerRing(CoefficientRing):
             raise RingError(f"{numerator}/{denominator} is not an integer")
         return numerator // denominator
 
-    def is_negative(self, a):
-        return a < 0
-
-    def magnitude(self, a):
-        return -a if a < 0 else a
-
 
 class RationalRing(CoefficientRing):
     name = "Q"
@@ -96,12 +91,6 @@ class RationalRing(CoefficientRing):
         if denominator == 0:
             raise RingError("zero denominator")
         return Fraction(numerator, denominator)
-
-    def is_negative(self, a):
-        return a < 0
-
-    def magnitude(self, a):
-        return -a if a < 0 else a
 
 
 class IntegerModRing(CoefficientRing):

@@ -2,7 +2,7 @@
 
 Everything takes an explicit random.Random so runs are reproducible from a
 recorded seed. The population a sampler draws from is built once per owner
-and reused, through the weak-keyed memo of ``leavitt.grading``: X_g and the
+and reused, kept on the owner by ``leavitt.grading._memo``: X_g and the
 realized degrees per DegreeMap, degree and bound, the list of all monomials
 per Graph and bound. Reuse keeps the population order, so seeded draws are
 the same as when every call rebuilt it.

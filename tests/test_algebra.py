@@ -1,5 +1,6 @@
 import operator
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 import leavitt.algebra as algebra
 from leavitt import (
     INTEGERS,
+    RATIONALS,
     Edge,
     Element,
     ElementSyntaxError,
@@ -25,6 +27,8 @@ from leavitt import (
 from .util import GRAPH_C, GRAPH_CHAIN, GRAPH_R3, elem, mono
 
 TEST_GRAPH_SOURCES = {}
+
+R3 = parse_graph(GRAPH_R3)
 
 
 def elements_strategy(graph, ring, len_bound=2, max_support=3):
@@ -322,6 +326,35 @@ class TestGrammar:
         with pytest.raises(ElementSyntaxError, match="unexpected character '%'") as err:
             parse_element(text, chain_graph, ring)
         assert err.value.column == len(text)
+
+    @pytest.mark.parametrize("text,column", [("²*a", 1), ("9²", 2), ("-0²", 3)])
+    def test_a_digit_that_is_not_decimal_is_an_unexpected_character(self, ring, text, column):
+        with pytest.raises(ElementSyntaxError, match="unexpected character '²'") as err:
+            parse_element(text, R3, ring)
+        assert err.value.column == column
+
+    def test_decimal_digits_of_any_script_read_as_a_scalar(self, ring):
+        assert parse_element("٣*a", R3, ring) == parse_element("3*a", R3, ring)
+
+    def test_a_scalar_past_the_int_digit_limit_is_a_syntax_error(self, ring):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("this interpreter reads integer literals of any length")
+        with pytest.raises(ElementSyntaxError, match="^column 1: ") as err:
+            parse_element("1" * (limit + 1) + "*a", R3, ring)
+        assert err.value.column == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        text=st.text() | st.text(alphabet="abcxyzwt0123+-*/.() ²٣_"),
+        ring=st.sampled_from([INTEGERS, RATIONALS, IntegerModRing(3)]),
+    )
+    def test_any_text_is_an_element_or_a_syntax_error(self, text, ring):
+        try:
+            value = parse_element(text, R3, ring)
+        except ElementSyntaxError:
+            return
+        assert isinstance(value, Element)
 
     def test_missing_star_scalar(self, chain_graph, ring):
         with pytest.raises(ElementSyntaxError, match="'\\*'"):

@@ -190,6 +190,22 @@ class TestCheckCommands:
         assert code == 0
         assert "right-witness: v1" in out
 
+    def test_expr_check_needs_no_bound(self, capsys):
+        golden = json.loads((CORPUS / "goldens.json").read_text(encoding="utf-8"))["check-nondegenerate-expr"]
+        code, out, err = run(
+            capsys, "check", "--graph", str(CORPUS / "chain.lpa"), "--property", "nondegenerate", "--expr", "f1",
+        )
+        assert (code, out, err) == (0, golden["stdout"], "")
+
+    @pytest.mark.parametrize(
+        "options", [["--property", "grading"], ["--property", "nondegenerate", "--samples", "3"],
+                    ["--property", "nearly-epsilon"], ["--property", "epsilon-strong", "--window", "-1..1"]],
+    )
+    def test_a_check_that_reads_the_bound_needs_it(self, capsys, graph_file, options):
+        code, out, err = run(capsys, "check", "--graph", graph_file, *options)
+        assert (code, out) == (64, "")
+        assert err == "usage error: the following arguments are required: --bound\n"
+
     @pytest.mark.parametrize("prop", ["nearly-epsilon", "nondegenerate"])
     def test_seed_recorded_only_when_sampling(self, capsys, graph_file, prop):
         command = ["check", "--graph", graph_file, "--property", prop, "--bound", "3",
@@ -453,6 +469,20 @@ class TestErrors:
         code, _, err = run(capsys, "nf", "--graph", graph_file, "--expr", "f9")
         assert code == 65
         assert "f9" in err
+
+    def test_non_decimal_digit_is_a_parse_error_not_a_traceback(self):
+        src = str(Path(leavitt.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "leavitt", "nf", "--graph", "tests/cli_corpus/r3.lpa", "--expr", "²*a"],
+            capture_output=True,
+            cwd=Path(__file__).resolve().parents[1],
+            env={**os.environ, "PYTHONPATH": src, "PYTHONIOENCODING": "utf-8"},
+            timeout=60,
+        )
+        assert (done.returncode, done.stdout) == (65, b"")
+        err = done.stderr.decode("utf-8")
+        assert "Traceback" not in err
+        assert err == "error: column 1: unexpected character '²'\n"
 
     def test_missing_graph_file(self, capsys):
         code, _, err = run(capsys, "nf", "--graph", "/nonexistent.lpa", "--expr", "0")

@@ -122,7 +122,7 @@ class TestDegreeMap:
     def test_canonical(self, chain_graph):
         dm = DegreeMap.canonical(chain_graph)
         assert dm.is_canonical_z()
-        assert dm.degree_of_edge(chain_graph.edge("f3")) == 1
+        assert dm.edge_degrees["f3"] == 1
 
     def test_all_edges_required(self, chain_graph):
         with pytest.raises(DegreeMapError, match="without a degree"):
@@ -174,7 +174,7 @@ class TestDegreeMap:
     def test_parse_degree_file(self, chain_graph):
         text = "# degrees\ngroup Z\ndeg f1 = 1\ndeg f2 = -1\ndeg f3 = 0\ndeg f4 = 2\n"
         dm = parse_degree_map(text, chain_graph)
-        assert dm.degree_of_edge(chain_graph.edge("f2")) == -1
+        assert dm.edge_degrees["f2"] == -1
         assert not dm.is_canonical_z()
 
     def test_parse_degree_file_table(self, chain_graph):

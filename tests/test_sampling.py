@@ -22,7 +22,7 @@ from leavitt import (
     random_element,
     random_homogeneous,
 )
-from leavitt import grading, sampling
+from leavitt import sampling
 from leavitt.sampling import MAX_SUPPORT, random_scalar, realized_degrees
 
 from .test_path_table import graded_cases
@@ -111,25 +111,34 @@ def test_degree_maps_over_one_graph_do_not_share_xg(monkeypatch):
     assert enumerate_Xg(1, canonical, 3) != enumerate_Xg(1, other, 3)
 
 
-def test_memo_entries_die_with_their_owners():
-    gc.collect()
-    before = len(grading._MEMO)
+def test_memo_entries_die_with_their_owners(monkeypatch):
+    class Monomials(list):
+        """A list that a weak reference can follow."""
+
+    original, built = sampling.enumerate_monomials, []
+
+    def tracked(*args):
+        built.append(Monomials(original(*args)))
+        return built[-1]
+
+    monkeypatch.setattr(sampling, "enumerate_monomials", tracked)
     graph = parse_graph(GRAPH_R3)
     dm = DegreeMap.canonical(graph)
     rng = random.Random(8)
     random_homogeneous(dm, INTEGERS, rng, len_bound=2)
     random_element(graph, INTEGERS, rng, len_bound=2)
-    assert len(grading._MEMO) == before + 2
+    random_element(graph, INTEGERS, rng, len_bound=2)
     dm_alive, graph_alive = weakref.ref(dm), weakref.ref(graph)
     table_alive = weakref.ref(dm.path_table(2))
+    monos_alive = weakref.ref(built.pop())
+    assert not built
     del dm
     gc.collect()
     assert dm_alive() is None and table_alive() is None
-    assert len(grading._MEMO) == before + 1
+    assert monos_alive() is not None
     del graph
     gc.collect()
-    assert graph_alive() is None
-    assert len(grading._MEMO) == before
+    assert graph_alive() is None and monos_alive() is None
 
 
 RINGS = st.sampled_from([INTEGERS, RATIONALS, IntegerModRing(3)])
