@@ -165,32 +165,42 @@ def minimal_classes(g, degree_map, len_bound):
     beyond it is missed and `complete` is not a proof; the module docstring
     names the goldens where this gives a wrong class set.
 
-    Realized is decided once per (range, degree) key of the path table, and
-    the table is walked by position, reading each path's parent from its
-    ``parent`` column: no path is built or hashed.
+    The path tree is descended level by level from the vertices, through
+    the ``children`` column of the path table, and a path's children are
+    visited only when it is not realized, so no path past a class is read.
+    Each level is kept sorted by table position, so the classes come out
+    in table order. Realized is decided once per (range, degree) key
+    visited: its partner is the first path of the lowest non-empty level
+    of its partner key. No path is built or hashed.
     """
     if len_bound < 1:
         raise ValueError("len_bound must be >= 1")
     graph = degree_map.graph
     table = degree_map.path_table(len_bound)
-    # the partner of each realized key: the first path of its partner key's
-    # lowest non-empty level
-    partner = {
-        k: next(level for level in table.levels[k2] if level)[0][0]
-        for k, k2 in table.partner_keys(g).items()
-    }
+    paths, keys, children, levels = table.paths, table.key, table.children, table.levels
+    group = table.group
+    op, ginv = group.op, group.inverse(group.check(g))
+    partner = {}  # each visited key's partner path, or None when it has none
 
-    covered = []
     classes = []
-    for p, k, j in zip(table.paths, table.key, table.parent):
-        beta = partner.get(k)
-        parent_covered = j >= 0 and covered[j]
-        covered.append(parent_covered or beta is not None)
-        if beta is not None and not parent_covered:
-            classes.append(Monomial._same_range(p, beta))
-    # the paths of length len_bound end the table
-    frontier = sum(len(split[len_bound]) for split in table.levels.values())
-    frontier_ok = all(covered[len(covered) - frontier:])
+    level = range(len(graph.vertices))
+    for _ in range(len_bound + 1):
+        unrealized = []
+        for i in level:
+            k = keys[i]
+            if k not in partner:
+                split = levels.get((k[0], op(ginv, k[1])))
+                partner[k] = None if split is None else next(ps for ps in split if ps)[0][0]
+            beta = partner[k]
+            if beta is None:
+                unrealized.append(i)
+            else:
+                classes.append(Monomial._same_range(paths[i], beta))
+        # children in parent order are in table order except at level 1,
+        # whose edges sort by edge id and not by their source vertex
+        level = sorted(c for i in unrealized for c in children[i])
+    # the last level walked is at depth len_bound
+    frontier_ok = not unrealized
 
     witness = _sibling_witness(graph, classes)
     if witness is not None:

@@ -455,13 +455,15 @@ class PathTable:
 
     ``paths`` is ``Graph.enumerate_paths(len_bound)`` in its order, which is
     ``Path.sort_key`` order: length first, then edge ids. Three columns hold
-    one fact per path, by its position i in ``paths``: ``parent[i]`` is the
-    position of the path less its last edge, or -1 for a vertex;
-    ``key[i]`` is its (range vertex id, degree), the degree extended from
-    the parent's by one edge; ``designated[i]`` is its last edge when that
-    edge is the designated edge of its source, else None. A monomial a b* is
-    normal unless both paths have the same designated last edge, which is
-    the rule of ``Monomial.is_normal``.
+    one fact per path, by its position i in ``paths``: ``children[i]`` is
+    the increasing tuple of the positions of the paths one edge longer that
+    extend it, empty at the bound, so the columns form the path tree with
+    the vertices 0..|E^0|-1 as roots; ``key[i]`` is its (range vertex id,
+    degree), the degree extended from its prefix's by one edge;
+    ``designated[i]`` is its last edge when that edge is the designated
+    edge of its source, else None. A monomial a b* is normal unless both
+    paths have the same designated last edge, which is the rule of
+    ``Monomial.is_normal``.
     ``levels`` maps each key to the paths under it split by length: a tuple
     whose entry l (0..len_bound) holds those paths of length l as (path,
     designated edge) pairs, in enumeration order. Only keys with at least
@@ -474,30 +476,33 @@ class PathTable:
         graph = degree_map.graph
         group = self.group = degree_map.group
         self.paths = graph.enumerate_paths(len_bound)
-        parents, keys, designated = [], [], []
+        children, keys, designated = [], [], []
         position = {}
         levels = {}
+        shared = {}  # one tuple per distinct key, however many paths carry it
         for i, p in enumerate(self.paths):
             position[p] = i
+            children.append(())
             if p.length == 0:
-                j = -1
                 d = group.identity
                 last = None
             else:
                 j = position[p.prefix(p.length - 1)]
+                children[j] += (i,)  # out-degrees are small; no list per path
                 last = p.edges[-1]
                 d = group.op(keys[j][1], degree_map.edge_degrees[last.id])
                 if graph.special_edge(last.source) != last:
                     last = None
             key = (p.range.id, d)
-            parents.append(j)
+            key = shared.setdefault(key, key)
             keys.append(key)
             designated.append(last)
             split = levels.get(key)
             if split is None:
                 split = levels[key] = [[] for _ in range(len_bound + 1)]
             split[p.length].append((p, last))
-        self.parent, self.key, self.designated = tuple(parents), tuple(keys), tuple(designated)
+        self.children = tuple(children)
+        self.key, self.designated = tuple(keys), tuple(designated)
         self.levels = {key: tuple(map(tuple, split)) for key, split in levels.items()}
         self.designated_counts = {
             key: Counter(e for level in split for _, e in level) for key, split in self.levels.items()

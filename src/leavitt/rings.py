@@ -130,5 +130,10 @@ def parse_ring(text):
         return RATIONALS
     m = _MOD_RE.match(spec)
     if m:
-        return IntegerModRing(int(m.group(1)))
+        try:
+            # int() itself refuses a modulus past the interpreter's digit limit
+            modulus = int(m.group(1))
+        except ValueError as exc:
+            raise RingError(f"bad ring modulus: {exc}") from None
+        return IntegerModRing(modulus)
     raise RingError(f"unknown ring {text!r} (expected z, q, or z/N)")

@@ -484,6 +484,21 @@ class TestErrors:
         assert "Traceback" not in err
         assert err == "error: column 1: unexpected character '²'\n"
 
+    def test_modulus_past_the_int_digit_limit_is_a_ring_error_not_a_traceback(self):
+        src = str(Path(leavitt.__file__).resolve().parents[1])
+        ring = "z/" + "1" * 5000
+        done = subprocess.run(
+            [sys.executable, "-m", "leavitt", "nf", "--graph", "tests/cli_corpus/r3.lpa", "--ring", ring, "--expr", "a"],
+            capture_output=True,
+            cwd=Path(__file__).resolve().parents[1],
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=60,
+        )
+        assert (done.returncode, done.stdout) == (65, b"")
+        err = done.stderr.decode("utf-8")
+        assert "Traceback" not in err
+        assert err.startswith("error: bad ring modulus: ") and err.count("\n") == 1
+
     def test_missing_graph_file(self, capsys):
         code, _, err = run(capsys, "nf", "--graph", "/nonexistent.lpa", "--expr", "0")
         assert code == 65

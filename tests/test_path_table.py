@@ -68,13 +68,14 @@ def assert_columns(table, degree_map):
     """Each positional column against the path at its position, and each
     key's designated-edge counts against its levels."""
     n = len(table.paths)
-    assert len(table.parent) == len(table.key) == len(table.designated) == n
+    assert len(table.children) == len(table.key) == len(table.designated) == n
+    listed = Counter(c for kids in table.children for c in kids)
     for i, p in enumerate(table.paths):
-        if p.is_vertex():
-            assert table.parent[i] == -1
-        else:
-            assert 0 <= table.parent[i] < i
-            assert table.paths[table.parent[i]] == p.prefix(p.length - 1)
+        kids = table.children[i]
+        assert list(kids) == sorted(set(kids))
+        for c in kids:
+            assert table.paths[c].prefix(p.length) == p and table.paths[c].length == p.length + 1
+        assert listed[i] == (0 if p.is_vertex() else 1)
         assert table.key[i] == (p.range.id, degree_map.degree_of_path(p))
     assert table.designated_counts == {
         k: Counter(e for level in split for _, e in level) for k, split in table.levels.items()
@@ -285,6 +286,51 @@ def test_minimal_classes_are_the_reference_scan(case, bound):
         assert mcs.witness is None
     else:
         assert [pair_ids((c.alpha, c.beta)) for c in mcs.witness] == [pair_ids(c) for c in witness]
+
+
+# v1's edge e2 sorts before v0's edge e3, so level 1 of the path tree in
+# parent order is e1, e3, e2 and not table order
+LEVEL_ONE_GRAPH = "vertices v0 v1 v2; edges e1: v0 -> v1; e2: v1 -> v2; e3: v0 -> v2;"
+
+
+@pytest.mark.parametrize(
+    "degrees, classes",
+    [
+        # no vertex is realized in degree 1: every edge is a class, in edge order
+        ({"e1": 1, "e2": 1, "e3": 1}, ["e1", "e2", "e3"]),
+        # v1 is realized by e1 of degree -1, so its child e2 is no class
+        ({"e1": -1, "e2": 1, "e3": 1}, ["(e1)*", "e3"]),
+    ],
+    ids=["both-vertices-unrealized", "v1-realized"],
+)
+def test_level_one_classes_come_in_table_order(degrees, classes):
+    dm = DegreeMap(parse_graph(LEVEL_ONE_GRAPH), IntegerGroup(), degrees)
+    assert [c.render() for c in minimal_classes(1, dm, 2).classes] == classes
+    for g in range(-2, 3):
+        for bound in (1, 2, 3):
+            mcs = minimal_classes(g, dm, bound)
+            expected, verdict, _ = reference_minimal_classes(dm, g, bound)
+            assert [pair_ids((c.alpha, c.beta)) for c in mcs.classes] == [pair_ids(c) for c in expected]
+            assert mcs.verdict == verdict
+
+
+def test_minimal_classes_visit_only_the_uncovered_paths(monkeypatch):
+    # every vertex of R3 is realized in degree -3 at bound 8, so the descent
+    # stops at the 3 vertex keys; a scan of the whole table looks up all 27
+    dm = DegreeMap.canonical(parse_graph(GRAPH_R3))
+    assert len(dm.path_table(8).levels) == 27
+    calls = []
+    op = dm.group.op
+
+    def counting_op(a, b):
+        calls.append((a, b))
+        return op(a, b)
+
+    monkeypatch.setattr(dm.group, "op", counting_op)
+    mcs = minimal_classes(-3, dm, 8)
+    assert [c.alpha.render() for c in mcs.classes] == ["a", "b", "c"]
+    assert mcs.verdict == "complete"
+    assert len(calls) <= 3
 
 
 def test_classes_and_counts_rebuild_nothing_from_a_built_table(monkeypatch):
