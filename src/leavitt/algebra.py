@@ -227,11 +227,13 @@ class Element:
 
     @classmethod
     def real_path(cls, graph, ring, path):
-        return cls.from_terms(graph, ring, [(Monomial(path, Path(path.range)), 1)])
+        """p r(p)*: normal, since one of its paths is a vertex."""
+        return cls(graph, ring, {Monomial._same_range(path, Path(path.range)): ring.coerce(1)})
 
     @classmethod
     def ghost_path(cls, graph, ring, path):
-        return cls.from_terms(graph, ring, [(Monomial(Path(path.range), path), 1)])
+        """r(p) p*: normal, since one of its paths is a vertex."""
+        return cls(graph, ring, {Monomial._same_range(Path(path.range), path): ring.coerce(1)})
 
     @classmethod
     def identity(cls, graph, ring):
@@ -403,8 +405,11 @@ def enumerate_monomials(graph, len_bound):
 # monomial (a vertex v v*, a real path p r(p)* or a ghost path r(p) p*), and
 # only the path relations act on a product of monomials, so a word, any
 # product of generators, folds to one raw monomial or to 0; "f2.(f4.f3)*" is
-# the monomial with real part f2 and ghost part f4.f3. Each term is then
-# normalized once, with its sign and scalar.
+# the monomial with real part f2 and ghost part f4.f3. A run of real atoms
+# folds to one path and a run of ghost atoms to one ghost path, each junction
+# tested once, and one monomial product joins each pair of adjacent units
+# (runs and vertices). Each term is then normalized once, with its sign and
+# scalar.
 # --------------------------------------------------------------------------
 
 _EXPR_SYMBOLS = "+-*/.()"
@@ -514,24 +519,74 @@ class _ExprParser:
     def _word(self):
         """The raw monomial of a word, or None when the word is 0.
 
-        A binary counter: the stack holds products of 2^i adjacent atoms
-        (None once zero), equal sizes merge as each atom is parsed and the
-        rest merge at the end, so n atoms take at most n - 1 products and
-        O(log n) partial products stay alive. A zero does not stop the
-        parse: every atom is still checked.
+        The word's units (see ``_units``) meet in a binary counter: the
+        stack holds products of 2^i adjacent units (None once zero), equal
+        sizes merge as each unit is parsed and the rest merge at the end, so
+        n units take at most n - 1 ``_mono_product`` calls, one per pair of
+        adjacent units, and O(log n) partial products stay alive.
         """
         stack = []
-        while True:
-            size, mono = 1, self._atom()
-            more = self.peek()[0] == "."
-            while stack and (stack[-1][0] == size or not more):
+        for mono in self._units():
+            size = 1
+            while stack and stack[-1][0] == size:
                 left_size, left = stack.pop()
                 size += left_size
                 mono = None if left is None or mono is None else _mono_product(left, mono)
-            if not more:
-                return mono
             stack.append((size, mono))
+        mono = stack.pop()[1]
+        while stack:
+            left = stack.pop()[1]
+            mono = None if left is None or mono is None else _mono_product(left, mono)
+        return mono
+
+    def _units(self):
+        """The units of a word in order, each a raw monomial or None for 0:
+        a vertex atom, or a maximal run of real atoms p r(p)* or of ghost
+        atoms r(p) p*, folded to one path with one junction test per atom.
+        A ghost run's edges are kept reversed, since p1*.p2* = (p2.p1)*, so
+        each ghost atom must end where the run so far starts. A failed
+        junction makes its run 0, and every later atom is still parsed and
+        checked.
+        """
+        edges = None  # the edges of the open run
+        while True:
+            atom = self._atom()
+            ghost = not atom.alpha.edges
+            path = atom.beta if ghost else atom.alpha
+            if edges is not None and (not path.edges or ghost is not run_ghost):
+                yield self._run_monomial(run_ghost, edges, ids, zero)
+                edges = None
+            if not path.edges:
+                yield atom
+            else:
+                if edges is None:
+                    run_ghost, zero, edges, ids = ghost, False, [], []
+                else:
+                    meet = path.range if ghost else path.base
+                    zero = zero or (tip is not meet and tip != meet)
+                tip = path.base if ghost else path.range
+                if ghost:
+                    edges += path.edges[::-1]
+                    ids += path._key[1][::-1]
+                else:
+                    edges += path.edges
+                    ids += path._key[1]
+            if self.peek()[0] != ".":
+                break
             self.next()
+        if edges is not None:
+            yield self._run_monomial(run_ghost, edges, ids, zero)
+
+    @classmethod
+    def _run_monomial(cls, ghost, edges, ids, zero):
+        """The monomial of a run's edges, None if a junction failed."""
+        if zero:
+            return None
+        if ghost:
+            edges.reverse()
+            ids.reverse()
+        path = Path._derived(edges[0].source, tuple(edges), tuple(ids))
+        return cls._path_monomial(path, ghost)
 
     def expect(self, kind, expected=None):
         if self.peek()[0] != kind:

@@ -90,6 +90,16 @@ class TestNormalForm:
         assert e.support() == [m]
         assert Element.from_terms(chain_graph, ring, list(e.terms.items())) == e
 
+    @pytest.mark.parametrize("source", [GRAPH_R3, GRAPH_CHAIN, GRAPH_C], ids=["r3", "chain", "c"])
+    def test_path_elements_are_their_normal_forms(self, source, any_ring):
+        graph = parse_graph(source)
+        for p in graph.enumerate_paths(3):
+            end = Path(p.range)
+            for built, m in [(Element.real_path(graph, any_ring, p), Monomial(p, end)),
+                             (Element.ghost_path(graph, any_ring, p), Monomial(end, p))]:
+                expected = Element.from_terms(graph, any_ring, [(m, 1)])
+                assert built == expected and built.support() == [m]
+
     def test_idempotent(self, graph_b, ring):
         raw = [(mono(graph_b, ("e", "e"), ("e", "e")), 2), (mono(graph_b, ("e",), ("e",)), -1)]
         once = Element.from_terms(graph_b, ring, raw)
@@ -398,7 +408,7 @@ def _r3_walk(graph, length, seed):
     return word
 
 
-WORD_GRAPHS = {"chain": parse_graph(GRAPH_CHAIN), "flagged": parse_graph(GRAPH_C)}
+WORD_GRAPHS = {"chain": parse_graph(GRAPH_CHAIN), "flagged": parse_graph(GRAPH_C), "r3": R3}
 
 
 class TestWordFold:
@@ -410,15 +420,27 @@ class TestWordFold:
     @given(data=st.data())
     def test_word_equals_left_to_right_product(self, name, ring, data):
         graph = WORD_GRAPHS[name]
-        atoms = st.sampled_from(_atoms(graph, ring))
+        atoms = _atoms(graph, ring)
         term = st.tuples(
             st.sampled_from(["+", "-"]),
             st.one_of(st.none(), st.integers(0, 4)),
-            st.lists(atoms, min_size=1, max_size=7),
+            st.integers(1, 12),
         )
         terms = data.draw(st.lists(term, min_size=1, max_size=3))
         text, expected = "", Element.zero(graph, ring)
-        for sign, scalar, word in terms:
+        for sign, scalar, size in terms:
+            word = [data.draw(st.sampled_from(atoms))]
+            raw = next(iter(word[0][1].terms))
+            for _ in range(size - 1):
+                # mostly an atom that keeps the word nonzero, so that long
+                # real and ghost runs are drawn; else any, which may break one
+                pool = atoms
+                if raw is not None and data.draw(st.integers(0, 3)):
+                    pool = [a for a in atoms
+                            if algebra._mono_product(raw, next(iter(a[1].terms))) is not None]
+                word.append(data.draw(st.sampled_from(pool)))
+                if raw is not None:
+                    raw = algebra._mono_product(raw, next(iter(word[-1][1].terms)))
             value = word[0][1]
             for _, atom in word[1:]:
                 value = value * atom
@@ -437,6 +459,16 @@ class TestWordFold:
             parse_element("f2*.f3.zz.v1", chain_graph, ring)
         with pytest.raises(ElementSyntaxError, match="column 12: unknown edge"):
             parse_element("f2*.f3.(f1.zz)", chain_graph, ring)
+        # a real run broken at its second junction
+        assert parse_element("x.y.x", R3, ring).is_zero()
+        with pytest.raises(ElementSyntaxError, match="column 7: unknown vertex or edge 'q'"):
+            parse_element("x.y.x.q", R3, ring)
+
+    def test_runs_fold_to_one_path(self, ring):
+        assert parse_element("z*.y*.x*", R3, ring) == parse_element("(x.y.z)*", R3, ring)
+        assert str(parse_element("(z.w)*.(x.y)*", R3, ring)) == "(x.y.z.w)*"
+        assert parse_element("w.a.w", R3, ring) == parse_element("w.w", R3, ring)
+        assert str(parse_element("x.(y.z).x.x*.z*", R3, ring)) == "x.y.z.x.(z.x)*"
 
     def test_products_and_normalizations_per_word(self, ring, monkeypatch):
         graph = parse_graph(GRAPH_R3)
@@ -459,19 +491,20 @@ class TestWordFold:
         monkeypatch.setattr(algebra, "_mono_product", counting_product)
         monkeypatch.setattr(Element, "__mul__", counting_mul)
         monkeypatch.setattr(Element, "from_terms", classmethod(counting_from_terms))
-        words = [
-            ["w"] * 37 + ["w*"] * 37,
-            _r3_walk(graph, 300, 3),
-            ["a", "x", "(y)*", "t"],  # zero at the third atom
-            ["x"],
+        # (text, monomial products, terms): a run of real or of ghost atoms
+        # is one path, so a word of n units (runs and vertices) takes n - 1
+        # products, fewer once a partial product is zero
+        cases = [
+            (".".join(["w"] * 37 + ["w*"] * 37), 1, 1),  # two runs
+            (".".join(_r3_walk(graph, 300, 3)), 0, 1),  # one real run
+            ("a.x.(y)*.t", 2, 1),  # four units; (y)*.t is zero, a.x is not
+            ("x", 0, 1),
+            ("2*x.y - w.w*.w + (x.y)*.t*", 0 + 2 + 0, 3),
         ]
-        for text, letters, terms in [(".".join(word), len(word), 1) for word in words] + [
-            ("2*x.y - w.w*.w + (x.y)*.t*", 2 + 3 + 2, 3)
-        ]:
+        for text, products, terms in cases:
             counts.update(mono=0, mul=0, from_terms=0)
             parse_element(text, graph, ring)
-            assert counts["mono"] <= letters - terms
-            assert (counts["mul"], counts["from_terms"]) == (0, terms)
+            assert (counts["mono"], counts["mul"], counts["from_terms"]) == (products, 0, terms)
 
     def test_long_word_keeps_few_partial_products(self, ring):
         graph = parse_graph(GRAPH_R3)
