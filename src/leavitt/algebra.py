@@ -40,9 +40,10 @@ class Monomial:
     only for pairs built with a shared range: two paths of one (range,
     degree) level of the path table, the swapped paths of a monomial, a
     path and the vertex at its range, the product of two monomials (both
-    paths end at the range of the longer meeting path), or the terms of a
+    paths end at the range of the longer meeting path), the terms of a
     Cuntz-Krieger rewrite (each sibling's paths end at r(f), the stripped
-    paths at the source of the shared edge).
+    paths at the source of the shared edge), or the two paths of a parsed
+    word (see ``_ExprParser._word``).
     """
 
     __slots__ = ("alpha", "beta", "_hash")
@@ -140,12 +141,11 @@ def _mono_product(m1, m2):
     nonzero only when the shorter of them is an initial subpath of the
     longer. For two edge paths that is one comparison of edge-id keys, the
     shorter's as a prefix of the longer's: exact, since both monomials come
-    from one graph (``Element`` checks that its factors share it, and the
-    parser folds the words of one expression). A vertex path is initial
-    exactly at the other path's source, so it compares by its base: first
-    by ``is``, which holds for the graph's own vertex, then by ``==``,
-    which an equal but distinct ``Vertex`` passes. Both paths of the
-    product end at the range of the longer meeting path, so it is built
+    from one graph (``Element`` checks that its factors share it). A vertex
+    path is initial exactly at the other path's source, so it compares by
+    its base: first by ``is``, which holds for the graph's own vertex, then
+    by ``==``, which an equal but distinct ``Vertex`` passes. Both paths of
+    the product end at the range of the longer meeting path, so it is built
     with ``Monomial._same_range``; ``joined`` still checks the new junction.
     """
     b, a = m1.beta, m2.alpha
@@ -401,15 +401,14 @@ def enumerate_monomials(graph, len_bound):
 #   scalar  := int ['/' int]
 #
 # A '*' after an id or a parenthesized path is the involution, so f2* is the
-# ghost edge of f2 and "f2*.f2" multiplies it by f2. Each atom is one raw
-# monomial (a vertex v v*, a real path p r(p)* or a ghost path r(p) p*), and
-# only the path relations act on a product of monomials, so a word, any
-# product of generators, folds to one raw monomial or to 0; "f2.(f4.f3)*" is
-# the monomial with real part f2 and ghost part f4.f3. A run of real atoms
-# folds to one path and a run of ghost atoms to one ghost path, each junction
-# tested once, and one monomial product joins each pair of adjacent units
-# (runs and vertices). Each term is then normalized once, with its sign and
-# scalar.
+# ghost edge of f2 and "f2*.f2" multiplies it by f2. Each atom is a vertex, a
+# real path or a ghost path, and only the path relations act inside a word,
+# so a word, any product of generators, folds to one raw monomial a b* or to
+# 0; "f2.(f4.f3)*" is the monomial with real part f2 and ghost part f4.f3.
+# The word is read left to right one edge at a time (see `_ExprParser._word`):
+# a ghost edge joins b, and a real edge cancels the first edge of b, or
+# makes the word 0 if it is another edge, or joins a once b is a vertex.
+# Each term is then normalized once, with its sign and scalar.
 # --------------------------------------------------------------------------
 
 _EXPR_SYMBOLS = "+-*/.()"
@@ -517,76 +516,49 @@ class _ExprParser:
         return Element.from_terms(self.graph, self.ring, items)
 
     def _word(self):
-        """The raw monomial of a word, or None when the word is 0.
+        """The raw monomial a b* of a word, or None when the word is 0.
 
-        The word's units (see ``_units``) meet in a binary counter: the
-        stack holds products of 2^i adjacent units (None once zero), equal
-        sizes merge as each unit is parsed and the rest merge at the end, so
-        n units take at most n - 1 ``_mono_product`` calls, one per pair of
-        adjacent units, and O(log n) partial products stay alive.
+        The word is read one edge at a time: ``a`` holds its real edges,
+        ``b`` its ghost edges as a stack with the first edge on top, and
+        ``end`` the vertex where the word so far ends, s(b) (r(a) while b is
+        a vertex). Each atom must meet the word at ``end`` or the word is 0.
+        A vertex atom is only that test; a ghost path p* pushes p's edges,
+        since b* p* = (p b)*; a real path pops b's edges, each of which must
+        be the matching edge of p, since e* f = 0 for e != f, then appends
+        the rest of p to a. Every edge is the graph's own object, so the
+        match is by ``is``. Every atom of a zero word is still parsed. A
+        popped or pushed edge keeps r(a) = r(b), so the monomial is built
+        with no range check: a from where the first atom starts, b from end.
         """
-        stack = []
-        for mono in self._units():
-            size = 1
-            while stack and stack[-1][0] == size:
-                left_size, left = stack.pop()
-                size += left_size
-                mono = None if left is None or mono is None else _mono_product(left, mono)
-            stack.append((size, mono))
-        mono = stack.pop()[1]
-        while stack:
-            left = stack.pop()[1]
-            mono = None if left is None or mono is None else _mono_product(left, mono)
-        return mono
-
-    def _units(self):
-        """The units of a word in order, each a raw monomial or None for 0:
-        a vertex atom, or a maximal run of real atoms p r(p)* or of ghost
-        atoms r(p) p*, folded to one path with one junction test per atom.
-        A ghost run's edges are kept reversed, since p1*.p2* = (p2.p1)*, so
-        each ghost atom must end where the run so far starts. A failed
-        junction makes its run 0, and every later atom is still parsed and
-        checked.
-        """
-        edges = None  # the edges of the open run
+        path, starred = self._atom()
+        start = end = path.range if starred else path.base
+        a, b, zero = [], [], False
         while True:
-            atom = self._atom()
-            ghost = not atom.alpha.edges
-            path = atom.beta if ghost else atom.alpha
-            if edges is not None and (not path.edges or ghost is not run_ghost):
-                yield self._run_monomial(run_ghost, edges, ids, zero)
-                edges = None
-            if not path.edges:
-                yield atom
+            meet = path.range if starred else path.base
+            if zero or (meet is not end and meet != end):
+                zero = True
+            elif starred:
+                b += path.edges[::-1]
+                end = path.base
             else:
-                if edges is None:
-                    run_ghost, zero, edges, ids = ghost, False, [], []
-                else:
-                    meet = path.range if ghost else path.base
-                    zero = zero or (tip is not meet and tip != meet)
-                tip = path.base if ghost else path.range
-                if ghost:
-                    edges += path.edges[::-1]
-                    ids += path._key[1][::-1]
-                else:
-                    edges += path.edges
-                    ids += path._key[1]
+                for e in path.edges:
+                    if not b:
+                        a.append(e)
+                    elif b.pop() is not e:
+                        zero = True
+                        break
+                end = path.range
             if self.peek()[0] != ".":
                 break
             self.next()
-        if edges is not None:
-            yield self._run_monomial(run_ghost, edges, ids, zero)
-
-    @classmethod
-    def _run_monomial(cls, ghost, edges, ids, zero):
-        """The monomial of a run's edges, None if a junction failed."""
+            path, starred = self._atom()
         if zero:
             return None
-        if ghost:
-            edges.reverse()
-            ids.reverse()
-        path = Path._derived(edges[0].source, tuple(edges), tuple(ids))
-        return cls._path_monomial(path, ghost)
+        b.reverse()
+        return Monomial._same_range(
+            Path._derived(start, tuple(a), tuple(e.id for e in a)),
+            Path._derived(end, tuple(b), tuple(e.id for e in b)),
+        )
 
     def expect(self, kind, expected=None):
         if self.peek()[0] != kind:
@@ -594,16 +566,18 @@ class _ExprParser:
         return self.next()
 
     def _atom(self):
+        """The path of the next atom, and whether it is starred."""
         tok = self.peek()
         if tok[0] == "id":
             self.next()
-            return self._generator(tok, self._starred())
-        if tok[0] == "(":
+            path = self._generator(tok)
+        elif tok[0] == "(":
             self.next()
             path = self._path()
             self.expect(")")
-            return self._path_monomial(path, self._starred())
-        self.fail("an identifier or '('")
+        else:
+            self.fail("an identifier or '('")
+        return path, self._starred()
 
     def _starred(self):
         """Consume an optional '*' and say whether there was one."""
@@ -612,27 +586,22 @@ class _ExprParser:
         self.next()
         return True
 
-    @staticmethod
-    def _path_monomial(path, starred):
-        """The monomial r(p) p* of a ghost path, or p r(p)* of a real one."""
-        end = Path(path.range)
-        return Monomial._same_range(end, path) if starred else Monomial._same_range(path, end)
-
-    def _generator(self, tok, starred):
+    def _generator(self, tok):
+        """The path of a vertex or edge name, built once per name."""
         name = tok[1]
-        mono = self._generators.get((name, starred))
-        if mono is not None:
-            return mono
+        path = self._generators.get(name)
+        if path is not None:
+            return path
         g = self.graph
         if name in g._vertex_by_id:
-            mono = self._path_monomial(Path(g.vertex(name)), starred)
+            path = Path(g.vertex(name))
         elif name in g._edge_by_id:
             e = g.edge(name)
-            mono = self._path_monomial(Path(e.source, (e,)), starred)
+            path = Path(e.source, (e,))
         else:
             raise ElementSyntaxError(f"unknown vertex or edge {name!r}", tok[2])
-        self._generators[name, starred] = mono
-        return mono
+        self._generators[name] = path
+        return path
 
     def _path(self):
         tok = self.peek()

@@ -459,7 +459,7 @@ class TestWordFold:
             parse_element("f2*.f3.zz.v1", chain_graph, ring)
         with pytest.raises(ElementSyntaxError, match="column 12: unknown edge"):
             parse_element("f2*.f3.(f1.zz)", chain_graph, ring)
-        # a real run broken at its second junction
+        # a real word broken at its second junction
         assert parse_element("x.y.x", R3, ring).is_zero()
         with pytest.raises(ElementSyntaxError, match="column 7: unknown vertex or edge 'q'"):
             parse_element("x.y.x.q", R3, ring)
@@ -469,6 +469,19 @@ class TestWordFold:
         assert str(parse_element("(z.w)*.(x.y)*", R3, ring)) == "(x.y.z.w)*"
         assert parse_element("w.a.w", R3, ring) == parse_element("w.w", R3, ring)
         assert str(parse_element("x.(y.z).x.x*.z*", R3, ring)) == "x.y.z.x.(z.x)*"
+        # a ghost path cancels against the real edges that follow it, one
+        # edge at a time, and a vertex or edge that does not meet is 0
+        for text, expected in [
+            ("(x.y)*.x.y.z", "z"),
+            ("(x.y)*.x", "(y)*"),
+            ("x*.x.y", "y"),
+            ("(x.y)*.x.t", "0"),
+            ("y*.b.x*", "(x.y)*"),
+            ("y*.c.x*", "0"),
+            ("a.w*", "(w)*"),
+            ("z*.y*.x*.x.y.z", "a"),
+        ]:
+            assert str(parse_element(text, R3, ring)) == expected, text
 
     def test_products_and_normalizations_per_word(self, ring, monkeypatch):
         graph = parse_graph(GRAPH_R3)
@@ -491,20 +504,20 @@ class TestWordFold:
         monkeypatch.setattr(algebra, "_mono_product", counting_product)
         monkeypatch.setattr(Element, "__mul__", counting_mul)
         monkeypatch.setattr(Element, "from_terms", classmethod(counting_from_terms))
-        # (text, monomial products, terms): a run of real or of ghost atoms
-        # is one path, so a word of n units (runs and vertices) takes n - 1
-        # products, fewer once a partial product is zero
+        # (text, terms): a word is read one edge at a time, so parsing makes
+        # no monomial product, and each term is normalized once
         cases = [
-            (".".join(["w"] * 37 + ["w*"] * 37), 1, 1),  # two runs
-            (".".join(_r3_walk(graph, 300, 3)), 0, 1),  # one real run
-            ("a.x.(y)*.t", 2, 1),  # four units; (y)*.t is zero, a.x is not
-            ("x", 0, 1),
-            ("2*x.y - w.w*.w + (x.y)*.t*", 0 + 2 + 0, 3),
+            (".".join(["w"] * 37 + ["w*"] * 37), 1),
+            (".".join(_r3_walk(graph, 300, 3)), 1),
+            ("a.x.(y)*.t", 1),  # zero: (y)* does not end at r(x)
+            ("x", 1),
+            ("2*x.y - w.w*.w + (x.y)*.t*", 3),
+            ("z*.y*.x*.x.y.z.a.x.x*", 1),
         ]
-        for text, products, terms in cases:
+        for text, terms in cases:
             counts.update(mono=0, mul=0, from_terms=0)
             parse_element(text, graph, ring)
-            assert (counts["mono"], counts["mul"], counts["from_terms"]) == (products, 0, terms)
+            assert (counts["mono"], counts["mul"], counts["from_terms"]) == (0, 0, terms)
 
     def test_long_word_keeps_few_partial_products(self, ring):
         graph = parse_graph(GRAPH_R3)

@@ -12,7 +12,10 @@ forms, products and involution against arithmetic that shares none of the
 Leavitt rewriting: the model reads each element's ``terms`` and the graph,
 and nothing else of the library. A local identity e_g must map to the
 diagonal projection onto the sink-ending paths p that have some path q with
-r(q) = r(p) and deg p - deg q = g, since S_g is spanned by those E[p, q].
+r(q) = r(p) and deg p - deg q = g, since S_g is spanned by those E[p, q];
+the grading is strong on a window exactly when each of those projections
+is the identity. A parsed word must map to the product of its atoms'
+matrices, which checks the element parser without any monomial product.
 
 Standard library only: cases come from seeded ``random.Random`` streams.
 """
@@ -33,7 +36,9 @@ from leavitt import (
     Monomial,
     Path,
     Vertex,
+    check_strongly_graded,
     epsilon,
+    parse_element,
 )
 
 # ring name -> (ring, modulus of its scalars, or None)
@@ -105,6 +110,11 @@ class MatrixModel:
             for t in self.tails[self.range(a)]:
                 self.add(out, ((a[0], a[1] + t), (b[0], b[1] + t)), c)
         return out
+
+    def path_matrix(self, path):
+        """phi of the real path p, p r(p)*; a vertex path gives its vertex."""
+        end = self.range(path)
+        return {((path[0], path[1] + t), (end, t)): 1 for t in self.tails[end]}
 
     def product(self, left, right):
         rows = {}
@@ -193,6 +203,27 @@ def ck2_relator_terms(graph, model, ring_name, rng):
     return terms
 
 
+def random_atoms(model, rng):
+    """Up to 6 (text, matrix) atoms of a word: a vertex, an edge, f*, (p) or
+    (p)*. Each atom mostly meets the word so far where it ends (at r(p)
+    after a real path p, at s(p) after p*), so that many words are nonzero."""
+    end = None
+    for _ in range(rng.randint(1, 6)):
+        starred = rng.random() < 0.5
+        meets = [p for p in model.paths if (model.range(p) if starred else p[0]) == end]
+        path = rng.choice(meets if meets and rng.random() < 0.8 else model.paths)
+        end = path[0] if starred else model.range(path)
+        s, ids = path
+        text = ".".join(ids) or s
+        if len(ids) > 1 or rng.random() < 0.3:
+            text = f"({text})"
+        matrix = model.path_matrix(path)
+        if starred:
+            yield text + "*", transpose(matrix)
+        else:
+            yield text, matrix
+
+
 def algebra_cases(count, seed):
     rng = random.Random(seed)
     for i in range(count):
@@ -228,27 +259,63 @@ def test_normal_forms_keep_the_matrix_and_are_unique():
             assert x.is_zero() == (model.phi(x) == {}), x
 
 
-def test_epsilon_is_the_projection_onto_realized_sink_paths():
-    rng = random.Random(3)
+def graded_cases(count, seed):
+    """Random acyclic graphs, each under Z with the window -3..3 and under
+    Z/2 and Z/3 with the whole group as window, all at bound L + 1 for the
+    longest path length L: (graph, ring, model, bound, degree map, its edge
+    degrees, modulus or None, window) per case."""
+    rng = random.Random(seed)
     groups = [(IntegerGroup(), None), (CyclicGroup(2), 2), (CyclicGroup(3), 3)]
-    cases = 0
-    for i in range(200):
+    for i in range(count):
         graph = random_acyclic_graph(rng)
         ring, ring_modulus = RINGS[sorted(RINGS)[i % len(RINGS)]]
         model = MatrixModel(graph, ring_modulus)
-        longest = max(len(ids) for _, ids in model.paths)
+        bound = max(len(ids) for _, ids in model.paths) + 1
         for group, modulus in groups:
             if modulus:
                 degrees = {e.id: rng.randrange(modulus) for e in graph.edges}
-                window = sorted({g % modulus for g in range(-3, 4)})
+                window = range(modulus)
             else:
                 degrees = {e.id: rng.randint(-2, 2) for e in graph.edges}
                 window = range(-3, 4)
             dm = DegreeMap(graph, group, degrees)
-            for g in window:
-                report = epsilon(g, dm, longest + 1, ring)
-                assert report.verdict == "PRESENT", (graph.edges, degrees, g)
-                expected = model.epsilon_projection(degrees, g, modulus)
-                assert model.phi(report.epsilon) == expected, (graph.edges, degrees, g)
-                cases += 1
+            yield graph, ring, model, bound, dm, degrees, modulus, window
+
+
+def test_parsed_words_are_the_product_of_their_atoms():
+    nonzero = 0
+    for graph, model, ring_name, rng in algebra_cases(300, seed=4):
+        ring = RINGS[ring_name][0]
+        for _ in range(6):
+            texts, value = [], None
+            for text, matrix in random_atoms(model, rng):
+                texts.append(text)
+                value = matrix if value is None else model.product(value, matrix)
+            word = ".".join(texts)
+            assert model.phi(parse_element(word, graph, ring)) == value, (graph.edges, word)
+            nonzero += bool(value)
+    assert nonzero > 300 * 6 // 2
+
+
+def test_epsilon_is_the_projection_onto_realized_sink_paths():
+    cases = 0
+    for graph, ring, model, bound, dm, degrees, modulus, window in graded_cases(200, seed=3):
+        for g in window:
+            report = epsilon(g, dm, bound, ring)
+            assert report.verdict == "PRESENT", (graph.edges, degrees, g)
+            expected = model.epsilon_projection(degrees, g, modulus)
+            assert model.phi(report.epsilon) == expected, (graph.edges, degrees, g)
+            cases += 1
     assert cases == 200 * (7 + 2 + 3)
+
+
+def test_strongly_graded_exactly_when_every_projection_is_the_identity():
+    verdicts = set()
+    for graph, ring, model, bound, dm, degrees, modulus, window in graded_cases(200, seed=3):
+        identity = {(p, p): 1 for p in model.paths if not model.out[model.range(p)]}
+        strong = all(model.epsilon_projection(degrees, g, modulus) == identity for g in window)
+        report = check_strongly_graded(dm, window, bound, ring)
+        computed = report.fields["computational"]["verdict"]
+        assert computed == ("STRONG" if strong else "NOT_STRONG"), (graph.edges, degrees)
+        verdicts.add(computed)
+    assert verdicts == {"STRONG", "NOT_STRONG"}
