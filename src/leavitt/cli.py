@@ -165,6 +165,8 @@ def _parse_window(text, group):
         return group.window(lo, hi)
     except GroupError as exc:
         raise UsageError(str(exc)) from None
+    except OverflowError:
+        raise UsageError(f"window {spec!r} has too many degrees to list") from None
 
 
 def _check_bound(args):

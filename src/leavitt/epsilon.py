@@ -182,15 +182,15 @@ def minimal_classes(g, degree_map, len_bound):
     op, ginv = group.op, group.inverse(group.check(g))
     partner = {}  # each visited key's partner path, or None when it has none
 
-    classes = []
+    classes, unrealized = [], []
     level = range(len(graph.vertices))
-    for _ in range(len_bound + 1):
+    while level:
         unrealized = []
         for i in level:
             k = keys[i]
             if k not in partner:
                 split = levels.get((k[0], op(ginv, k[1])))
-                partner[k] = None if split is None else next(ps for ps in split if ps)[0][0]
+                partner[k] = None if split is None else next(ps for ps in split if ps)[0]
             beta = partner[k]
             if beta is None:
                 unrealized.append(i)
@@ -199,8 +199,8 @@ def minimal_classes(g, degree_map, len_bound):
         # children in parent order are in table order except at level 1,
         # whose edges sort by edge id and not by their source vertex
         level = sorted(c for i in unrealized for c in children[i])
-    # the last level walked is at depth len_bound
-    frontier_ok = not unrealized
+    # the descent ends below the bound only at unrealized sinks
+    frontier_ok = not unrealized or paths[unrealized[0]].length < len_bound
 
     witness = _sibling_witness(graph, classes)
     if witness is not None:

@@ -9,7 +9,6 @@ groups given by a Cayley table.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 
 from .algebra import Element, Monomial, enumerate_monomials
 from .graph import GraphError
@@ -187,7 +186,8 @@ class CyclicGroup(Group):
         return tuple(range(self.modulus))
 
     def window(self, lo, hi):
-        return sorted({x % self.modulus for x in range(lo, hi + 1)})
+        # modulus consecutive integers name every residue
+        return sorted({x % self.modulus for x in range(lo, min(hi + 1, lo + self.modulus))})
 
 
 class TableGroup(Group):
@@ -454,29 +454,27 @@ class PathTable:
     """The paths up to a length bound with their degrees.
 
     ``paths`` is ``Graph.enumerate_paths(len_bound)`` in its order, which is
-    ``Path.sort_key`` order: length first, then edge ids. Three columns hold
+    ``Path.sort_key`` order: length first, then edge ids. Two columns hold
     one fact per path, by its position i in ``paths``: ``children[i]`` is
     the increasing tuple of the positions of the paths one edge longer that
     extend it, empty at the bound, so the columns form the path tree with
     the vertices 0..|E^0|-1 as roots; ``key[i]`` is its (range vertex id,
-    degree), the degree extended from its prefix's by one edge;
-    ``designated[i]`` is its last edge when that edge is the designated
-    edge of its source, else None. A monomial a b* is normal unless both
-    paths have the same designated last edge, which is the rule of
-    ``Monomial.is_normal``.
-    ``levels`` maps each key to the paths under it split by length: a tuple
-    whose entry l (0..len_bound) holds those paths of length l as (path,
-    designated edge) pairs, in enumeration order. Only keys with at least
-    one path are present. ``designated_counts`` maps each key to the
-    ``Counter`` of its paths' designated edges, None included. Build it
-    through ``DegreeMap.path_table``, which keeps one per bound.
+    degree), the degree extended from its prefix's by one edge.
+    ``levels`` maps each key to the paths under it split by length: entry l
+    holds those of length l in enumeration order, for l from 0 to the
+    longest path held (0 when there is none), not to len_bound. Only keys
+    with at least one path are present. ``sizes[k]`` is (n_k, s_k): n_k
+    paths lie under k, and s_k of them are shorter than len_bound if k's
+    range vertex has a designated edge, else s_k = 0. Build it through
+    ``DegreeMap.path_table``, which keeps one per bound.
     """
 
     def __init__(self, degree_map, len_bound):
         graph = degree_map.graph
         group = self.group = degree_map.group
         self.paths = graph.enumerate_paths(len_bound)
-        children, keys, designated = [], [], []
+        depth = self.paths[-1].length if self.paths else 0
+        children, keys = [], []
         position = {}
         levels = {}
         shared = {}  # one tuple per distinct key, however many paths carry it
@@ -485,27 +483,24 @@ class PathTable:
             children.append(())
             if p.length == 0:
                 d = group.identity
-                last = None
             else:
                 j = position[p.prefix(p.length - 1)]
                 children[j] += (i,)  # out-degrees are small; no list per path
-                last = p.edges[-1]
-                d = group.op(keys[j][1], degree_map.edge_degrees[last.id])
-                if graph.special_edge(last.source) != last:
-                    last = None
+                d = group.op(keys[j][1], degree_map.edge_degrees[p.edges[-1].id])
             key = (p.range.id, d)
             key = shared.setdefault(key, key)
             keys.append(key)
-            designated.append(last)
             split = levels.get(key)
             if split is None:
-                split = levels[key] = [[] for _ in range(len_bound + 1)]
-            split[p.length].append((p, last))
+                split = levels[key] = [[] for _ in range(depth + 1)]
+            split[p.length].append(p)
         self.children = tuple(children)
-        self.key, self.designated = tuple(keys), tuple(designated)
+        self.key = tuple(keys)
         self.levels = {key: tuple(map(tuple, split)) for key, split in levels.items()}
-        self.designated_counts = {
-            key: Counter(e for level in split for _, e in level) for key, split in self.levels.items()
+        designated = {v.id for v in graph.vertices if graph.special_edge(v) is not None}
+        self.sizes = {
+            key: (sum(map(len, split)), sum(map(len, split[:len_bound])) if key[0] in designated else 0)
+            for key, split in self.levels.items()
         }
 
     def partner_keys(self, g):
@@ -526,52 +521,57 @@ def enumerate_Xg(g, degree_map, len_bound):
     real paths are taken in table order, and each one's ghost paths from
     the level of the remaining length under their (range, degree) key, so
     both paths of a pair share their range and no pair is checked for it.
-    Only normal pairs become monomials. Flagged vertices contribute their
-    listed sample edges only, so for flagged graphs this is the sample slice
-    of the true monomial set.
+    Weights and lengths stop at the longest path held. A real path ending
+    in the designated edge of its source skips the ghost paths ending in
+    it (``Monomial.is_normal``), so only normal pairs become monomials.
+    Flagged vertices contribute their listed sample edges only, so for
+    flagged graphs this is the sample slice of the true monomial set.
     """
     if len_bound < 0:
         raise ValueError("len_bound must be >= 0")
     table = degree_map.path_table(len_bound)
     partners = {k: table.levels[k2] for k, k2 in table.partner_keys(g).items()}
-    # real paths by length, each with its designated edge and its partner levels
-    reals = [[] for _ in range(len_bound + 1)]
-    for p, k, last in zip(table.paths, table.key, table.designated):
+    depth = table.paths[-1].length if table.paths else 0
+    # real paths by length, each with its designated last edge and its partner levels
+    reals = [[] for _ in range(depth + 1)]
+    for p, k in zip(table.paths, table.key):
         split = partners.get(k)
         if split is not None:
+            last = p.edges[-1] if p.edges else None
+            if last is not None and degree_map.graph.special_edge(last.source) is not last:
+                last = None
             reals[p.length].append((p, last, split))
     pair = Monomial._same_range
     out = []
-    for weight in range(2 * len_bound + 1):
-        for length in range(max(0, weight - len_bound), min(weight, len_bound) + 1):
+    for weight in range(2 * depth + 1):
+        for length in range(max(0, weight - depth), min(weight, depth) + 1):
             for a, last, split in reals[length]:
                 level = split[weight - length]
-                if last is None:
-                    out.extend([pair(a, b) for b, _ in level])
+                if last is None or weight == length:
+                    out.extend([pair(a, b) for b in level])
                 else:
-                    out.extend([pair(a, b) for b, b_last in level if b_last is not last])
+                    out.extend([pair(a, b) for b in level if b.edges[-1] is not last])
     return tuple(out)
 
 
 def count_Xg(g, degree_map, len_bound):
     """len(enumerate_Xg(g, degree_map, len_bound)), with no monomial built.
 
-    The ghost partners of the real paths under a key k = (v, d) of the path
-    table's levels are the paths under k' = (v, g^-1 d), so |X_g| is the sum
-    over k of |k| |k'| - sum over edges e of c_k(e) c_k'(e), where c_k(e),
-    the table's ``designated_counts``, counts the paths of k whose designated
-    last edge is e: the non-normal pairs.
+    The ghost partners of the real paths under a key k = (v, d) are the
+    paths under its partner k' = (v, g^-1 d) from ``partner_keys(g)``, so
+    |X_g| is the sum over these pairs of n_k n_k' - s_k s_k', with (n_k,
+    s_k) = ``sizes[k]``. The subtracted term is exact: a b* is not normal
+    just when a = a'e and b = b'e for the designated edge e of u = s(e).
+    Dropping e is a bijection onto the pairs (a', b') at u with both
+    lengths below the bound (a'e and b'e are in the table, as u is regular)
+    and deg(a') deg(b')^-1 = deg(a) deg(e)^-1 deg(e) deg(b)^-1 = g, so
+    (u, deg b') is the partner key of (u, deg a').
     """
     if len_bound < 0:
         raise ValueError("len_bound must be >= 0")
     table = degree_map.path_table(len_bound)
-    counts = table.designated_counts
-    count = 0
-    for k, k2 in table.partner_keys(g).items():
-        reals, ghosts = counts[k], counts[k2]
-        count += reals.total() * ghosts.total()
-        count -= sum(n * ghosts[e] for e, n in reals.items() if e is not None)
-    return count
+    pairs = ((table.sizes[k], table.sizes[k2]) for k, k2 in table.partner_keys(g).items())
+    return sum(n * n2 - s * s2 for (n, s), (n2, s2) in pairs)
 
 
 def check_grading_axiom(degree_map, len_bound, ring=INTEGERS):

@@ -435,9 +435,6 @@ def parse_graph(text):
                 flags.append(declare(Vertex(tok.value), tok))
             p.expect(";", "';' closing the infinite section")
         elif keyword.value == "edges":
-            if p.peek().kind == ";":
-                p.next()
-                continue
             while (
                 p.peek().kind == "id"
                 and p.peek().value not in _KEYWORDS

@@ -112,6 +112,22 @@ class TestEpsilonCommands:
         assert code == 0
         assert out.splitlines()[0] == "v2 + v4 + v5"
 
+    def test_epsilon_past_the_longest_path_answers_as_at_its_length(self, capsys, graph_file):
+        # no chain path has more than 2 edges, so bound 20,000 holds the
+        # paths of bound 3 and must cost no more than they do
+        answers = []
+        for bound in ("3", "20000"):
+            code, out, _ = run(
+                capsys, "epsilon", "--graph", graph_file, "-g", "1", "--bound", bound,
+                "--output", "structured",
+            )
+            assert code == 0
+            answers.append(json.loads(out))
+        short, long = answers
+        assert long.pop("bound") == 20000 and short.pop("bound") == 3
+        assert long == short
+        assert long["epsilon"] == "v2 + v4 + v5" and long["identity-checked-on"] == 10
+
     def test_epsilon_absent_infinite(self, capsys, graph_c_file):
         code, out, _ = run(
             capsys, "epsilon", "--graph", graph_c_file, "-g", "1", "--bound", "3"
@@ -250,6 +266,13 @@ class TestRangedWindows:
         )
         assert code == 0
         assert json.loads(out)["window"] == ["0", "1", "2"]
+
+    def test_cyclic_window_reads_at_most_modulus_integers(self, capsys, tmp_path):
+        # listing all 10^11 integers of the window would not finish
+        degrees = "group Z/2\ndeg e = 1\ndeg f = 1\n"
+        wide = self.check_window(capsys, tmp_path, degrees, "0..100000000000")
+        assert wide == self.check_window(capsys, tmp_path, degrees, "all")
+        assert wide[0] == 0 and json.loads(wide[1])["window"] == ["0", "1"]
 
     def test_cayley_table_window_needs_all(self, capsys, tmp_path):
         (tmp_path / "z2.table").write_text("p q\np q\nq p\n")
@@ -464,6 +487,17 @@ class TestErrors:
         )
         assert code == 64 and out == ""
         assert err == f"usage error: {message}\n"
+
+    def test_window_too_large_to_list_is_a_usage_error(self, capsys, graph_file):
+        # past sys.maxsize a range has no length; windows that do fit are
+        # listed in full, so only this size is tested
+        window = "0..10000000000000000000000"
+        code, out, err = run(
+            capsys, "check", "--graph", graph_file,
+            "--property", "epsilon-strong", "--window", window, "--bound", "2",
+        )
+        assert code == 64 and out == ""
+        assert err == f"usage error: window '{window}' has too many degrees to list\n"
 
     def test_parse_error_names_token(self, capsys, graph_file):
         code, _, err = run(capsys, "nf", "--graph", graph_file, "--expr", "f9")

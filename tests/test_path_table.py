@@ -64,11 +64,11 @@ def z_graded_graphs(draw):
     return graph, degrees
 
 
-def assert_columns(table, degree_map):
+def assert_columns(table, degree_map, bound):
     """Each positional column against the path at its position, and each
-    key's designated-edge counts against its levels."""
+    key's sizes against its levels."""
     n = len(table.paths)
-    assert len(table.children) == len(table.key) == len(table.designated) == n
+    assert len(table.children) == len(table.key) == n
     listed = Counter(c for kids in table.children for c in kids)
     for i, p in enumerate(table.paths):
         kids = table.children[i]
@@ -77,9 +77,15 @@ def assert_columns(table, degree_map):
             assert table.paths[c].prefix(p.length) == p and table.paths[c].length == p.length + 1
         assert listed[i] == (0 if p.is_vertex() else 1)
         assert table.key[i] == (p.range.id, degree_map.degree_of_path(p))
-    assert table.designated_counts == {
-        k: Counter(e for level in split for _, e in level) for k, split in table.levels.items()
-    }
+    depth = table.paths[-1].length if n else 0
+    graph = degree_map.graph
+    for (vid, d), split in table.levels.items():
+        assert len(split) == depth + 1
+        flat = [p for level in split for p in level]
+        short = sum(p.length < bound for p in flat)
+        designated = graph.special_edge(graph.vertex(vid)) is not None
+        assert table.sizes[vid, d] == (len(flat), short if designated else 0)
+    assert table.sizes.keys() == table.levels.keys()
 
 
 class TestPathTable:
@@ -93,22 +99,18 @@ class TestPathTable:
         dm = DegreeMap(chain_graph, group, {"f1": "s3", "f2": "s4", "f3": "s1", "f4": "s2"})
         table = dm.path_table(3)
         assert table.paths == chain_graph.enumerate_paths(3)
-        assert_columns(table, dm)
-        position = {p: i for i, p in enumerate(table.paths)}
+        assert_columns(table, dm, 3)
         total = 0
         for (vid, d), split in table.levels.items():
-            assert len(split) == 4
-            flat = [p for level in split for p, _ in level]
+            # the longest chain path has 2 edges, so levels stop below the bound
+            assert len(split) == 2 + 1
+            flat = [p for level in split for p in level]
             assert flat == [p for p, k in zip(table.paths, table.key) if k == (vid, d)]
             total += len(flat)
             for length, level in enumerate(split):
-                for p, last in level:
-                    assert p.length == length and last is table.designated[position[p]]
+                for p in level:
+                    assert p.length == length
         assert total == len(table.paths)
-        for p, last in zip(table.paths, table.designated):
-            # p p* is the one pair whose last edges always agree
-            assert (last is None) == Monomial(p, p).is_normal(chain_graph)
-            assert last in (None, p.edges[-1] if p.edges else None)
 
     def test_realized_degrees_under_a_nonabelian_grading(self, graph_a):
         group = parse_group_table(s3_table_text())
@@ -265,7 +267,7 @@ def test_checked_monomial_rejects_different_ranges():
 @given(case=graded_cases(), bound=st.integers(0, 4))
 def test_columns_match_each_path(case, bound):
     degree_map, _ = case
-    assert_columns(degree_map.path_table(bound), degree_map)
+    assert_columns(degree_map.path_table(bound), degree_map, bound)
 
 
 def pair_ids(pair):
