@@ -77,13 +77,15 @@ class Monomial:
         return Monomial._same_range(self.beta, self.alpha)
 
     def is_normal(self, graph):
-        """True unless both paths end in the designated edge of its source."""
+        """True unless both paths end in the designated edge of its source.
+        Edges compare by ``is``, then by id, which is unique in one graph."""
         if not self.alpha.edges or not self.beta.edges:
             return True
         last, other = self.alpha.edges[-1], self.beta.edges[-1]
-        if last is not other and last != other:
+        if last is not other and last.id != other.id:
             return True
-        return graph.special_edge(last.source) != last
+        special = graph.special_edge(last.source)
+        return special is None or (special is not last and special.id != last.id)
 
     def sort_key(self):
         return (self.weight(), self.alpha.sort_key(), self.beta.sort_key())
@@ -115,18 +117,20 @@ def _expand_normal(graph, mono):
 
     Only the junction of the two paths can carry a reducible pair, and the
     sibling terms produced by one rewrite are already normal there, so the
-    loop walks down the surviving vertex term alone.
+    loop walks down the surviving vertex term alone. Edges compare by id.
     """
     out = []
     alpha, beta = mono.alpha, mono.beta
     while True:
         if alpha.edges and beta.edges:
             last = alpha.edges[-1]
-            if last == beta.edges[-1] and graph.special_edge(last.source) == last:
+            lid = last.id
+            special = graph.special_edge(last.source) if beta.edges[-1].id == lid else None
+            if special is not None and special.id == lid:
                 a2 = alpha.prefix(alpha.length - 1)
                 b2 = beta.prefix(beta.length - 1)
                 for f in graph.out_edges(last.source):
-                    if f != last:
+                    if f.id != lid:
                         out.append((Monomial._same_range(a2.extended(f), b2.extended(f)), -1))
                 alpha, beta = a2, b2
                 continue
@@ -144,19 +148,20 @@ def _mono_product(m1, m2):
     from one graph (``Element`` checks that its factors share it). A vertex
     path is initial exactly at the other path's source, so it compares by
     its base: first by ``is``, which holds for the graph's own vertex, then
-    by ``==``, which an equal but distinct ``Vertex`` passes. Both paths of
-    the product end at the range of the longer meeting path, so it is built
-    with ``Monomial._same_range``; ``joined`` still checks the new junction.
+    by id, its only field, which an equal but distinct ``Vertex`` shares.
+    Both paths of the product end at the range of the longer meeting path,
+    so it is built with ``Monomial._same_range``; ``joined`` still checks
+    the new junction, by the same identity-then-id test.
     """
     b, a = m1.beta, m2.alpha
     if not b.edges:
         base = a.base
-        if b.base is not base and b.base != base:
+        if b.base is not base and b.base.id != base.id:
             return None
         return Monomial._same_range(m1.alpha.joined(a, 0), m2.beta)
     if not a.edges:
         base = b.base
-        if a.base is not base and a.base != base:
+        if a.base is not base and a.base.id != base.id:
             return None
         return Monomial._same_range(m1.alpha, m2.beta.joined(b, 0))
     n, b_ids = b._key
@@ -168,6 +173,21 @@ def _mono_product(m1, m2):
     if b_ids[:k] != a_ids:
         return None
     return Monomial._same_range(m1.alpha, m2.beta.joined(b, k))
+
+
+def _add_normal(graph, ring, acc, mono, c):
+    """Fold c, a nonzero ring element, times the normal form of mono into
+    the term map acc; a term that cancels to zero leaves it."""
+    if mono.is_normal(graph):
+        pieces = ((mono, 1),)
+    else:
+        pieces = _expand_normal(graph, mono)
+    for m, sign in pieces:
+        cur = ring.add(acc.get(m, ring.zero), c if sign > 0 else ring.neg(c))
+        if ring.is_zero(cur):
+            acc.pop(m, None)
+        else:
+            acc[m] = cur
 
 
 class Element:
@@ -197,21 +217,11 @@ class Element:
     @classmethod
     def _normal(cls, graph, ring, items):
         """Normal form of (monomial, coefficient) pairs, each coefficient a
-        ring element: products and the involution pass those uncoerced."""
+        ring element: ``from_terms`` coerces first, the involution does not."""
         acc = {}
         for mono, c in items:
-            if ring.is_zero(c):
-                continue
-            if mono.is_normal(graph):
-                pieces = ((mono, 1),)
-            else:
-                pieces = _expand_normal(graph, mono)
-            for m, sign in pieces:
-                cur = ring.add(acc.get(m, ring.zero), c if sign > 0 else ring.neg(c))
-                if ring.is_zero(cur):
-                    acc.pop(m, None)
-                else:
-                    acc[m] = cur
+            if not ring.is_zero(c):
+                _add_normal(graph, ring, acc, mono, c)
         return cls(graph, ring, acc)
 
     @classmethod
@@ -295,15 +305,17 @@ class Element:
         # _compatible's test, with the identity checks that decide it first
         if self.graph is not other.graph or (ring is not other.ring and ring != other.ring):
             self._compatible(other)
-        raw = []
+        graph = self.graph
+        acc = {}
+        right = other.terms.items()
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
+            for m2, c2 in right:
                 m = _mono_product(m1, m2)
                 if m is not None:
-                    raw.append((m, ring.mul(c1, c2)))
-        if not raw:
-            return Element(self.graph, ring, {})
-        return Element._normal(self.graph, ring, raw)
+                    c = ring.mul(c1, c2)
+                    if not ring.is_zero(c):
+                        _add_normal(graph, ring, acc, m, c)
+        return Element(graph, ring, acc)
 
     def __rmul__(self, scalar):
         return self.scaled(scalar)
@@ -535,7 +547,7 @@ class _ExprParser:
         a, b, zero = [], [], False
         while True:
             meet = path.range if starred else path.base
-            if zero or (meet is not end and meet != end):
+            if zero or (meet is not end and meet.id != end.id):
                 zero = True
             elif starred:
                 b += path.edges[::-1]

@@ -62,7 +62,9 @@ class Path:
     from outside. A path derived from a valid one (``prefix``, ``extended``,
     ``joined``) checks only the new junction and extends the parent's id key
     instead of rebuilding it, so building an n-edge path one edge at a time
-    costs O(n) interpreter steps, not O(n^2).
+    costs O(n) interpreter steps, not O(n^2). The junction test compares the
+    two vertices by ``is``, then by id: a ``Vertex``'s only field is its id,
+    so that is exactly vertex equality, without the dataclass ``__eq__``.
     """
 
     __slots__ = ("base", "edges", "_key", "_hash")
@@ -102,12 +104,11 @@ class Path:
 
     def _check_junction(self, edge):
         """Raise GraphError unless edge can follow this path."""
-        if not self.edges:
-            if self.base != edge.source:
-                raise GraphError(
-                    f"path base {self.base.id} is not the source of edge {edge.id}"
-                )
-        elif self.edges[-1].range != edge.source:
+        source = edge.source
+        end = self.range
+        if end is not source and end.id != source.id:
+            if not self.edges:
+                raise GraphError(f"path base {end.id} is not the source of edge {edge.id}")
             raise GraphError(f"edges {self.edges[-1].id} and {edge.id} do not compose")
 
     @property
@@ -178,7 +179,7 @@ def is_initial_subpath(a, b):
     """
     if not a.edges:
         source = b.base
-        return a.base is source or a.base == source
+        return a.base is source or a.base.id == source.id
     return b._key[1][: len(a.edges)] == a._key[1]
 
 

@@ -2,6 +2,10 @@
 
 Scalars are plain Python values (int or Fraction); a ring object supplies
 coercion, arithmetic, parsing and rendering. All arithmetic is exact.
+
+Ring elements in, ring elements out: ``add``, ``neg`` and ``mul`` do not
+coerce. ``coerce`` (and ``from_pair`` for fractions) runs once, at the
+boundary where an outside scalar enters.
 """
 
 from __future__ import annotations
@@ -15,6 +19,11 @@ class RingError(ValueError):
 
 
 class CoefficientRing:
+    """A coefficient ring. ``add``, ``neg`` and ``mul`` take ring elements
+    (what ``coerce``, ``from_pair``, ``zero`` and ``one`` give) and return
+    one, uncoerced: the plain operations are closed on int (Z) and Fraction
+    (Q), and Z/m reduces modulo m."""
+
     name = "?"
     zero = 0
     one = 1
@@ -26,13 +35,13 @@ class CoefficientRing:
         raise NotImplementedError
 
     def add(self, a, b):
-        return self.coerce(a + b)
+        return a + b
 
     def neg(self, a):
-        return self.coerce(-a)
+        return -a
 
     def mul(self, a, b):
-        return self.coerce(a * b)
+        return a * b
 
     def is_zero(self, a):
         return a == 0
@@ -113,6 +122,15 @@ class IntegerModRing(CoefficientRing):
 
     def from_pair(self, numerator, denominator):
         raise RingError(f"fractional scalars are not available in {self.name}")
+
+    def add(self, a, b):
+        return (a + b) % self.modulus
+
+    def neg(self, a):
+        return -a % self.modulus
+
+    def mul(self, a, b):
+        return a * b % self.modulus
 
 
 INTEGERS = IntegerRing()

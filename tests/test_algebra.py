@@ -59,6 +59,15 @@ class TestMonomial:
         m = Monomial(Path(f1.source, (f1,)), Path(twin.source, (twin,)))
         assert not m.is_normal(chain_graph)
 
+    def test_twin_edge_normalizes_as_the_graphs_own(self, chain_graph, any_ring):
+        f1 = chain_graph.edge("f1")
+        twin = Edge(f1.id, Vertex(f1.source.id), Vertex(f1.range.id))
+        own = elem("f1.(f1)*", chain_graph, any_ring)
+        real, ghost = Path(f1.source, (f1,)), Path(twin.source, (twin,))
+        for m in (Monomial(real, ghost), Monomial(ghost, real), Monomial(ghost, ghost)):
+            assert Element.from_terms(chain_graph, any_ring, [(m, 1)]) == own
+        assert own == elem("v2 - f2.(f2)*", chain_graph, any_ring)
+
     def test_flagged_vertex_never_rewrites(self, graph_c):
         assert mono(graph_c, ("f1",), ("f1",)).is_normal(graph_c)
 
@@ -74,6 +83,52 @@ class TestMonoMul:
         x = elem("f2.(f4.f3)*", chain_graph, ring)
         y = elem("f4.f3.(f2)*", chain_graph, ring)
         assert x * y == elem("f2.(f2)*", chain_graph, ring)
+
+
+ZERO_DIVISOR_RINGS = {
+    "z": INTEGERS,
+    "q": RATIONALS,
+    "z/4": IntegerModRing(4),
+    "z/6": IntegerModRing(6),
+}
+
+
+class TestProductFold:
+    """Each nonzero product folds straight into the term map; the oracle is
+    normal_form_shuffled of the raw pairwise products, which folds in its
+    own loop. Over Z/4 and Z/6 nonzero coefficients multiply to zero."""
+
+    @pytest.mark.parametrize("name", sorted(ZERO_DIVISOR_RINGS))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_product_is_the_normal_form_of_raw_products(self, name, data):
+        ring = ZERO_DIVISOR_RINGS[name]
+        x = data.draw(elements_strategy(R3, ring, max_support=4))
+        y = data.draw(elements_strategy(R3, ring, max_support=4))
+        raw = []
+        for m1, c1 in x.terms.items():
+            for m2, c2 in y.terms.items():
+                m = algebra._mono_product(m1, m2)
+                if m is not None:
+                    raw.append((m, c1 * c2))
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        assert x * y == normal_form_shuffled(R3, ring, raw, rng)
+
+    @pytest.mark.parametrize(
+        "name, left, right, want",
+        [
+            ("z/6", "2*x", "3*y", "0"),
+            ("z/6", "2*x + a", "3*x.y", "3*x.y"),
+            ("z/4", "2*x", "2*y", "0"),
+            ("z", "2*x", "3*y", "6*x.y"),
+            ("z", "2*x + a", "3*x.y", "3*x.y"),
+        ],
+    )
+    def test_zero_ring_products_are_dropped(self, name, left, right, want):
+        ring = ZERO_DIVISOR_RINGS[name]
+        product = elem(left, R3, ring) * elem(right, R3, ring)
+        assert str(product) == want
+        assert all(not ring.is_zero(c) for c in product.terms.values())
 
 
 class TestNormalForm:

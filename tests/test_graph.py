@@ -440,3 +440,31 @@ class TestDerivedPaths:
         # an edge list from outside is checked at every junction
         with pytest.raises(GraphError, match="^edges f3 and f2 do not compose$"):
             Path(None, (f4, f3, f2))
+
+
+class TestAtomComparisons:
+    """Junctions and vertex bases compare atoms by identity, then by id; an
+    equal but distinct Vertex or Edge keeps its structural meaning."""
+
+    def test_path_on_an_equal_vertex_extends_to_an_equal_path(self, chain_graph):
+        for e in chain_graph.edges:
+            own = Path(e.source).extended(e)
+            twin = Path(Vertex(e.source.id)).extended(e)
+            assert twin == own and hash(twin) == hash(own)
+            assert twin.sort_key() == own.sort_key()
+
+    def test_junction_over_equal_vertices_composes(self, chain_graph):
+        f3, f4 = chain_graph.edge("f3"), chain_graph.edge("f4")
+        # the twin's range is a Vertex distinct from f3's source, equal to it
+        twin_f4 = Edge(f4.id, Vertex(f4.source.id), Vertex(f4.range.id))
+        assert Path(None, (twin_f4,)).extended(f3) == Path(None, (f4, f3))
+
+    def test_non_composing_atoms_keep_the_error_text(self, chain_graph):
+        f1, f2, f4 = (chain_graph.edge(f"f{i}") for i in (1, 2, 4))
+        with pytest.raises(GraphError, match="^path base v1 is not the source of edge f1$"):
+            Path(Vertex("v1")).extended(f1)
+        twin_f4 = Edge(f4.id, Vertex(f4.source.id), Vertex(f4.range.id))
+        with pytest.raises(GraphError, match="^edges f4 and f1 do not compose$"):
+            Path(None, (twin_f4,)).extended(f1)
+        with pytest.raises(GraphError, match="^path base v1 is not the source of edge f2$"):
+            Path(Vertex("v1")).joined(Path(None, (f2,)), 0)

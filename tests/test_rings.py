@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leavitt import INTEGERS, RATIONALS, IntegerModRing, RingError, parse_ring
 
@@ -46,3 +48,41 @@ def test_mod_ring():
         IntegerModRing(1)
     assert IntegerModRing(5) == IntegerModRing(5)
     assert IntegerModRing(5) != IntegerModRing(7)
+
+
+CONTRACT_RINGS = {
+    "z": INTEGERS,
+    "q": RATIONALS,
+    "z/2": IntegerModRing(2),
+    "z/4": IntegerModRing(4),
+    "z/6": IntegerModRing(6),
+    "z/7": IntegerModRing(7),
+}
+
+
+def _is_ring_element(ring, value):
+    """An exact type check: an int residue 0..m-1 for Z/m, a Fraction for
+    Q, an int for Z (bool is not a ring element)."""
+    if ring is RATIONALS:
+        return type(value) is Fraction
+    if type(value) is not int:
+        return False
+    return ring is INTEGERS or 0 <= value < ring.modulus
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACT_RINGS))
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_arithmetic_takes_and_returns_ring_elements(name, data):
+    """add, neg and mul do not coerce, so on coerced inputs each must equal
+    coerce of the raw operation and already be a ring element itself."""
+    ring = CONTRACT_RINGS[name]
+    raw = st.fractions(max_denominator=9) if ring is RATIONALS else st.integers(-10**12, 10**12)
+    a, b = (ring.coerce(data.draw(raw)) for _ in range(2))
+    for got, want in (
+        (ring.add(a, b), ring.coerce(a + b)),
+        (ring.neg(a), ring.coerce(-a)),
+        (ring.mul(a, b), ring.coerce(a * b)),
+    ):
+        assert got == want
+        assert _is_ring_element(ring, got), (name, got)
