@@ -21,6 +21,8 @@ elements is structural equality of normal forms.
 
 from __future__ import annotations
 
+import re
+
 from .graph import GraphError, Path
 
 
@@ -417,6 +419,11 @@ def enumerate_monomials(graph, len_bound):
 # real path or a ghost path, and only the path relations act inside a word,
 # so a word, any product of generators, folds to one raw monomial a b* or to
 # 0; "f2.(f4.f3)*" is the monomial with real part f2 and ghost part f4.f3.
+# The tokenizer scans each '.'-joined run of ASCII names, each optionally
+# starred, as one "run" token with one compiled match, and the parser reads
+# a run one name at a time. A run must end where a name ends: when a name
+# goes on past it, as in "x.yé", the run is that one name, scanned a
+# character at a time, with its star.
 # The word is read left to right one edge at a time (see `_ExprParser._word`):
 # a ghost edge joins b, and a real edge cancels the first edge of b, or
 # makes the word 0 if it is another edge, or joins a once b is a vertex.
@@ -425,9 +432,15 @@ def enumerate_monomials(graph, len_bound):
 
 _EXPR_SYMBOLS = "+-*/.()"
 
+# At most 64 names per run: one match keeps state for each repetition of its
+# group, so a longer run is scanned as several runs joined by '.' tokens.
+_RUN_NAME = r"[A-Za-z][A-Za-z0-9_]*\*?"
+_RUN_RE = re.compile(rf"{_RUN_NAME}(?:\.{_RUN_NAME}){{0,63}}")
+
 
 def _tokenize_expr(text):
     """The (kind, text, column) tokens of text, one at a time, then eof."""
+    match_run = _RUN_RE.match
     i = 0
     n = len(text)
     while i < n:
@@ -444,10 +457,17 @@ def _tokenize_expr(text):
             i = j
             continue
         if ch.isalpha():
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            yield ("id", text[i:j], i + 1)
+            run = match_run(text, i)
+            j = i if run is None else run.end()
+            if j == i or (j < n and (text[j].isalnum() or text[j] == "_")):
+                # a name goes on past the ASCII run, as in "x.yé" or "x*y":
+                # scan one name and its star a character at a time instead
+                j = i + 1
+                while j < n and (text[j].isalnum() or text[j] == "_"):
+                    j += 1
+                if j < n and text[j] == "*":
+                    j += 1
+            yield ("run", text[i:j], i + 1)
             i = j
             continue
         if ch in _EXPR_SYMBOLS:
@@ -456,6 +476,20 @@ def _tokenize_expr(text):
             continue
         raise ElementSyntaxError(f"unexpected character {ch!r}", i + 1)
     yield ("eof", "", n + 1)
+
+
+def _run_names(run):
+    """(name, starred, column) for each name of a run token, in order."""
+    column = run[2]
+    for part in run[1].split("."):
+        starred = part.endswith("*")
+        yield (part[:-1] if starred else part), starred, column
+        column += len(part) + 1
+
+
+def _edge_step(e, ghost):
+    """The word reader's (meet, e, ghost, after) step for e or e*."""
+    return (e.range, e, True, e.source) if ghost else (e.source, e, False, e.range)
 
 
 class _ExprParser:
@@ -467,7 +501,7 @@ class _ExprParser:
         self.token = next(self.tokens)
         self.graph = graph
         self.ring = ring
-        self._generators = {}
+        self._steps = {}
 
     def peek(self):
         return self.token
@@ -480,7 +514,10 @@ class _ExprParser:
 
     def fail(self, expected, tok=None):
         tok = tok or self.peek()
-        found = tok[1] or "end of input"
+        if tok[0] == "run":
+            found = next(_run_names(tok))[0]  # the first name of a run
+        else:
+            found = tok[1] or "end of input"
         raise ElementSyntaxError(f"expected {expected}, found {found!r}", tok[2])
 
     def parse(self):
@@ -533,37 +570,46 @@ class _ExprParser:
         The word is read one edge at a time: ``a`` holds its real edges,
         ``b`` its ghost edges as a stack with the first edge on top, and
         ``end`` the vertex where the word so far ends, s(b) (r(a) while b is
-        a vertex). Each atom must meet the word at ``end`` or the word is 0.
-        A vertex atom is only that test; a ghost path p* pushes p's edges,
-        since b* p* = (p b)*; a real path pops b's edges, each of which must
-        be the matching edge of p, since e* f = 0 for e != f, then appends
-        the rest of p to a. Every edge is the graph's own object, so the
-        match is by ``is``. Every atom of a zero word is still parsed. A
-        popped or pushed edge keeps r(a) = r(b), so the monomial is built
-        with no range check: a from where the first atom starts, b from end.
+        a vertex). Each atom is a list of steps ``(meet, e, ghost, after)``:
+        one for a name, one per edge for a path (a ghost path's in reverse,
+        since (p q)* = q* p*). Each step must meet the word at ``end`` or
+        the word is 0. A vertex step (e is None) is only that test; a ghost
+        edge is pushed on b; a real edge pops b's top, which must be e,
+        since e* f = 0 for e != f, or joins a once b is empty. Every edge is
+        the graph's own object, so the match is by ``is``. Every name of a
+        zero word is still looked up. A popped or pushed edge keeps
+        r(a) = r(b), so the monomial is built with no range check: a from
+        where the first step starts, b from end.
         """
-        path, starred = self._atom()
-        start = end = path.range if starred else path.base
         a, b, zero = [], [], False
+        start = end = None
         while True:
-            meet = path.range if starred else path.base
-            if zero or (meet is not end and meet.id != end.id):
-                zero = True
-            elif starred:
-                b += path.edges[::-1]
-                end = path.base
+            tok = self.peek()
+            if tok[0] == "run":
+                self.next()
+                steps = self._run_steps(tok)
             else:
-                for e in path.edges:
-                    if not b:
-                        a.append(e)
-                    elif b.pop() is not e:
-                        zero = True
-                        break
-                end = path.range
+                steps = self._atom()
+            if not zero:
+                for meet, e, ghost, after in steps:
+                    if meet is not end:
+                        if end is None:
+                            start = meet
+                        elif meet.id != end.id:
+                            zero = True
+                            break
+                    if e is not None:
+                        if ghost:
+                            b.append(e)
+                        elif not b:
+                            a.append(e)
+                        elif b.pop() is not e:
+                            zero = True
+                            break
+                    end = after
             if self.peek()[0] != ".":
                 break
             self.next()
-            path, starred = self._atom()
         if zero:
             return None
         b.reverse()
@@ -577,67 +623,79 @@ class _ExprParser:
             self.fail(expected or f"'{kind}'")
         return self.next()
 
+    def _run_steps(self, run):
+        """The step of each name of a run token. Each name is looked up
+        once per parse; a miss resolves the run's names in order, so the
+        first unknown one is reported at its own column."""
+        steps = self._steps
+        try:
+            return [steps[part] for part in run[1].split(".")]
+        except KeyError:
+            return [self._step(*name) for name in _run_names(run)]
+
     def _atom(self):
-        """The path of the next atom, and whether it is starred."""
-        tok = self.peek()
-        if tok[0] == "id":
+        """The steps of an atom that is not a run: a parenthesized path,
+        optionally starred."""
+        self.expect("(", "an identifier or '('")
+        path = self._path()
+        self.expect(")")
+        starred = self.peek()[0] == "*"
+        if starred:
             self.next()
-            path = self._generator(tok)
-        elif tok[0] == "(":
-            self.next()
-            path = self._path()
-            self.expect(")")
-        else:
-            self.fail("an identifier or '('")
-        return path, self._starred()
+        if not path.edges:
+            return ((path.base, None, False, path.base),)
+        return [_edge_step(e, starred) for e in (path.edges[::-1] if starred else path.edges)]
 
-    def _starred(self):
-        """Consume an optional '*' and say whether there was one."""
-        if self.peek()[0] != "*":
-            return False
-        self.next()
-        return True
-
-    def _generator(self, tok):
-        """The path of a vertex or edge name, built once per name."""
-        name = tok[1]
-        path = self._generators.get(name)
-        if path is not None:
-            return path
+    def _step(self, name, starred, column):
+        """The step of a vertex or edge name, optionally starred, made once
+        per name and star."""
+        key = name + "*" if starred else name
+        step = self._steps.get(key)
+        if step is not None:
+            return step
         g = self.graph
         if name in g._vertex_by_id:
-            path = Path(g.vertex(name))
+            v = g.vertex(name)
+            step = (v, None, False, v)
         elif name in g._edge_by_id:
-            e = g.edge(name)
-            path = Path(e.source, (e,))
+            step = _edge_step(g.edge(name), starred)
         else:
-            raise ElementSyntaxError(f"unknown vertex or edge {name!r}", tok[2])
-        self._generators[name] = path
-        return path
+            raise ElementSyntaxError(f"unknown vertex or edge {name!r}", column)
+        self._steps[key] = step
+        return step
 
     def _path(self):
-        tok = self.peek()
-        if tok[0] != "id":
-            self.fail("an identifier")
-        ids = [self.next()]
-        while self.peek()[0] == ".":
+        """The path inside parentheses, from '.'-joined runs. A star inside
+        a run ends the path: it is reported as the ')' expected there, once
+        the names before it are resolved."""
+        names = []
+        star = None
+        while True:
+            tok = self.expect("run", "an identifier")
+            for name, starred, column in _run_names(tok):
+                names.append((name, column))
+                if starred:
+                    star = column + len(name)
+                    break
+            if star is not None or self.peek()[0] != ".":
+                break
             self.next()
-            nxt = self.peek()
-            if nxt[0] != "id":
-                self.fail("an identifier")
-            ids.append(self.next())
         g = self.graph
-        if len(ids) == 1 and ids[0][1] in g._vertex_by_id:
-            return Path(g.vertex(ids[0][1]))
-        edges = []
-        for tok in ids:
-            if tok[1] not in g._edge_by_id:
-                raise ElementSyntaxError(f"unknown edge {tok[1]!r}", tok[2])
-            edges.append(g.edge(tok[1]))
-        try:
-            return Path(edges[0].source, edges)
-        except GraphError as exc:
-            raise ElementSyntaxError(str(exc), ids[0][2]) from None
+        if len(names) == 1 and names[0][0] in g._vertex_by_id:
+            path = Path(g.vertex(names[0][0]))
+        else:
+            edges = []
+            for name, column in names:
+                if name not in g._edge_by_id:
+                    raise ElementSyntaxError(f"unknown edge {name!r}", column)
+                edges.append(g.edge(name))
+            try:
+                path = Path(edges[0].source, edges)
+            except GraphError as exc:
+                raise ElementSyntaxError(str(exc), names[0][1]) from None
+        if star is not None:
+            self.fail("')'", ("*", "*", star))
+        return path
 
 
 def parse_element(text, graph, ring):

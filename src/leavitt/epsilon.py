@@ -311,7 +311,7 @@ def _minimal_representatives(monos):
     first = {}
     for m in monos:
         first.setdefault(m.alpha, m)
-    minimal = [a for a in first if not any(b != a and is_initial_subpath(b, a) for b in first)]
+    minimal = [a for a in first if not any(b is not a and is_initial_subpath(b, a) for b in first)]
     return [first[a] for a in sorted(minimal, key=lambda p: p.sort_key())]
 
 

@@ -154,11 +154,13 @@ class Path:
         return ".".join(self._key[1])
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Path)
-            and self.base == other.base
-            and self.edges == other.edges
-        )
+        # Most unequal paths differ in their keys. Equal keys give equal base
+        # ids to vertex paths, and an edge path's base is its first edge's
+        # source, so the edges decide the rest. They compare as tuples, so an
+        # equal twin edge of another graph still compares equal.
+        if self is other:
+            return True
+        return isinstance(other, Path) and self._key == other._key and self.edges == other.edges
 
     def __hash__(self):
         return self._hash

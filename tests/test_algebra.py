@@ -1,7 +1,9 @@
 import operator
 import random
+import re
 import sys
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +26,7 @@ from leavitt import (
     parse_graph,
 )
 
-from .util import GRAPH_C, GRAPH_CHAIN, GRAPH_R3, elem, mono
+from .util import GRAPH_C, GRAPH_CHAIN, GRAPH_R3, elem, mono, reference_tokens
 
 TEST_GRAPH_SOURCES = {}
 
@@ -588,6 +590,120 @@ class TestWordFold:
         # peaks near 600 KiB, and keeping all 3,000 atom monomials until the
         # end near 1.4 MiB
         assert peak < 256 << 10
+
+
+def _scan(tokenize, text):
+    """The tokens of text up to the end or an error, and the error as
+    (message, column) or None."""
+    tokens = []
+    try:
+        for tok in tokenize(text):
+            tokens.append(tok)
+    except ElementSyntaxError as exc:
+        return tokens, (str(exc), exc.column)
+    return tokens, None
+
+
+def _expand_runs(tokens):
+    """Each run token as the id, '.' and '*' tokens of its characters."""
+    out = []
+    for kind, text, column in tokens:
+        if kind != "run":
+            out.append((kind, text, column))
+            continue
+        for part in re.finditer(r"[^.*]+|[.*]", text):
+            word = part.group()
+            out.append((word if word in (".", "*") else "id", word, column + part.start()))
+    return out
+
+
+def _one_name_runs(text):
+    """The reference tokens with each id and the star after it as a run
+    of one name."""
+    name = None
+    for tok in reference_tokens(text):
+        if name is not None:
+            starred = tok[0] == "*"
+            yield ("run", name[1] + "*" * starred, name[2])
+            name = None
+            if starred:
+                continue
+        if tok[0] == "id":
+            name = tok
+        else:
+            yield tok
+
+
+def _outcome(text, graph, ring):
+    """The rendered element of text, or its error as (message, column)."""
+    try:
+        return str(parse_element(text, graph, ring))
+    except ElementSyntaxError as exc:
+        return str(exc), exc.column
+
+
+# names of R3 and others, some starred; a run of up to 150 of them spans
+# three run tokens of at most 64 names
+_RUN_NAMES = st.sampled_from(["x", "y", "z", "w", "t", "a", "b", "qq", "f1", "A_9", "x*", "w*", "c*"])
+_EXPR_TEXT = st.lists(
+    st.text(alphabet="xyzwtabQ019_.*() \u00b2\u0663\u00e9", max_size=12)
+    | st.lists(_RUN_NAMES, min_size=1, max_size=150).map(".".join)
+    | st.builds(lambda n, seed: ".".join(_r3_walk(R3, n, seed)), st.integers(1, 150), st.integers(0, 99)),
+    max_size=4,
+).map("".join)
+
+# the name 150 of a 200-name run, in its third run token
+_UNKNOWN_IN_A_LONG_RUN = ".".join(_r3_walk(R3, 149, 5) + ["qq"] + _r3_walk(R3, 50, 6))
+
+
+class TestRunTokens:
+    """A '.'-joined run of ASCII names is scanned as one token and read one
+    name at a time, with the tokens of the character scan and the values
+    and errors of one name per token."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=_EXPR_TEXT)
+    def test_runs_expand_to_the_character_scan(self, text):
+        tokens, error = _scan(algebra._tokenize_expr, text)
+        assert (_expand_runs(tokens), error) == _scan(reference_tokens, text)
+        assert all(tok[1].count(".") < 64 for tok in tokens if tok[0] == "run")
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_EXPR_TEXT, ring=st.sampled_from([INTEGERS, IntegerModRing(3)]))
+    def test_runs_parse_as_their_names_one_run_each(self, text, ring):
+        got = _outcome(text, R3, ring)
+        with mock.patch.object(algebra, "_tokenize_expr", _one_name_runs):
+            assert got == _outcome(text, R3, ring)
+
+    def test_a_long_word_is_runs_of_at_most_64_names(self):
+        word = ".".join(_r3_walk(R3, 3000, 11))
+        tokens = list(algebra._tokenize_expr(word))
+        assert [tok[0] for tok in tokens] == ["run", "."] * 46 + ["run", "eof"]
+        assert [tok[2] for tok in tokens[:3]] == [1, 128, 129]
+
+    @pytest.mark.parametrize(
+        "text,column,message",
+        [
+            ("x.y.qq.z", 5, "unknown vertex or edge 'qq'"),
+            (_UNKNOWN_IN_A_LONG_RUN, 299, "unknown vertex or edge 'qq'"),
+            ("3 x.y", 3, "expected '*' after a scalar, found 'x'"),
+            ("(x*.y)", 3, "expected ')', found '*'"),
+            ("(x.y*)", 5, "expected ')', found '*'"),
+            ("(x.w)", 2, "edges x and w do not compose"),
+            ("(x.x*)", 2, "edges x and x do not compose"),
+            ("(x.qq*)", 4, "unknown edge 'qq'"),
+            ("x.y\u00e9", 3, "unknown vertex or edge 'y\u00e9'"),
+            ("x.qq %", 6, "unexpected character '%'"),
+            ("x**", 3, "expected '+', '-' or end of input, found '*'"),
+            ("3/x.y", 3, "expected a denominator, found 'x'"),
+            ("x y.z", 3, "expected '+', '-' or end of input, found 'y'"),
+        ],
+        ids=lambda v: v[:12] if isinstance(v, str) else None,
+    )
+    def test_errors_inside_runs(self, ring, text, column, message):
+        with pytest.raises(ElementSyntaxError) as err:
+            parse_element(text, R3, ring)
+        assert (err.value.column, str(err.value)) == (column, f"column {column}: {message}")
 
 
 class TestEnumerateMonomials:

@@ -15,7 +15,7 @@ from leavitt import (
 )
 from leavitt.algebra import _mono_product
 
-from .util import GRAPH_A, GRAPH_C, SINGLE_VERTEX, brute_out_degree, brute_paths
+from .util import GRAPH_A, GRAPH_C, GRAPH_CHAIN, SINGLE_VERTEX, brute_out_degree, brute_paths
 
 
 class TestParse:
@@ -468,3 +468,14 @@ class TestAtomComparisons:
             Path(None, (twin_f4,)).extended(f1)
         with pytest.raises(GraphError, match="^path base v1 is not the source of edge f2$"):
             Path(Vertex("v1")).joined(Path(None, (f2,)), 0)
+
+    def test_path_equality_is_equality_of_base_and_edges(self, chain_graph):
+        # a twin graph has equal but distinct atoms; in a moved one f1 keeps
+        # its id and source but not its range, so path f1 keeps key and base
+        twin = parse_graph(GRAPH_CHAIN)
+        moved = parse_graph(GRAPH_CHAIN.replace("f1: v2 -> v1", "f1: v2 -> v5"))
+        paths = [p for g in (chain_graph, twin, moved) for p in g.enumerate_paths(3)]
+        for p in paths:
+            assert p != p.render()
+            for q in paths:
+                assert (p == q) == (p.base == q.base and p.edges == q.edges)

@@ -4,7 +4,7 @@ The oracles recompute expected values with set-based logic that shares no
 code with the library paths they check.
 """
 
-from leavitt import Element, Monomial, parse_element
+from leavitt import Element, ElementSyntaxError, Monomial, parse_element
 
 GRAPH_CHAIN = """
 graph chain {
@@ -142,6 +142,39 @@ def brute_minimal_alphas(graph, degree_by_edge, g, bound):
         return iy[: len(ix)] == ix
 
     return {a for a in alphas if not any(b != a and below(b, a) for b in alphas)}
+
+
+def reference_tokens(text):
+    """The element grammar's (kind, text, column) tokens, scanned one
+    character at a time: every name is one "id" token, every symbol its
+    own token, then eof; an unexpected character raises ElementSyntaxError."""
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch.isdecimal():
+            j = i
+            while j < n and text[j].isdecimal():
+                j += 1
+            yield ("int", text[i:j], i + 1)
+            i = j
+            continue
+        if ch.isalpha():
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            yield ("id", text[i:j], i + 1)
+            i = j
+            continue
+        if ch in "+-*/.()":
+            yield (ch, ch, i + 1)
+            i += 1
+            continue
+        raise ElementSyntaxError(f"unexpected character {ch!r}", i + 1)
+    yield ("eof", "", n + 1)
 
 
 def elem(text, graph, ring):
