@@ -423,7 +423,9 @@ def enumerate_monomials(graph, len_bound):
 # starred, as one "run" token with one compiled match, and the parser reads
 # a run one name at a time. A run must end where a name ends: when a name
 # goes on past it, as in "x.yé", the run is that one name, scanned a
-# character at a time, with its star.
+# character at a time, with its star. A star apart from its name, as in
+# "x *", is its own token, and the word reader applies it to the last name
+# of the run before it.
 # The word is read left to right one edge at a time (see `_ExprParser._word`):
 # a ghost edge joins b, and a real edge cancels the first edge of b, or
 # makes the word 0 if it is another edge, or joins a once b is a vertex.
@@ -478,12 +480,11 @@ def _tokenize_expr(text):
     yield ("eof", "", n + 1)
 
 
-def _run_names(run):
-    """(name, starred, column) for each name of a run token, in order."""
+def _run_parts(run):
+    """(part, column) for each name of a run token, with its star, in order."""
     column = run[2]
     for part in run[1].split("."):
-        starred = part.endswith("*")
-        yield (part[:-1] if starred else part), starred, column
+        yield part, column
         column += len(part) + 1
 
 
@@ -515,7 +516,7 @@ class _ExprParser:
     def fail(self, expected, tok=None):
         tok = tok or self.peek()
         if tok[0] == "run":
-            found = next(_run_names(tok))[0]  # the first name of a run
+            found = tok[1].split(".", 1)[0].rstrip("*")  # the first name of a run
         else:
             found = tok[1] or "end of input"
         raise ElementSyntaxError(f"expected {expected}, found {found!r}", tok[2])
@@ -588,6 +589,11 @@ class _ExprParser:
             if tok[0] == "run":
                 self.next()
                 steps = self._run_steps(tok)
+                if self.peek()[0] == "*" and tok[1][-1] != "*":
+                    # a star apart from the name before it, as in "x *"
+                    self.next()
+                    dot = tok[1].rfind(".") + 1
+                    steps[-1] = self._step(tok[1][dot:] + "*", tok[2] + dot)
             else:
                 steps = self._atom()
             if not zero:
@@ -631,7 +637,7 @@ class _ExprParser:
         try:
             return [steps[part] for part in run[1].split(".")]
         except KeyError:
-            return [self._step(*name) for name in _run_names(run)]
+            return [self._step(*part) for part in _run_parts(run)]
 
     def _atom(self):
         """The steps of an atom that is not a run: a parenthesized path,
@@ -646,22 +652,22 @@ class _ExprParser:
             return ((path.base, None, False, path.base),)
         return [_edge_step(e, starred) for e in (path.edges[::-1] if starred else path.edges)]
 
-    def _step(self, name, starred, column):
-        """The step of a vertex or edge name, optionally starred, made once
-        per name and star."""
-        key = name + "*" if starred else name
-        step = self._steps.get(key)
+    def _step(self, part, column):
+        """The step of a name, optionally starred ("x" or "x*"), made once
+        per part."""
+        step = self._steps.get(part)
         if step is not None:
             return step
+        name = part.rstrip("*")
         g = self.graph
         if name in g._vertex_by_id:
             v = g.vertex(name)
             step = (v, None, False, v)
         elif name in g._edge_by_id:
-            step = _edge_step(g.edge(name), starred)
+            step = _edge_step(g.edge(name), name != part)
         else:
             raise ElementSyntaxError(f"unknown vertex or edge {name!r}", column)
-        self._steps[key] = step
+        self._steps[part] = step
         return step
 
     def _path(self):
@@ -672,9 +678,10 @@ class _ExprParser:
         star = None
         while True:
             tok = self.expect("run", "an identifier")
-            for name, starred, column in _run_names(tok):
+            for part, column in _run_parts(tok):
+                name = part.rstrip("*")
                 names.append((name, column))
-                if starred:
+                if name != part:
                     star = column + len(name)
                     break
             if star is not None or self.peek()[0] != ".":

@@ -618,20 +618,10 @@ def _expand_runs(tokens):
 
 
 def _one_name_runs(text):
-    """The reference tokens with each id and the star after it as a run
-    of one name."""
-    name = None
+    """The reference tokens with each id as a run of one name: every star
+    stays its own token, as a star apart from its name ("x *") is."""
     for tok in reference_tokens(text):
-        if name is not None:
-            starred = tok[0] == "*"
-            yield ("run", name[1] + "*" * starred, name[2])
-            name = None
-            if starred:
-                continue
-        if tok[0] == "id":
-            name = tok
-        else:
-            yield tok
+        yield ("run", *tok[1:]) if tok[0] == "id" else tok
 
 
 def _outcome(text, graph, ring):
@@ -642,9 +632,11 @@ def _outcome(text, graph, ring):
         return str(exc), exc.column
 
 
-# names of R3 and others, some starred; a run of up to 150 of them spans
-# three run tokens of at most 64 names
-_RUN_NAMES = st.sampled_from(["x", "y", "z", "w", "t", "a", "b", "qq", "f1", "A_9", "x*", "w*", "c*"])
+# names of R3 and others, some starred, some with the star apart; a run of
+# up to 150 of them spans three run tokens of at most 64 names
+_RUN_NAMES = st.sampled_from(
+    ["x", "y", "z", "w", "t", "a", "b", "qq", "f1", "A_9", "x*", "w*", "c*", "w *", "y\t*", "a *", "x * "]
+)
 _EXPR_TEXT = st.lists(
     st.text(alphabet="xyzwtabQ019_.*() \u00b2\u0663\u00e9", max_size=12)
     | st.lists(_RUN_NAMES, min_size=1, max_size=150).map(".".join)
@@ -659,7 +651,7 @@ _UNKNOWN_IN_A_LONG_RUN = ".".join(_r3_walk(R3, 149, 5) + ["qq"] + _r3_walk(R3, 5
 class TestRunTokens:
     """A '.'-joined run of ASCII names is scanned as one token and read one
     name at a time, with the tokens of the character scan and the values
-    and errors of one name per token."""
+    and errors of one name per token with every star apart from its name."""
 
     @settings(max_examples=400, deadline=None)
     @given(text=_EXPR_TEXT)
@@ -674,6 +666,22 @@ class TestRunTokens:
         got = _outcome(text, R3, ring)
         with mock.patch.object(algebra, "_tokenize_expr", _one_name_runs):
             assert got == _outcome(text, R3, ring)
+
+    @pytest.mark.parametrize(
+        "text,value",
+        [
+            ("x *", "(x)*"),
+            ("x\t*", "(x)*"),
+            ("3*x *", "3*(x)*"),
+            ("x * . y", "0"),
+            ("w *.w *", "(w.w)*"),
+            ("3 * x *.x", "3*b"),
+            ("a *", "a"),
+            ("(x.y) *", "(x.y)*"),
+        ],
+    )
+    def test_a_star_apart_from_its_name(self, ring, text, value):
+        assert str(parse_element(text, R3, ring)) == value
 
     def test_a_long_word_is_runs_of_at_most_64_names(self):
         word = ".".join(_r3_walk(R3, 3000, 11))
@@ -697,6 +705,12 @@ class TestRunTokens:
             ("x**", 3, "expected '+', '-' or end of input, found '*'"),
             ("3/x.y", 3, "expected a denominator, found 'x'"),
             ("x y.z", 3, "expected '+', '-' or end of input, found 'y'"),
+            ("x *y", 4, "expected '+', '-' or end of input, found 'y'"),
+            ("x * *", 5, "expected '+', '-' or end of input, found '*'"),
+            ("x* *", 4, "expected '+', '-' or end of input, found '*'"),
+            ("(x *)", 4, "expected ')', found '*'"),
+            ("(x .y *)", 7, "expected ')', found '*'"),
+            ("x.qq *", 3, "unknown vertex or edge 'qq'"),
         ],
         ids=lambda v: v[:12] if isinstance(v, str) else None,
     )
