@@ -119,25 +119,37 @@ def _expand_normal(graph, mono):
 
     Only the junction of the two paths can carry a reducible pair, and the
     sibling terms produced by one rewrite are already normal there, so the
-    loop walks down the surviving vertex term alone. Edges compare by id.
+    loop walks down the surviving vertex term alone: by index over the two
+    paths' edges, while both end in one designated edge. Edges compare by
+    id. Each sibling path is built in one step from the kept edges and f,
+    with no junction check, since f leaves the source of the stripped edge,
+    where the kept edges end; the surviving pair is built once, at the end.
     """
     out = []
     alpha, beta = mono.alpha, mono.beta
-    while True:
-        if alpha.edges and beta.edges:
-            last = alpha.edges[-1]
-            lid = last.id
-            special = graph.special_edge(last.source) if beta.edges[-1].id == lid else None
-            if special is not None and special.id == lid:
-                a2 = alpha.prefix(alpha.length - 1)
-                b2 = beta.prefix(beta.length - 1)
-                for f in graph.out_edges(last.source):
-                    if f.id != lid:
-                        out.append((Monomial._same_range(a2.extended(f), b2.extended(f)), -1))
-                alpha, beta = a2, b2
-                continue
-        out.append((Monomial._same_range(alpha, beta), 1))
-        return out
+    a_edges, b_edges = alpha.edges, beta.edges
+    i, j = len(a_edges), len(b_edges)
+    while i and j:
+        last = a_edges[i - 1]
+        lid = last.id
+        if b_edges[j - 1].id != lid:
+            break
+        special = graph.special_edge(last.source)
+        if special is None or special.id != lid:
+            break
+        i -= 1
+        j -= 1
+        a_kept, a_ids = a_edges[:i], alpha._key[1][:i]
+        b_kept, b_ids = b_edges[:j], beta._key[1][:j]
+        for f in graph.out_edges(last.source):
+            if f.id != lid:
+                a_f = Path._derived(alpha.base, a_kept + (f,), a_ids + (f.id,))
+                b_f = Path._derived(beta.base, b_kept + (f,), b_ids + (f.id,))
+                out.append((Monomial._same_range(a_f, b_f), -1))
+    if i < len(a_edges):
+        alpha, beta = alpha.prefix(i), beta.prefix(j)
+    out.append((Monomial._same_range(alpha, beta), 1))
+    return out
 
 
 def _mono_product(m1, m2):

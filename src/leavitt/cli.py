@@ -88,10 +88,16 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _build_parser():
+def _build_parser(argv):
+    """The parser for argv. When argv starts with a command name it holds
+    that command's subparser alone, the only one parsing argv can reach;
+    otherwise (help, no command, an unknown one) it holds all nine, so the
+    help, usage and error text is the same either way."""
     parser = _ArgumentParser(prog="leavitt", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, groups, _) in _COMMANDS.items():
+    names = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
+    for name in names:
+        help_text, groups, _ = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--graph", required=True, help="graph description file")
         p.add_argument("--degrees", default="canonical", help="degree-map file or 'canonical'")
@@ -332,7 +338,8 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    parser = _build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
         _, groups, answer = _COMMANDS[args.command]

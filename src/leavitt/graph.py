@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
-_ID_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _KEYWORDS = frozenset({"graph", "vertices", "edges", "infinite"})
 
 
@@ -298,40 +298,30 @@ class Graph:
         return f"Graph({len(self.vertices)} vertices, {len(self.edges)} edges{flags})"
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     value: str
     line: int
     column: int
 
 
+# one match per token or run of whitespace: an id, '->' or one of '{}:;'
+# (its own kind), else the unexpected character
+_TOKEN_RE = re.compile(r"\s+|([A-Za-z][A-Za-z0-9_]*)|(->|[{}:;])|(.)")
+
+
 def _tokenize(text):
     tokens = []
     lines = text.splitlines()
     for line_no, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0]
-        col = 0
-        n = len(line)
-        while col < n:
-            ch = line[col]
-            if ch.isspace():
-                col += 1
+        for m in _TOKEN_RE.finditer(raw.split("#", 1)[0]):
+            kind = m.lastindex
+            if kind is None:
                 continue
-            m = _ID_RE.match(line, col)
-            if m:
-                tokens.append(_Token("id", m.group(), line_no, col + 1))
-                col = m.end()
-                continue
-            if line.startswith("->", col):
-                tokens.append(_Token("->", "->", line_no, col + 1))
-                col += 2
-                continue
-            if ch in "{}:;":
-                tokens.append(_Token(ch, ch, line_no, col + 1))
-                col += 1
-                continue
-            raise GraphSyntaxError(f"unexpected character {ch!r}", line_no, col + 1)
+            value = m.group()
+            if kind == 3:
+                raise GraphSyntaxError(f"unexpected character {value!r}", line_no, m.start() + 1)
+            tokens.append(_Token("id" if kind == 1 else value, value, line_no, m.start() + 1))
     end_line = len(lines) if lines else 1
     end_col = len(lines[-1]) + 1 if lines else 1
     tokens.append(_Token("eof", "", end_line, end_col))

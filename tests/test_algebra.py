@@ -26,7 +26,7 @@ from leavitt import (
     parse_graph,
 )
 
-from .util import GRAPH_C, GRAPH_CHAIN, GRAPH_R3, elem, mono, reference_tokens
+from .util import GRAPH_C, GRAPH_CHAIN, GRAPH_R3, elem, mono, reference_expand_normal, reference_tokens
 
 TEST_GRAPH_SOURCES = {}
 
@@ -162,6 +162,89 @@ class TestNormalForm:
         once = Element.from_terms(graph_b, ring, raw)
         again = Element.from_terms(graph_b, ring, list(once.terms.items()))
         assert once == again
+
+
+# a has three out-edges (e1 designated, so two siblings per rewrite), b two,
+# c one (a rewrite with no sibling), and d is flagged (no rewrite)
+GRAPH_FANS = """
+graph fans {
+  vertices: a b c d ;
+  edges: e1: a -> a; e2: a -> b; e3: a -> c; f1: b -> a; f2: b -> b; g1: c -> a;
+         h1: d -> a; h2: d -> c;
+  infinite: d;
+}
+"""
+REWRITE_GRAPHS = [parse_graph(GRAPH_FANS), R3, parse_graph(GRAPH_CHAIN), parse_graph(GRAPH_C)]
+
+
+@st.composite
+def junction_monomials(draw):
+    """A monomial p.t (q.t)*: a shared tail t walked forward from u, mostly
+    along designated edges, after two prefixes p, q walked back from u, of
+    independent lengths (either may be the vertex u)."""
+    graph = draw(st.sampled_from(REWRITE_GRAPHS))
+    u = draw(st.sampled_from(graph.vertices))
+    tail, v = [], u
+    for _ in range(draw(st.integers(0, 6))):
+        outs = graph.out_edges(v)
+        if not outs:
+            break
+        special = graph.special_edge(v)
+        e = special if special is not None and draw(st.integers(0, 3)) else draw(st.sampled_from(outs))
+        tail.append(e)
+        v = e.range
+
+    def prefix():
+        edges, w = [], u
+        for _ in range(draw(st.integers(0, 4))):
+            into = [e for e in graph.edges if e.range is w]
+            if not into:
+                break
+            e = draw(st.sampled_from(into))
+            edges.insert(0, e)
+            w = e.source
+        return Path(w, edges + tail)
+
+    return graph, Monomial(prefix(), prefix())
+
+
+class TestExpansion:
+    @settings(max_examples=400, deadline=None)
+    @given(case=junction_monomials())
+    def test_expansion_is_the_step_by_step_rewrite(self, case):
+        graph, m = case
+        got = algebra._expand_normal(graph, m)
+        expected = reference_expand_normal(graph, m)
+        assert got == expected
+        assert [(x.render(), hash(x), x.alpha.base, x.beta.base) for x, _ in got] == [
+            (x.render(), hash(x), x.alpha.base, x.beta.base) for x, _ in expected
+        ]
+
+    def test_a_sibling_of_one_edge_leaves_the_base(self):
+        graph = REWRITE_GRAPHS[0]
+        e1 = graph.edge("e1")
+        m = Monomial(Path(graph.vertex("a"), [e1, e1]), Path(graph.vertex("a"), [e1]))
+        assert [(x.render(), sign) for x, sign in algebra._expand_normal(graph, m)] == [
+            ("e1.e2.(e2)*", -1), ("e1.e3.(e3)*", -1), ("e1", 1),
+        ]
+
+    def test_a_power_builds_two_paths_per_rewrite(self, monkeypatch):
+        k = 50
+        power = Path(R3.vertex("a"), [R3.edge("w")] * k)
+        m = Monomial(power, power)
+        built = 0
+        derived = Path._derived
+
+        def counting(*args):
+            nonlocal built
+            built += 1
+            return derived(*args)
+
+        monkeypatch.setattr(Path, "_derived", staticmethod(counting))
+        out = algebra._expand_normal(R3, m)
+        monkeypatch.undo()
+        assert len(out) == k + 1
+        assert built <= 2 * k + 2
 
 
 class TestRelations:

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import os
@@ -8,12 +9,29 @@ from pathlib import Path
 import pytest
 
 import leavitt
-from leavitt import ConstructionError, Element, parse_element, parse_graph
+from leavitt import ConstructionError, Element, cli, parse_element, parse_graph
 from leavitt.cli import main
 
 from .util import GRAPH_B, GRAPH_C, GRAPH_CHAIN
 
 CORPUS = Path(__file__).parent / "cli_corpus"
+
+# argparse's own text: help, usage and parse errors, recorded with COLUMNS=80
+# under the Python version named in the file. Rewrite it after a deliberate
+# change of that text with
+#
+#     PYTHONPATH=src python -m tests.test_cli
+#
+# and review the diff of help.json.
+PARSER_GOLDENS = CORPUS / "help.json"
+PARSER_CASES = {
+    "help": ["--help"],
+    **{f"{name}-help": [name, "--help"] for name in cli._COMMANDS},
+    "h-before-a-command": ["-h", "nf"],
+    "no-arguments": [],
+    "unknown-command": ["nope", "--graph", "x"],
+    "unrecognized-argument": ["nf", "--graph", "g.lpa", "extra"],
+}
 
 
 @pytest.fixture()
@@ -48,6 +66,80 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_parser_case(argv):
+    """Exit code, stdout and stderr of main(argv); argparse exits on help."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+class TestParser:
+    """The parser holds one subparser when argv names a command and all nine
+    otherwise; either way its text is the parser's with all nine."""
+
+    @pytest.mark.parametrize("name", PARSER_CASES)
+    def test_text_is_that_of_the_full_parser(self, monkeypatch, name):
+        monkeypatch.setenv("COLUMNS", "80")
+        got = run_parser_case(PARSER_CASES[name])
+        build = cli._build_parser
+        monkeypatch.setattr(cli, "_build_parser", lambda argv: build(()))
+        assert got == run_parser_case(PARSER_CASES[name])
+        # argparse's wording and layout vary between Python versions
+        recorded = json.loads(PARSER_GOLDENS.read_text(encoding="utf-8"))
+        if recorded["python"] == "%d.%d" % sys.version_info[:2]:
+            assert got == recorded["cases"][name]
+
+    def test_every_case_has_a_golden(self):
+        recorded = json.loads(PARSER_GOLDENS.read_text(encoding="utf-8"))
+        assert sorted(recorded["cases"]) == sorted(PARSER_CASES)
+
+    def test_top_level_help_names_every_command(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        result = run_parser_case(["--help"])
+        assert result["code"] == 0 and result["stderr"] == ""
+        assert all(f"    {name} " in result["stdout"] for name in cli._COMMANDS)
+
+    def test_no_command_is_a_usage_error(self):
+        result = run_parser_case([])
+        assert result == {
+            "code": 64,
+            "stdout": "",
+            "stderr": "usage error: the following arguments are required: command\n",
+        }
+
+    def test_an_unknown_command_lists_all_nine(self):
+        result = run_parser_case(["nope", "--graph", "x"])
+        assert result["code"] == 64 and result["stdout"] == ""
+        assert result["stderr"].startswith("usage error: argument command: invalid choice: 'nope'")
+        assert all(name in result["stderr"] for name in cli._COMMANDS)
+
+    def test_a_tuple_argv(self, capsys):
+        assert main(("nf", "--graph", str(CORPUS / "r3.lpa"), "--expr", "x.y")) == 0
+        assert capsys.readouterr().out == "x.y\n"
+
+    def test_no_argv_reads_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["leavitt", "nf", "--graph", str(CORPUS / "r3.lpa"), "--expr", "x.y"])
+        assert main() == 0
+        assert capsys.readouterr().out == "x.y\n"
+
+    def test_a_command_builds_only_its_own_parser(self, capsys, monkeypatch):
+        built = []
+        init = cli._ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._ArgumentParser, "__init__", counting)
+        assert main(["nf", "--graph", str(CORPUS / "r3.lpa"), "--expr", "x.y"]) == 0
+        assert capsys.readouterr().out == "x.y\n"
+        assert len(built) <= 2, built
 
 
 class TestElementCommands:
@@ -646,3 +738,11 @@ class TestErrors:
         )
         assert done.returncode == 0
         assert done.stdout == b"x.y\n"
+
+
+if __name__ == "__main__":
+    os.environ["COLUMNS"] = "80"
+    cases = {name: run_parser_case(argv) for name, argv in PARSER_CASES.items()}
+    record = {"python": "%d.%d" % sys.version_info[:2], "cases": cases}
+    PARSER_GOLDENS.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {len(cases)} parser goldens to {PARSER_GOLDENS}")

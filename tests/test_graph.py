@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,8 +16,17 @@ from leavitt import (
     parse_graph,
 )
 from leavitt.algebra import _mono_product
+from leavitt.graph import _tokenize
 
-from .util import GRAPH_A, GRAPH_C, GRAPH_CHAIN, SINGLE_VERTEX, brute_out_degree, brute_paths
+from .util import (
+    GRAPH_A,
+    GRAPH_C,
+    GRAPH_CHAIN,
+    SINGLE_VERTEX,
+    brute_out_degree,
+    brute_paths,
+    reference_graph_tokens,
+)
 
 
 class TestParse:
@@ -75,6 +86,58 @@ class TestParse:
     def test_missing_brace(self):
         with pytest.raises(GraphSyntaxError, match="'}'"):
             parse_graph("graph g { vertices a;")
+
+
+def _graph_scans(text):
+    """The (kind, value, line, column) tokens of _tokenize and of the
+    character scan, or each one's error message and position."""
+
+    def scan(tokenize):
+        try:
+            return [(t.kind, t.value, t.line, t.column) for t in tokenize(text)]
+        except GraphSyntaxError as exc:
+            return (str(exc), exc.line, exc.column)
+
+    try:
+        expected = reference_graph_tokens(text)
+    except GraphSyntaxError as exc:
+        expected = (str(exc), exc.line, exc.column)
+    return scan(_tokenize), expected
+
+
+_GRAPH_TEXT = st.lists(
+    st.sampled_from(
+        ["a", "v1", "x_2", "Zq9", "graph", "edges", "->", "-", ">", "{", "}", ":", ";", "#",
+         " ", "\t", "\n", "\n\n", "\r\n", "é", "²", "0", "17"]
+    ),
+    max_size=40,
+).map("".join)
+
+
+class TestTokens:
+    """The one-pattern scan gives the character scan's tokens and errors."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(text=_GRAPH_TEXT)
+    def test_tokens_are_those_of_the_character_scan(self, text):
+        got, expected = _graph_scans(text)
+        assert got == expected
+
+    def test_whitespace_is_what_isspace_says(self):
+        spaces = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+        for ch in spaces + ["\x00", "\x7f", "\u180e", "\u200b", "\ufeff"]:
+            text = f"a{ch}b -> c"
+            got, expected = _graph_scans(text)
+            assert got == expected, repr(ch)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["", "\n\n", "# only a comment", "vertices a;  # tail", "a->b", "a - > b", "a-b", "é", "a²",
+         "graph g {\n\tvertices: a b ;\n}\n", "x: a -> b;\r\ny: b -> a;"],
+    )
+    def test_pinned_texts(self, text):
+        got, expected = _graph_scans(text)
+        assert got == expected
 
 
 def constructor_faults():

@@ -4,7 +4,7 @@ The oracles recompute expected values with set-based logic that shares no
 code with the library paths they check.
 """
 
-from leavitt import Element, ElementSyntaxError, Monomial, parse_element
+from leavitt import Element, ElementSyntaxError, GraphSyntaxError, Monomial, parse_element
 
 GRAPH_CHAIN = """
 graph chain {
@@ -175,6 +175,65 @@ def reference_tokens(text):
             continue
         raise ElementSyntaxError(f"unexpected character {ch!r}", i + 1)
     yield ("eof", "", n + 1)
+
+
+def reference_graph_tokens(text):
+    """The graph language's (kind, value, line, column) tokens, scanned one
+    character at a time: an id, '->' or one of '{}:;' (its own kind), then
+    eof; '#' starts a comment and an unexpected character raises
+    GraphSyntaxError."""
+    tokens = []
+    lines = text.splitlines()
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0]
+        col = 0
+        while col < len(line):
+            ch = line[col]
+            if ch.isspace():
+                col += 1
+                continue
+            if ch.isascii() and ch.isalpha():
+                end = col + 1
+                while end < len(line) and line[end].isascii() and (line[end].isalnum() or line[end] == "_"):
+                    end += 1
+                tokens.append(("id", line[col:end], line_no, col + 1))
+                col = end
+                continue
+            if line.startswith("->", col):
+                tokens.append(("->", "->", line_no, col + 1))
+                col += 2
+                continue
+            if ch in "{}:;":
+                tokens.append((ch, ch, line_no, col + 1))
+                col += 1
+                continue
+            raise GraphSyntaxError(f"unexpected character {ch!r}", line_no, col + 1)
+    end_line = len(lines) if lines else 1
+    end_col = len(lines[-1]) + 1 if lines else 1
+    tokens.append(("eof", "", end_line, end_col))
+    return tokens
+
+
+def reference_expand_normal(graph, mono):
+    """The Cuntz-Krieger expansion of a monomial, one rewrite at a time:
+    while both paths end in one designated edge g, emit -(a.f)(b.f)* for
+    each other edge f out of g's source, in out-edge order, and strip g
+    from both; then emit the surviving pair with +1."""
+    out = []
+    alpha, beta = mono.alpha, mono.beta
+    while alpha.edges and beta.edges:
+        last = alpha.edges[-1]
+        if beta.edges[-1].id != last.id:
+            break
+        special = graph.special_edge(last.source)
+        if special is None or special.id != last.id:
+            break
+        alpha, beta = alpha.prefix(alpha.length - 1), beta.prefix(beta.length - 1)
+        for f in graph.out_edges(last.source):
+            if f.id != last.id:
+                out.append((Monomial(alpha.extended(f), beta.extended(f)), -1))
+    out.append((Monomial(alpha, beta), 1))
+    return out
 
 
 def elem(text, graph, ring):
