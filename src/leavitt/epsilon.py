@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 
 from .algebra import Element, Monomial, enumerate_monomials
 from .graph import is_initial_subpath
-from .grading import count_Xg, decompose, enumerate_Xg
+from .grading import count_Xg, enumerate_Xg
 from .reports import Report
 from .rings import INTEGERS
 
@@ -306,24 +306,23 @@ def _check_unit(unit, side, elements):
             raise ConstructionError(f"{side} unit failed on {e}")
 
 
-def _minimal_representatives(monos):
-    """The first of monos in each minimal class among them, by real path."""
-    first = {}
-    for m in monos:
-        first.setdefault(m.alpha, m)
-    minimal = [a for a in first if not any(b is not a and is_initial_subpath(b, a) for b in first)]
-    return [first[a] for a in sorted(minimal, key=lambda p: p.sort_key())]
-
-
 def _one_sided_unit(s, side):
     """The checked unit fixing s from one side, and its representatives:
     local_units' sum over s's support, or over the adjoint's, which is the
-    swapped support since swapping keeps a monomial normal."""
+    swapped support since swapping keeps a monomial normal. One pass in
+    (real path, ghost path) order keeps a monomial unless a kept real path
+    is an initial subpath of its own, an equal one included, so each real
+    path keeps its least ghost path. A proper prefix is shorter and sorts
+    first, and by transitivity a path with a realized proper prefix has a
+    kept one, so the kept real paths are the minimal ones, in order."""
     monos = s.terms if side == "left" else [m.involution() for m in s.terms]
-    reps = tuple(_minimal_representatives(sorted(monos, key=Monomial.sort_key)))
+    reps = []
+    for m in sorted(monos, key=lambda m: (m.alpha.sort_key(), m.beta.sort_key())):
+        if not any(is_initial_subpath(r.alpha, m.alpha) for r in reps):
+            reps.append(m)
     unit = _local_unit(s.graph, s.ring, reps)
     _check_unit(unit, side, [s])
-    return unit, reps
+    return unit, tuple(reps)
 
 
 def local_units(s, degree_map):
@@ -339,7 +338,7 @@ def local_units(s, degree_map):
     """
     if s.is_zero():
         raise HomogeneityError("the zero element has no local units")
-    degrees = decompose(s, degree_map)
+    degrees = {degree_map.degree_of(m) for m in s.terms}
     if len(degrees) != 1:
         raise HomogeneityError("element is not homogeneous")
     (g,) = degrees

@@ -415,16 +415,12 @@ def parse_degree_map(text, graph, table_loader=None):
 def _parse_group_header(spec, table_loader, line_no):
     if spec == "Z":
         return IntegerGroup()
-    if spec.startswith("Z^"):
-        try:
-            return IntegerTupleGroup(int(spec[2:]))
-        except (ValueError, GroupError):
-            raise DegreeMapError(f"line {line_no}: bad group {spec!r}") from None
-    if spec.startswith("Z/"):
-        try:
-            return CyclicGroup(int(spec[2:]))
-        except (ValueError, GroupError):
-            raise DegreeMapError(f"line {line_no}: bad group {spec!r}") from None
+    for prefix, kind in (("Z^", IntegerTupleGroup), ("Z/", CyclicGroup)):
+        if spec.startswith(prefix):
+            try:
+                return kind(int(spec[len(prefix):]))
+            except (ValueError, GroupError):
+                raise DegreeMapError(f"line {line_no}: bad group {spec!r}") from None
     if spec.startswith("table"):
         filename = spec[len("table"):].strip()
         if not filename:

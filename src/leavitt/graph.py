@@ -175,7 +175,7 @@ def is_initial_subpath(a, b):
     Edge paths are compared by their edge ids, which is exact for two paths
     of one graph: its ids are unique across vertices and edges, so a vertex
     path's id key never matches an edge id. The package's one caller,
-    ``epsilon._minimal_representatives``, holds such paths: the support of
+    ``epsilon._one_sided_unit``, holds such paths: the support of
     one element. (``algebra._mono_product`` makes the same key comparison
     inline, once per product.)
     """

@@ -57,6 +57,10 @@ class CoefficientRing:
     def render(self, a):
         return str(a)
 
+    def random_scalar(self, rng):
+        """A small nonzero scalar, drawn from rng; each ring draws its own."""
+        return rng.choice([-3, -2, -1, 1, 2, 3])
+
     def __repr__(self):
         return f"{type(self).__name__}({self.name})"
 
@@ -101,6 +105,10 @@ class RationalRing(CoefficientRing):
             raise RingError("zero denominator")
         return Fraction(numerator, denominator)
 
+    def random_scalar(self, rng):
+        value = super().random_scalar(rng)
+        return Fraction(value, rng.choice([2, 3])) if rng.random() < 0.5 else value
+
 
 class IntegerModRing(CoefficientRing):
     """Integers modulo m, m >= 2; scalars are canonical residues 0..m-1."""
@@ -131,6 +139,9 @@ class IntegerModRing(CoefficientRing):
 
     def mul(self, a, b):
         return a * b % self.modulus
+
+    def random_scalar(self, rng):
+        return rng.randrange(1, self.modulus)
 
 
 INTEGERS = IntegerRing()

@@ -5,30 +5,17 @@ recorded seed. The population a sampler draws from is built once per owner
 and reused, kept on the owner by ``leavitt.grading._memo``: X_g and the
 realized degrees per DegreeMap, degree and bound, the list of all monomials
 per Graph and bound. Reuse keeps the population order, so seeded draws are
-the same as when every call rebuilt it.
+the same as when every call rebuilt it. Each ring draws its own scalars.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .algebra import Element, enumerate_monomials
 from .epsilon import HomogeneityError
 from .grading import _memo, enumerate_Xg
-from .rings import IntegerModRing, RationalRing
 
 # The most monomials in one random element.
 MAX_SUPPORT = 4
-
-
-def random_scalar(ring, rng):
-    """A small nonzero scalar of the ring."""
-    if isinstance(ring, IntegerModRing):
-        return rng.randrange(1, ring.modulus)
-    value = rng.choice([-3, -2, -1, 1, 2, 3])
-    if isinstance(ring, RationalRing) and rng.random() < 0.5:
-        return Fraction(value, rng.choice([2, 3]))
-    return value
 
 
 def random_element(graph, ring, rng, len_bound=3):
@@ -78,4 +65,4 @@ def _random_combination(graph, ring, rng, monos, least):
     random nonzero scalar."""
     k = rng.randint(least, min(MAX_SUPPORT, len(monos)))
     picks = rng.sample(monos, k)
-    return Element.from_terms(graph, ring, [(m, random_scalar(ring, rng)) for m in picks])
+    return Element.from_terms(graph, ring, [(m, ring.random_scalar(rng)) for m in picks])

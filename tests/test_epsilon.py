@@ -32,7 +32,16 @@ from leavitt import (
 from leavitt.epsilon import ConstructionError, WindowError
 
 from .test_path_table import S3, graded_cases
-from .util import GRAPH_R3, brute_first_identity_failure, brute_minimal_alphas, elem, mono
+from .util import (
+    GRAPH_C,
+    GRAPH_R3,
+    brute_first_identity_failure,
+    brute_minimal_alphas,
+    elem,
+    mono,
+    reference_local_unit,
+    reference_minimal_representatives,
+)
 
 
 def alpha_ids(cls):
@@ -299,6 +308,86 @@ class TestLocalUnits:
                 s = random_homogeneous(dm, ring, rng, len_bound=3)
                 lu = local_units(s, dm)
                 assert lu.left * s == s and s * lu.right == s
+
+
+@st.composite
+def homogeneous_elements(draw):
+    """A nonzero homogeneous element of up to 12 terms over a small graph of
+    graded_cases, which may flag a vertex: its support is drawn from the
+    monomials of one degree within bound 3 (the identity degree holds the
+    vertices), or from those of one real path, which it shares with several
+    ghost paths."""
+    dm, _ = draw(graded_cases())
+    by_degree = {}
+    for m in enumerate_monomials(dm.graph, draw(st.integers(0, 3))):
+        by_degree.setdefault(dm.degree_of(m), []).append(m)
+    monos = draw(st.sampled_from(list(by_degree.values())))
+    if draw(st.booleans()):
+        alpha = draw(st.sampled_from(monos)).alpha
+        monos = [m for m in monos if m.alpha == alpha]
+    support = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=12, unique=True))
+    scalars = draw(st.lists(st.sampled_from([-2, -1, 1, 3]), min_size=len(support), max_size=len(support)))
+    return dm, Element.from_terms(dm.graph, INTEGERS, list(zip(support, scalars)))
+
+
+def reference_units(s):
+    """(left, right, left classes, right classes) by the reference rule."""
+    left = reference_minimal_representatives(s.terms)
+    right = reference_minimal_representatives([m.involution() for m in s.terms])
+    return (
+        reference_local_unit(s.graph, s.ring, left),
+        reference_local_unit(s.graph, s.ring, right),
+        tuple(left),
+        tuple(right),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=homogeneous_elements())
+def test_local_units_keep_the_reference_representatives(case):
+    dm, s = case
+    lu = local_units(s, dm)
+    assert (lu.left, lu.right, lu.left_classes, lu.right_classes) == reference_units(s)
+
+
+@pytest.mark.parametrize(
+    "graph_name,text",
+    [
+        # two vertices, and a vertex beside a path that leaves it
+        ("r3", "a + b"),
+        ("r3", "a + 2*x.(x)* - w.(w)*"),
+        # one real path with several ghost paths, and one that extends it
+        ("r3", "x.(w.x)* + x.(z.x)* - x.y.(w.x.y)*"),
+        # three edges out of a flagged vertex
+        ("c", "f1 + f2 - f3"),
+        ("c", "f1.(f2)* + f2.(f1)* + f1.(f3)*"),
+    ],
+)
+def test_local_units_keep_the_reference_representatives_on_named_supports(graph_name, text):
+    graph = parse_graph({"r3": GRAPH_R3, "c": GRAPH_C}[graph_name])
+    s = elem(text, graph, INTEGERS)
+    lu = local_units(s, DegreeMap.canonical(graph))
+    assert (lu.left, lu.right, lu.left_classes, lu.right_classes) == reference_units(s)
+
+
+def test_local_units_decompose_nothing(dm_chain, dm_c):
+    # the degree is read from the support's monomials, with no decomposition
+    calls = []
+    original = sys.modules["leavitt.grading"].decompose
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    rng = random.Random(12)
+    samples = [(dm, random_homogeneous(dm, INTEGERS, rng, len_bound=3)) for dm in (dm_chain, dm_c) for _ in range(10)]
+    with pytest.MonkeyPatch.context() as mp:
+        for name, site in list(sys.modules.items()):
+            if name.startswith("leavitt") and getattr(site, "decompose", None) is original:
+                mp.setattr(site, "decompose", counting)
+        for dm, s in samples:
+            local_units(s, dm)
+    assert calls == []
 
 
 class TestCheckSymmetric:

@@ -190,6 +190,12 @@ class TestDegreeMap:
         with pytest.raises(DegreeMapError, match="line 2"):
             parse_degree_map("group Z\ndeg f1 = q", chain_graph)
 
+    @pytest.mark.parametrize("spec", ["Z^", "Z^0", "Z^x", "Z/", "Z/0", "Z/-2", "Z/x"])
+    def test_bad_numeric_group_headers(self, chain_graph, spec):
+        with pytest.raises(DegreeMapError) as info:
+            parse_degree_map(f"group {spec}\n", chain_graph)
+        assert str(info.value) == f"line 1: bad group {spec!r}"
+
     @pytest.mark.parametrize(
         "text,message",
         [

@@ -5,6 +5,7 @@ import random
 import weakref
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,10 +24,10 @@ from leavitt import (
     random_homogeneous,
 )
 from leavitt import sampling
-from leavitt.sampling import MAX_SUPPORT, random_scalar, realized_degrees
+from leavitt.sampling import MAX_SUPPORT, realized_degrees
 
 from .test_path_table import graded_cases
-from .util import GRAPH_R3
+from .util import GRAPH_R3, reference_random_scalar
 
 
 def reference_homogeneous(degree_map, ring, rng, degree=None, len_bound=3):
@@ -53,7 +54,19 @@ def reference_element(graph, ring, rng, len_bound=3):
 def reference_combination(graph, ring, rng, monos, least):
     k = rng.randint(least, min(MAX_SUPPORT, len(monos)))
     picks = rng.sample(list(monos), k)
-    return Element.from_terms(graph, ring, [(m, random_scalar(ring, rng)) for m in picks])
+    return Element.from_terms(graph, ring, [(m, reference_random_scalar(ring, rng)) for m in picks])
+
+
+@pytest.mark.parametrize(
+    "ring", [INTEGERS, RATIONALS, IntegerModRing(2), IntegerModRing(3), IntegerModRing(7)], ids=str
+)
+def test_each_ring_draws_its_scalars_as_the_class_dispatch_did(ring):
+    for seed in range(200):
+        own, reference = random.Random(seed), random.Random(seed)
+        draws = [ring.random_scalar(own) for _ in range(10)]
+        expected = [reference_random_scalar(ring, reference) for _ in range(10)]
+        assert [(type(x), x) for x in draws] == [(type(x), x) for x in expected]
+        assert own.getstate() == reference.getstate()
 
 
 def outcome(draw, *args, **kwargs):

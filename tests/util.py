@@ -4,7 +4,17 @@ The oracles recompute expected values with set-based logic that shares no
 code with the library paths they check.
 """
 
-from leavitt import Element, ElementSyntaxError, GraphSyntaxError, Monomial, parse_element
+from fractions import Fraction
+
+from leavitt import (
+    Element,
+    ElementSyntaxError,
+    GraphSyntaxError,
+    IntegerModRing,
+    Monomial,
+    RationalRing,
+    parse_element,
+)
 
 GRAPH_CHAIN = """
 graph chain {
@@ -314,3 +324,40 @@ def reference_minimal_classes(degree_map, g, bound):
     else:
         verdict = "complete" if frontier_ok else "bound-exhausted"
     return classes, verdict, witness
+
+
+def reference_minimal_representatives(monos):
+    """The representatives of a support's minimal real paths, by the rule
+    that preceded the one-pass scan: sort by Monomial.sort_key, keep the
+    first monomial per real path, drop every real path that has another one
+    as a prefix, and sort what is left by real path."""
+
+    def is_prefix(a, b):
+        ids = [e.id for e in a.edges]
+        return a.source.id == b.source.id and [e.id for e in b.edges[: len(ids)]] == ids
+
+    first = {}
+    for m in sorted(monos, key=Monomial.sort_key):
+        first.setdefault(m.alpha, m)
+    minimal = [a for a in first if not any(b is not a and is_prefix(b, a) for b in first)]
+    return [first[a] for a in sorted(minimal, key=lambda p: p.sort_key())]
+
+
+def reference_local_unit(graph, ring, representatives):
+    """The sum of (a b*)(b a*) = a a* over the representatives a b*, by
+    products and sums of elements."""
+    unit = Element.zero(graph, ring)
+    for rep in representatives:
+        unit = unit + Element.monomial(graph, ring, rep) * Element.monomial(graph, ring, rep.involution())
+    return unit
+
+
+def reference_random_scalar(ring, rng):
+    """A small nonzero scalar of the ring, by the dispatch on ring classes
+    that preceded each ring's own random_scalar."""
+    if isinstance(ring, IntegerModRing):
+        return rng.randrange(1, ring.modulus)
+    value = rng.choice([-3, -2, -1, 1, 2, 3])
+    if isinstance(ring, RationalRing) and rng.random() < 0.5:
+        return Fraction(value, rng.choice([2, 3]))
+    return value
