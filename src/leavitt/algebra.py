@@ -189,19 +189,22 @@ def _mono_product(m1, m2):
     return Monomial._same_range(m1.alpha, m2.beta.joined(b, k))
 
 
+def _fold(ring, acc, m, c):
+    """Add the ring element c to the coefficient of m in the term map acc;
+    a term that cancels to zero leaves it."""
+    cur = ring.add(acc.get(m, ring.zero), c)
+    if ring.is_zero(cur):
+        acc.pop(m, None)
+    else:
+        acc[m] = cur
+
+
 def _add_normal(graph, ring, acc, mono, c):
     """Fold c, a nonzero ring element, times the normal form of mono into
-    the term map acc; a term that cancels to zero leaves it."""
-    if mono.is_normal(graph):
-        pieces = ((mono, 1),)
-    else:
-        pieces = _expand_normal(graph, mono)
+    the term map acc."""
+    pieces = ((mono, 1),) if mono.is_normal(graph) else _expand_normal(graph, mono)
     for m, sign in pieces:
-        cur = ring.add(acc.get(m, ring.zero), c if sign > 0 else ring.neg(c))
-        if ring.is_zero(cur):
-            acc.pop(m, None)
-        else:
-            acc[m] = cur
+        _fold(ring, acc, m, c if sign > 0 else ring.neg(c))
 
 
 class Element:
@@ -226,14 +229,9 @@ class Element:
     @classmethod
     def from_terms(cls, graph, ring, items):
         """Normal form of a raw combination of (monomial, scalar) pairs."""
-        return cls._normal(graph, ring, [(m, ring.coerce(c)) for m, c in items])
-
-    @classmethod
-    def _normal(cls, graph, ring, items):
-        """Normal form of (monomial, coefficient) pairs, each coefficient a
-        ring element: ``from_terms`` coerces first, the involution does not."""
         acc = {}
         for mono, c in items:
+            c = ring.coerce(c)
             if not ring.is_zero(c):
                 _add_normal(graph, ring, acc, mono, c)
         return cls(graph, ring, acc)
@@ -286,11 +284,7 @@ class Element:
         ring = self.ring
         acc = dict(self.terms)
         for m, c in other.terms.items():
-            cur = ring.add(acc.get(m, ring.zero), c)
-            if ring.is_zero(cur):
-                acc.pop(m, None)
-            else:
-                acc[m] = cur
+            _fold(ring, acc, m, c)
         return Element(self.graph, ring, acc)
 
     def __neg__(self):
@@ -335,10 +329,12 @@ class Element:
         return self.scaled(scalar)
 
     def involution(self):
-        """Term-by-term adjoint: (a b*)* = b a*, coefficients unchanged."""
-        return Element._normal(
-            self.graph, self.ring, [(m.involution(), c) for m, c in self.terms.items()]
-        )
+        """Term-by-term adjoint: (a b*)* = b a*, coefficients unchanged.
+
+        No normalizing pass is needed: a b* is normal unless both its paths
+        end in one designated edge, a test symmetric in a and b, and the
+        swap is its own inverse, so distinct terms stay distinct."""
+        return Element(self.graph, self.ring, {m.involution(): c for m, c in self.terms.items()})
 
     def __eq__(self, other):
         return (
@@ -386,11 +382,7 @@ def normal_form_shuffled(graph, ring, items, rng):
     while work:
         mono, c = work.pop(rng.randrange(len(work)))
         if mono.is_normal(graph):
-            cur = ring.add(done.get(mono, ring.zero), c)
-            if ring.is_zero(cur):
-                done.pop(mono, None)
-            else:
-                done[mono] = cur
+            _fold(ring, done, mono, c)
             continue
         last = mono.alpha.edges[-1]
         a2 = mono.alpha.prefix(mono.alpha.length - 1)
@@ -431,13 +423,13 @@ def enumerate_monomials(graph, len_bound):
 # real path or a ghost path, and only the path relations act inside a word,
 # so a word, any product of generators, folds to one raw monomial a b* or to
 # 0; "f2.(f4.f3)*" is the monomial with real part f2 and ghost part f4.f3.
-# The tokenizer scans each '.'-joined run of ASCII names, each optionally
-# starred, as one "run" token with one compiled match, and the parser reads
-# a run one name at a time. A run must end where a name ends: when a name
-# goes on past it, as in "x.yé", the run is that one name, scanned a
-# character at a time, with its star. A star apart from its name, as in
-# "x *", is its own token, and the word reader applies it to the last name
-# of the run before it.
+# The tokenizer scans each '.'-joined run of names, each optionally starred,
+# as one "run" token with one compiled match, and the parser reads a run one
+# name at a time. A name is a letter, then `\w` (exactly isalnum() or '_');
+# a run starts at an ASCII letter, and a name that starts at another letter,
+# as in "é1", is matched on its own. A star apart from its name, as in "x *",
+# is its own token, and the word reader applies it to the last name of the
+# run before it.
 # The word is read left to right one edge at a time (see `_ExprParser._word`):
 # a ghost edge joins b, and a real edge cancels the first edge of b, or
 # makes the word 0 if it is another edge, or joins a once b is a vertex.
@@ -448,13 +440,14 @@ _EXPR_SYMBOLS = "+-*/.()"
 
 # At most 64 names per run: one match keeps state for each repetition of its
 # group, so a longer run is scanned as several runs joined by '.' tokens.
-_RUN_NAME = r"[A-Za-z][A-Za-z0-9_]*\*?"
+_RUN_NAME = r"[A-Za-z]\w*\*?"
 _RUN_RE = re.compile(rf"{_RUN_NAME}(?:\.{_RUN_NAME}){{0,63}}")
+_NAME_TAIL_RE = re.compile(r"\w*\*?")
 
 
 def _tokenize_expr(text):
     """The (kind, text, column) tokens of text, one at a time, then eof."""
-    match_run = _RUN_RE.match
+    match_run, match_tail = _RUN_RE.match, _NAME_TAIL_RE.match
     i = 0
     n = len(text)
     while i < n:
@@ -471,16 +464,7 @@ def _tokenize_expr(text):
             i = j
             continue
         if ch.isalpha():
-            run = match_run(text, i)
-            j = i if run is None else run.end()
-            if j == i or (j < n and (text[j].isalnum() or text[j] == "_")):
-                # a name goes on past the ASCII run, as in "x.yé" or "x*y":
-                # scan one name and its star a character at a time instead
-                j = i + 1
-                while j < n and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                if j < n and text[j] == "*":
-                    j += 1
+            j = (match_run(text, i) or match_tail(text, i + 1)).end()
             yield ("run", text[i:j], i + 1)
             i = j
             continue

@@ -171,7 +171,7 @@ def _parse_window(text, group):
         return group.window(lo, hi)
     except GroupError as exc:
         raise UsageError(str(exc)) from None
-    except OverflowError:
+    except (OverflowError, MemoryError):
         raise UsageError(f"window {spec!r} has too many degrees to list") from None
 
 

@@ -231,7 +231,7 @@ def _sibling_witness(graph, classes):
             if len(diff) != 1:
                 continue
             ea, eb = a.edges[diff[0]], b.edges[diff[0]]
-            if ea.source == eb.source and graph.is_flagged(ea.source):
+            if ea.source == eb.source and ea.source in graph.infinite_emitters:
                 return (classes[i], classes[j])
     return None
 

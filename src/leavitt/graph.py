@@ -52,6 +52,19 @@ class Edge:
         return f"Edge({self.id}: {self.source.id} -> {self.range.id})"
 
 
+def _check_junction(end, edges, edge):
+    """Raise GraphError unless edge can follow a path that ends at the vertex
+    end. The message names the last of edges, the path's edges so far, or
+    its base when there are none. The vertices compare by ``is``, then by
+    id: a ``Vertex``'s only field is its id, so that is exactly vertex
+    equality, without the dataclass ``__eq__``."""
+    source = edge.source
+    if end is not source and end.id != source.id:
+        if not edges:
+            raise GraphError(f"path base {end.id} is not the source of edge {edge.id}")
+        raise GraphError(f"edges {edges[-1].id} and {edge.id} do not compose")
+
+
 class Path:
     """A vertex (length 0) or a chain of composable edges.
 
@@ -62,9 +75,8 @@ class Path:
     from outside. A path derived from a valid one (``prefix``, ``extended``,
     ``joined``) checks only the new junction and extends the parent's id key
     instead of rebuilding it, so building an n-edge path one edge at a time
-    costs O(n) interpreter steps, not O(n^2). The junction test compares the
-    two vertices by ``is``, then by id: a ``Vertex``'s only field is its id,
-    so that is exactly vertex equality, without the dataclass ``__eq__``.
+    costs O(n) interpreter steps, not O(n^2). Every junction is checked by
+    ``_check_junction``.
     """
 
     __slots__ = ("base", "edges", "_key", "_hash")
@@ -75,14 +87,10 @@ class Path:
             if not edges:
                 raise GraphError("a path needs a base vertex or at least one edge")
             base = edges[0].source
-        if edges:
-            if base != edges[0].source:
-                raise GraphError(
-                    f"path base {base.id} is not the source of edge {edges[0].id}"
-                )
-            for a, b in zip(edges, edges[1:]):
-                if a.range != b.source:
-                    raise GraphError(f"edges {a.id} and {b.id} do not compose")
+        end, prior = base, ()
+        for e in edges:
+            _check_junction(end, prior, e)
+            end, prior = e.range, (e,)
         self._set(base, edges, tuple(e.id for e in edges))
 
     def _set(self, base, edges, ids):
@@ -101,15 +109,6 @@ class Path:
 
     def _edge_ids(self):
         return self._key[1] if self.edges else ()
-
-    def _check_junction(self, edge):
-        """Raise GraphError unless edge can follow this path."""
-        source = edge.source
-        end = self.range
-        if end is not source and end.id != source.id:
-            if not self.edges:
-                raise GraphError(f"path base {end.id} is not the source of edge {edge.id}")
-            raise GraphError(f"edges {self.edges[-1].id} and {edge.id} do not compose")
 
     @property
     def length(self):
@@ -132,7 +131,7 @@ class Path:
 
     def extended(self, edge):
         """This path followed by edge."""
-        self._check_junction(edge)
+        _check_junction(self.range, self.edges, edge)
         return Path._derived(
             self.base, self.edges + (edge,), self._edge_ids() + (edge.id,)
         )
@@ -142,7 +141,7 @@ class Path:
         tail = other.edges[k:]
         if not tail:
             return self
-        self._check_junction(tail[0])
+        _check_junction(self.range, self.edges, tail[0])
         return Path._derived(
             self.base, self.edges + tail, self._edge_ids() + other._key[1][k:]
         )
@@ -194,8 +193,7 @@ class Graph:
     the first bad argument as culprit; it sorts by id only after that.
     """
 
-    def __init__(self, vertices, edges, infinite_emitters=(), name=""):
-        self.name = name
+    def __init__(self, vertices, edges, infinite_emitters=()):
         self._vertex_by_id = {}
         for v in vertices:
             if v.id in self._vertex_by_id:
@@ -245,9 +243,6 @@ class Graph:
 
     def out_edges(self, v):
         return self._out[v.id]
-
-    def is_flagged(self, v):
-        return v in self.infinite_emitters
 
     def sinks(self):
         """Vertices with no outgoing edges at all."""
@@ -380,11 +375,10 @@ def parse_graph(text):
     the first bad declaration as a GraphSyntaxError at its culprit's token.
     """
     p = _Parser(_tokenize(text))
-    name = ""
     braced = False
     if p.peek().kind == "id" and p.peek().value == "graph":
         p.next()
-        name = p.expect("id", "a graph name").value
+        p.expect("id", "a graph name")
         p.expect("{")
         braced = True
 
@@ -451,7 +445,7 @@ def parse_graph(text):
 
     edges = [declare(Edge(eid.value, endpoint(src), endpoint(rng)), eid) for eid, src, rng in edge_decls]
     try:
-        return Graph(vertices, edges, flags, name=name)
+        return Graph(vertices, edges, flags)
     except GraphError as exc:
         tok = token_of[id(exc.culprit)]
         raise GraphSyntaxError(str(exc), tok.line, tok.column) from None

@@ -721,7 +721,7 @@ _RUN_NAMES = st.sampled_from(
     ["x", "y", "z", "w", "t", "a", "b", "qq", "f1", "A_9", "x*", "w*", "c*", "w *", "y\t*", "a *", "x * "]
 )
 _EXPR_TEXT = st.lists(
-    st.text(alphabet="xyzwtabQ019_.*() \u00b2\u0663\u00e9", max_size=12)
+    st.text(alphabet="xyzwtabQ019_.*() \u00b2\u0663\u00e9\u0301\u00bd\u2167\u00aa\u01c5\uff10\U0001d7ce", max_size=12)
     | st.lists(_RUN_NAMES, min_size=1, max_size=150).map(".".join)
     | st.builds(lambda n, seed: ".".join(_r3_walk(R3, n, seed)), st.integers(1, 150), st.integers(0, 99)),
     max_size=4,
@@ -732,9 +732,11 @@ _UNKNOWN_IN_A_LONG_RUN = ".".join(_r3_walk(R3, 149, 5) + ["qq"] + _r3_walk(R3, 5
 
 
 class TestRunTokens:
-    """A '.'-joined run of ASCII names is scanned as one token and read one
-    name at a time, with the tokens of the character scan and the values
-    and errors of one name per token with every star apart from its name."""
+    """A '.'-joined run of names is scanned as one token and read one name
+    at a time, with the tokens of the character scan and the values and
+    errors of one name per token with every star apart from its name. The
+    text mixes in non-ASCII letters, digits and numerals, and a combining
+    mark, which is no name character."""
 
     @settings(max_examples=400, deadline=None)
     @given(text=_EXPR_TEXT)

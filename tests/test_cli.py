@@ -591,6 +591,26 @@ class TestErrors:
         assert code == 64 and out == ""
         assert err == f"usage error: window '{window}' has too many degrees to list\n"
 
+    def test_window_past_the_memory_limit_is_a_usage_error(self):
+        # a range of 10^10 has a length, but its list does not fit under a
+        # 1 GB address-space limit, which the child sets on itself first
+        window = "0..10000000000"
+        code = (
+            "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (10 ** 9, 10 ** 9)); "
+            "from leavitt.cli import main; sys.exit(main(['check', '--graph', 'tests/cli_corpus/r3.lpa', "
+            f"'--property', 'epsilon-strong', '--window={window}', '--bound', '2']))"
+        )
+        src = str(Path(leavitt.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            cwd=Path(__file__).resolve().parents[1],
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=60,
+        )
+        assert (done.returncode, done.stdout) == (64, b"")
+        assert done.stderr.decode() == f"usage error: window '{window}' has too many degrees to list\n"
+
     def test_parse_error_names_token(self, capsys, graph_file):
         code, _, err = run(capsys, "nf", "--graph", graph_file, "--expr", "f9")
         assert code == 65

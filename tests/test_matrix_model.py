@@ -16,6 +16,8 @@ r(q) = r(p) and deg p - deg q = g, since S_g is spanned by those E[p, q];
 the grading is strong on a window exactly when each of those projections
 is the identity. A parsed word must map to the product of its atoms'
 matrices, which checks the element parser without any monomial product.
+The algebra has finite dimension, so a Frobenius system is verified on the
+whole monomial basis, whose size the model gives.
 
 Standard library only: cases come from seeded ``random.Random`` streams.
 """
@@ -36,9 +38,12 @@ from leavitt import (
     Monomial,
     Path,
     Vertex,
+    build_frobenius_system,
     check_strongly_graded,
+    enumerate_monomials,
     epsilon,
     parse_element,
+    verify_frobenius,
 )
 
 # ring name -> (ring, modulus of its scalars, or None)
@@ -307,6 +312,25 @@ def test_epsilon_is_the_projection_onto_realized_sink_paths():
             assert model.phi(report.epsilon) == expected, (graph.edges, degrees, g)
             cases += 1
     assert cases == 200 * (7 + 2 + 3)
+
+
+def test_frobenius_reproduces_the_whole_monomial_basis():
+    """Under Z/2 and Z/3 at bound L + 1 every e_g is PRESENT (see above), so
+    the Frobenius system builds, and it must reproduce every element of the
+    monomial basis, whose size is the model's dimension, sum of n(w)^2."""
+    verified = 0
+    for graph, ring, model, bound, dm, degrees, modulus, window in graded_cases(100, seed=5):
+        if modulus is None:
+            continue
+        sink_paths = [model.range(p) for p in model.paths if not model.out[model.range(p)]]
+        basis = enumerate_monomials(graph, bound)
+        assert len(basis) == sum(sink_paths.count(w) ** 2 for w in set(sink_paths)), graph.edges
+        samples = [Element.monomial(graph, ring, m) for m in basis]
+        report = verify_frobenius(build_frobenius_system(dm, bound, ring), samples)
+        assert report.verdict == "PASS", (graph.edges, degrees, report.fields)
+        assert report.fields["samples-verified"] == len(basis)
+        verified += 1
+    assert verified == 100 * 2
 
 
 def test_strongly_graded_exactly_when_every_projection_is_the_identity():

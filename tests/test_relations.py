@@ -1,0 +1,141 @@
+"""Metamorphic relations of the local identities, which need no oracle.
+
+Renaming a graph's ids and shuffling its declaration order changes no
+verdict and no minimal class, and each local identity e_g follows the ids.
+The designated edge of a vertex is its smallest edge id, so a renaming
+moves it; e_g is compared after ``Element.from_terms`` in the renamed graph
+brings it to the normal form there. A disjoint union E + F has
+e_g(E + F) = e_g(E) + e_g(F), at every bound, since no path crosses a
+component: its degree verdict is PRESENT when both are, ABSENT when either
+is, and UNDETERMINED otherwise.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from leavitt import (
+    INTEGERS,
+    CyclicGroup,
+    DegreeMap,
+    Edge,
+    Element,
+    Graph,
+    IntegerGroup,
+    IntegerModRing,
+    Monomial,
+    Path,
+    Vertex,
+    epsilon,
+)
+
+# group, edge degrees drawn from, degrees g checked
+GRADINGS = {
+    "Z": (IntegerGroup(), st.integers(-2, 2), range(-3, 4)),
+    "Z/3": (CyclicGroup(3), st.integers(0, 2), range(3)),
+}
+RINGS = st.sampled_from([INTEGERS, IntegerModRing(3)])
+
+# new ids for the at most seven ids of one graph, in every lexical order
+NAMES = ("a", "b", "b1", "c_", "Q", "x9", "y", "z")
+
+
+@st.composite
+def graph_specs(draw):
+    """(vertex ids, (edge id, source id, range id) triples, flagged ids) of a
+    graph on up to three vertices with up to four edges; a vertex that emits
+    two or more edges may be flagged."""
+    n = draw(st.integers(1, 3))
+    ends = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=4))
+    emitters = sorted({s for s, _ in ends if sum(x == s for x, _ in ends) >= 2})
+    flags = [f"v{s}" for s in emitters if draw(st.booleans())]
+    edges = [(f"e{i}", f"v{s}", f"v{t}") for i, (s, t) in enumerate(ends)]
+    return [f"v{i}" for i in range(n)], edges, flags
+
+
+def build(vertex_ids, edges, flags, name=str):
+    """The graph of a spec, declared in the order given, each id renamed."""
+    vertices = {v: Vertex(name(v)) for v in vertex_ids}
+    return Graph(
+        list(vertices.values()),
+        [Edge(name(e), vertices[s], vertices[t]) for e, s, t in edges],
+        [vertices[v] for v in flags],
+    )
+
+
+def carried(x, graph, name=str):
+    """The element of graph whose raw terms are x's with every id renamed."""
+
+    def path(p):
+        return Path(graph.vertex(name(p.base.id)), [graph.edge(name(e.id)) for e in p.edges])
+
+    terms = [(Monomial(path(m.alpha), path(m.beta)), c) for m, c in x.terms.items()]
+    return Element.from_terms(graph, x.ring, terms)
+
+
+def class_paths(rep, name=str):
+    """The real path of each minimal class: its renamed source and edge ids."""
+    return {tuple(map(name, [c.alpha.base.id] + [e.id for e in c.alpha.edges])) for c in rep.minimal.classes}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    spec=graph_specs(),
+    grading=st.sampled_from(sorted(GRADINGS)),
+    bound=st.integers(1, 3),
+    ring=RINGS,
+    data=st.data(),
+)
+def test_renaming_ids_and_reordering_declarations_carries_every_epsilon(spec, grading, bound, ring, data):
+    vertex_ids, edges, flags = spec
+    group, edge_degree, window = GRADINGS[grading]
+    degrees = {e: data.draw(edge_degree) for e, _, _ in edges}
+    new = dict(zip(vertex_ids + [e for e, _, _ in edges], data.draw(st.permutations(NAMES))))
+    graph = build(vertex_ids, edges, flags)
+    renamed = build(
+        data.draw(st.permutations(vertex_ids)), data.draw(st.permutations(edges)), flags, new.get
+    )
+    dm = DegreeMap(graph, group, degrees)
+    dm_renamed = DegreeMap(renamed, group, {new[e]: d for e, d in degrees.items()})
+    for g in window:
+        rep, rep_renamed = epsilon(g, dm, bound, ring), epsilon(g, dm_renamed, bound, ring)
+        assert rep_renamed.minimal.verdict == rep.minimal.verdict, g
+        assert rep_renamed.identity_checked_on == rep.identity_checked_on, g
+        assert class_paths(rep_renamed) == class_paths(rep, new.get), g
+        if rep.present:
+            assert rep_renamed.epsilon == carried(rep.epsilon, renamed, new.get), g
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    left=graph_specs(),
+    right=graph_specs(),
+    grading=st.sampled_from(sorted(GRADINGS)),
+    bound=st.integers(1, 3),
+    ring=RINGS,
+    data=st.data(),
+)
+def test_epsilon_of_a_disjoint_union_is_the_sum_over_its_components(left, right, grading, bound, ring, data):
+    group, edge_degree, window = GRADINGS[grading]
+
+    def right_id(i):
+        return "r" + i
+
+    specs = ((left, str), (right, right_id))
+    degrees = {name(e): data.draw(edge_degree) for (_, edges, _), name in specs for e, _, _ in edges}
+    parts = [build(*spec, name) for spec, name in specs]
+    union = build(
+        [name(v) for (vertex_ids, _, _), name in specs for v in vertex_ids],
+        [tuple(map(name, e)) for (_, edges, _), name in specs for e in edges],
+        [name(v) for (_, _, flags), name in specs for v in flags],
+    )
+    part_maps = [DegreeMap(p, group, {e.id: degrees[e.id] for e in p.edges}) for p in parts]
+    union_map = DegreeMap(union, group, degrees)
+    for g in window:
+        reps = [epsilon(g, dm, bound, ring) for dm in part_maps]
+        whole = epsilon(g, union_map, bound, ring)
+        verdicts = {rep.verdict for rep in reps}
+        if verdicts == {"PRESENT"}:
+            assert whole.verdict == "PRESENT", g
+            assert whole.epsilon == carried(reps[0].epsilon, union) + carried(reps[1].epsilon, union), g
+        else:
+            assert whole.verdict == ("ABSENT" if "ABSENT" in verdicts else "UNDETERMINED"), g
