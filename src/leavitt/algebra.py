@@ -199,11 +199,16 @@ def _fold(ring, acc, m, c):
         acc[m] = cur
 
 
+def _normal_pieces(graph, mono):
+    """The (normal monomial, +1/-1) terms whose sum is the normal form of
+    mono: mono alone when it is normal, else its rewrite terms."""
+    return ((mono, 1),) if mono.is_normal(graph) else _expand_normal(graph, mono)
+
+
 def _add_normal(graph, ring, acc, mono, c):
     """Fold c, a nonzero ring element, times the normal form of mono into
     the term map acc."""
-    pieces = ((mono, 1),) if mono.is_normal(graph) else _expand_normal(graph, mono)
-    for m, sign in pieces:
+    for m, sign in _normal_pieces(graph, mono):
         _fold(ring, acc, m, c if sign > 0 else ring.neg(c))
 
 

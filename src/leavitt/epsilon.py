@@ -33,9 +33,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .algebra import Element, Monomial, enumerate_monomials
+from .algebra import Element, Monomial, _fold, _normal_pieces, enumerate_monomials
 from .graph import is_initial_subpath
-from .grading import count_Xg, enumerate_Xg
+from .grading import _memo, count_Xg, enumerate_Xg
 from .reports import Report
 from .rings import INTEGERS
 
@@ -237,11 +237,25 @@ def _sibling_witness(graph, classes):
 
 
 def _local_unit(graph, ring, representatives):
-    """The sum of n(rep) over the representatives, normalized once: normal
-    forms are linear, so this is the sum of the nmap values."""
-    return Element.from_terms(
-        graph, ring, [(Monomial._same_range(rep.alpha, rep.alpha), 1) for rep in representatives]
-    )
+    """The sum of n(rep) = a a* over the representatives' real paths a.
+
+    The normal form of a a* does not depend on the ring: it is a a* itself,
+    or its rewrite terms when a ends in a designated edge. The graph keeps
+    those signed pieces per real path, in a dict kept by ``_memo``, so each
+    path is rewritten once per graph, and each unit folds its paths' pieces
+    with the ring's one and minus one into one term map."""
+    pieces = _memo(graph, "n-pieces", dict)
+    one = ring.one
+    minus_one = ring.neg(one)
+    acc = {}
+    for rep in representatives:
+        a = rep.alpha
+        n = pieces.get(a)
+        if n is None:
+            n = pieces[a] = _normal_pieces(graph, Monomial._same_range(a, a))
+        for m, sign in n:
+            _fold(ring, acc, m, one if sign > 0 else minus_one)
+    return Element(graph, ring, acc)
 
 
 def _certificate(graph, ring, representatives):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Element
+from .algebra import Element, _fold
 from .epsilon import ConstructionError, _window_walk
 from .grading import decompose
 from .reports import Report
@@ -51,6 +51,15 @@ def projection_e(a, degree_map):
     )
 
 
+def _sum(graph, ring, elements):
+    """The sum of the elements, folded in order into one term map."""
+    acc = {}
+    for e in elements:
+        for m, c in e.terms.items():
+            _fold(ring, acc, m, c)
+    return Element(graph, ring, acc)
+
+
 def build_frobenius_system(degree_map, len_bound, ring=INTEGERS):
     """Assemble the dual pairs from every degree's local-identity certificate.
 
@@ -77,12 +86,8 @@ def build_frobenius_system(degree_map, len_bound, ring=INTEGERS):
         epsilons[rep.degree] = rep.epsilon
         pairs.extend(rep.certificate)
 
-    total = Element.zero(graph, ring)
-    for x, y in pairs:
-        total = total + x * y
-    eps_sum = Element.zero(graph, ring)
-    for e in epsilons.values():
-        eps_sum = eps_sum + e
+    total = _sum(graph, ring, (x * y for x, y in pairs))
+    eps_sum = _sum(graph, ring, epsilons.values())
     if total != eps_sum:
         raise ConstructionError(
             f"pair products {total} do not sum to the local identities {eps_sum}"
@@ -115,11 +120,8 @@ def verify_frobenius(system, samples, bimodule_triples=(), seed=None):
 
     checked = 0
     for s in samples:
-        left = Element.zero(graph, ring)
-        right = Element.zero(graph, ring)
-        for x, y in system.pairs:
-            left = left + x * projection_e(y * s, dm)
-            right = right + projection_e(s * x, dm) * y
+        left = _sum(graph, ring, (x * projection_e(y * s, dm) for x, y in system.pairs))
+        right = _sum(graph, ring, (projection_e(s * x, dm) * y for x, y in system.pairs))
         if left != s or right != s:
             which = "x_j E(y_j s)" if left != s else "E(s x_j) y_j"
             fields["witness"] = {

@@ -58,7 +58,8 @@ class CoefficientRing:
         return str(a)
 
     def random_scalar(self, rng):
-        """A small nonzero scalar, drawn from rng; each ring draws its own."""
+        """A small nonzero ring element, drawn from rng; each ring draws its
+        own, and none needs ``coerce``."""
         return rng.choice([-3, -2, -1, 1, 2, 3])
 
     def __repr__(self):
@@ -107,7 +108,7 @@ class RationalRing(CoefficientRing):
 
     def random_scalar(self, rng):
         value = super().random_scalar(rng)
-        return Fraction(value, rng.choice([2, 3])) if rng.random() < 0.5 else value
+        return Fraction(value, rng.choice([2, 3])) if rng.random() < 0.5 else Fraction(value)
 
 
 class IntegerModRing(CoefficientRing):

@@ -62,7 +62,9 @@ def random_homogeneous(degree_map, ring, rng, degree=None, len_bound=3):
 
 def _random_combination(graph, ring, rng, monos, least):
     """Between least and MAX_SUPPORT distinct monomials of monos, each with a
-    random nonzero scalar."""
+    random nonzero scalar. The picks are distinct normal monomials and each
+    scalar is a nonzero ring element, so the term map is already in normal
+    form and is built as drawn."""
     k = rng.randint(least, min(MAX_SUPPORT, len(monos)))
     picks = rng.sample(monos, k)
-    return Element.from_terms(graph, ring, [(m, ring.random_scalar(rng)) for m in picks])
+    return Element(graph, ring, {m: ring.random_scalar(rng) for m in picks})

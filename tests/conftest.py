@@ -1,4 +1,18 @@
+import warnings
+
 import pytest
+
+# Hypothesis imports its patch writer when it reports a falsifying example.
+# With libcst installed that import warns (mypy_extensions.TypedDict is
+# deprecated), and under `-W error` the warning turns the report into a
+# pytest INTERNALERROR that hides the example. Import it once, up front,
+# ignoring only that category of warning.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 from leavitt import INTEGERS, RATIONALS, DegreeMap, IntegerModRing, parse_graph
 

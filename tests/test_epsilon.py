@@ -12,6 +12,8 @@ from leavitt import (
     EpsilonUnavailableError,
     HomogeneityError,
     INTEGERS,
+    RATIONALS,
+    IntegerModRing,
     build_frobenius_system,
     check_epsilon_strong,
     check_nearly_epsilon,
@@ -29,9 +31,11 @@ from leavitt import (
     parse_graph,
     random_homogeneous,
 )
-from leavitt.epsilon import ConstructionError, WindowError
+from leavitt import algebra
+from leavitt.epsilon import ConstructionError, WindowError, _local_unit
 
 from .test_path_table import S3, graded_cases
+from .test_relations import build, graph_specs
 from .util import (
     GRAPH_C,
     GRAPH_R3,
@@ -388,6 +392,46 @@ def test_local_units_decompose_nothing(dm_chain, dm_c):
         for dm, s in samples:
             local_units(s, dm)
     assert calls == []
+
+
+UNIT_RINGS = st.sampled_from([INTEGERS, RATIONALS, IntegerModRing(2), IntegerModRing(3)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=graph_specs(), rings=st.tuples(UNIT_RINGS, UNIT_RINGS), bound=st.integers(0, 3), data=st.data())
+def test_local_unit_from_kept_pieces_is_the_reference_sum(spec, rings, bound, data):
+    # a fresh graph keeps no n(a) pieces; the second list repeats the first
+    # list's paths, which are then read from the pieces kept under the first
+    # ring, perhaps another
+    graph = build(*spec)
+    monos = st.sampled_from(enumerate_monomials(graph, bound))
+    first = data.draw(st.lists(monos, max_size=6))
+    second = data.draw(st.permutations(first + data.draw(st.lists(monos, max_size=4))))
+    for ring, reps in zip(rings, (first, second)):
+        assert _local_unit(graph, ring, reps) == reference_local_unit(graph, ring, reps)
+
+
+def test_a_repeated_real_path_is_rewritten_once_per_graph(monkeypatch):
+    # x.t ends in t, the designated edge at b, which also emits y, and z is
+    # the only edge out of c, so n(x.t) = x.(x)* - x.y.(x.y)* and n(z) = c
+    # are rewrites; the right units' one class is the vertex a. The second
+    # sample, over another ring, has the same real paths.
+    calls = []
+    original = algebra._expand_normal
+
+    def counting(graph, m):
+        calls.append(sys._getframe(2).f_code.co_name)  # the caller of _normal_pieces
+        return original(graph, m)
+
+    monkeypatch.setattr(algebra, "_expand_normal", counting)
+    graph = parse_graph(GRAPH_R3)
+    dm = DegreeMap.canonical(graph)
+    for ring, text, rewrites in ((IntegerModRing(3), "x.t.(w)* + 2*z", 2), (INTEGERS, "3*x.t.(w)* - z", 0)):
+        calls.clear()
+        s = elem(text, graph, ring)
+        lu = local_units(s, dm)
+        assert calls.count("_local_unit") == rewrites, ring
+        assert (lu.left, lu.right, lu.left_classes, lu.right_classes) == reference_units(s), ring
 
 
 class TestCheckSymmetric:

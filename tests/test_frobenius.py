@@ -177,7 +177,19 @@ class TestVerify:
         e = elem("f", graph_b, ring)
         report = verify_frobenius(corrupted, [e])
         assert report.verdict == "FAIL"
-        assert "witness" in report.fields
+        # the first failing sample, identity and reconstruction, which the
+        # order of the sums decides
+        assert report.fields["witness"] == {
+            "element": "f",
+            "identity": "E(s x_j) y_j",
+            "reconstructed": "0",
+        }
+        report = verify_frobenius(corrupted, [elem("e", graph_b, ring), elem("e + f", graph_b, ring)])
+        assert report.fields["witness"] == {
+            "element": "e + f",
+            "identity": "E(s x_j) y_j",
+            "reconstructed": "e",
+        }
 
     def test_trace_name(self, dm_b_mod2, graph_b, ring):
         system = build_frobenius_system(dm_b_mod2, 4, ring)

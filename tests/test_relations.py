@@ -7,7 +7,9 @@ moves it; e_g is compared after ``Element.from_terms`` in the renamed graph
 brings it to the normal form there. A disjoint union E + F has
 e_g(E + F) = e_g(E) + e_g(F), at every bound, since no path crosses a
 component: its degree verdict is PRESENT when both are, ABSENT when either
-is, and UNDETERMINED otherwise.
+is, and UNDETERMINED otherwise. An automorphism sigma of the group gives the
+degree map sigma.deg, whose degree sigma(g) holds exactly the monomials of
+degree g, so its epsilon at sigma(g) is epsilon_g, with the same classes.
 """
 
 from hypothesis import given, settings
@@ -34,6 +36,13 @@ GRADINGS = {
     "Z/3": (CyclicGroup(3), st.integers(0, 2), range(3)),
 }
 RINGS = st.sampled_from([INTEGERS, IntegerModRing(3)])
+
+# group, edge degrees drawn from, degrees g checked, an automorphism
+AUTOMORPHISMS = {
+    "Z, negation": (IntegerGroup(), st.integers(-2, 2), range(-3, 4), lambda g: -g),
+    "Z/3, doubling": (CyclicGroup(3), st.integers(0, 2), range(3), lambda g: 2 * g % 3),
+    "Z/5, doubling": (CyclicGroup(5), st.integers(0, 4), range(5), lambda g: 2 * g % 5),
+}
 
 # new ids for the at most seven ids of one graph, in every lexical order
 NAMES = ("a", "b", "b1", "c_", "Q", "x9", "y", "z")
@@ -103,6 +112,28 @@ def test_renaming_ids_and_reordering_declarations_carries_every_epsilon(spec, gr
         assert class_paths(rep_renamed) == class_paths(rep, new.get), g
         if rep.present:
             assert rep_renamed.epsilon == carried(rep.epsilon, renamed, new.get), g
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    spec=graph_specs(),
+    automorphism=st.sampled_from(sorted(AUTOMORPHISMS)),
+    bound=st.integers(1, 3),
+    ring=RINGS,
+    data=st.data(),
+)
+def test_a_group_automorphism_carries_every_epsilon_to_its_image_degree(spec, automorphism, bound, ring, data):
+    group, edge_degree, window, sigma = AUTOMORPHISMS[automorphism]
+    graph = build(*spec)
+    degrees = {e.id: data.draw(edge_degree) for e in graph.edges}
+    dm = DegreeMap(graph, group, degrees)
+    dm_image = DegreeMap(graph, group, {e: sigma(d) for e, d in degrees.items()})
+    for g in window:
+        rep, rep_image = epsilon(g, dm, bound, ring), epsilon(sigma(g), dm_image, bound, ring)
+        assert rep_image.minimal.verdict == rep.minimal.verdict, g
+        assert [c.alpha for c in rep_image.minimal.classes] == [c.alpha for c in rep.minimal.classes], g
+        assert rep_image.identity_checked_on == rep.identity_checked_on, g
+        assert rep_image.epsilon == rep.epsilon, g
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -86,3 +87,15 @@ def test_arithmetic_takes_and_returns_ring_elements(name, data):
     ):
         assert got == want
         assert _is_ring_element(ring, got), (name, got)
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACT_RINGS))
+def test_random_scalars_are_nonzero_ring_elements(name):
+    """A drawn scalar enters term maps with no coerce, so it must already be
+    its own coerce, in value and in type, and nonzero."""
+    ring = CONTRACT_RINGS[name]
+    for seed in range(1000):
+        x = ring.random_scalar(random.Random(seed))
+        y = ring.coerce(x)
+        assert (type(x), x) == (type(y), y), (name, seed)
+        assert _is_ring_element(ring, x) and not ring.is_zero(x), (name, seed)
