@@ -68,10 +68,6 @@ class Monomial:
         mono._hash = hash((alpha._hash, beta._hash))
         return mono
 
-    @property
-    def range(self):
-        return self.alpha.range
-
     def weight(self):
         return self.alpha.length + self.beta.length
 
@@ -438,7 +434,8 @@ def enumerate_monomials(graph, len_bound):
 # The word is read left to right one edge at a time (see `_ExprParser._word`):
 # a ghost edge joins b, and a real edge cancels the first edge of b, or
 # makes the word 0 if it is another edge, or joins a once b is a vertex.
-# Each term is then normalized once, with its sign and scalar.
+# Each term is then normalized once, with its sign and scalar, in one fold
+# of all the expression's terms.
 # --------------------------------------------------------------------------
 
 _EXPR_SYMBOLS = "+-*/.()"
@@ -448,11 +445,14 @@ _EXPR_SYMBOLS = "+-*/.()"
 _RUN_NAME = r"[A-Za-z]\w*\*?"
 _RUN_RE = re.compile(rf"{_RUN_NAME}(?:\.{_RUN_NAME}){{0,63}}")
 _NAME_TAIL_RE = re.compile(r"\w*\*?")
+# exactly the digits int() reads: \d is Unicode's decimal digits, which are
+# what isdecimal() accepts; "²" is isdigit() but not decimal
+_INT_RE = re.compile(r"\d+")
 
 
 def _tokenize_expr(text):
     """The (kind, text, column) tokens of text, one at a time, then eof."""
-    match_run, match_tail = _RUN_RE.match, _NAME_TAIL_RE.match
+    match_run, match_tail, match_int = _RUN_RE.match, _NAME_TAIL_RE.match, _INT_RE.match
     i = 0
     n = len(text)
     while i < n:
@@ -461,10 +461,7 @@ def _tokenize_expr(text):
             i += 1
             continue
         if ch.isdecimal():
-            # exactly the digits int() reads; "²" is isdigit() but not decimal
-            j = i
-            while j < n and text[j].isdecimal():
-                j += 1
+            j = match_int(text, i).end()
             yield ("int", text[i:j], i + 1)
             i = j
             continue
@@ -538,14 +535,15 @@ class _ExprParser:
         if self.peek()[0] in "+-":
             if self.next()[0] == "-":
                 sign = -1
-        total = self._term(sign)
+        items = self._term(sign)
         while self.peek()[0] in "+-":
-            total = total + self._term(-1 if self.next()[0] == "-" else 1)
+            items += self._term(-1 if self.next()[0] == "-" else 1)
         if self.peek()[0] != "eof":
             self.fail("'+', '-' or end of input")
-        return total
+        return Element.from_terms(self.graph, self.ring, items)
 
     def _term(self, sign):
+        """The term's (monomial, scalar) items: none when its word is 0."""
         scalar = 1
         if self.peek()[0] == "int":
             tok = self.next()
@@ -563,8 +561,7 @@ class _ExprParser:
                 raise ElementSyntaxError(str(exc), tok[2]) from None
             self.expect("*", "'*' after a scalar")
         mono = self._word()
-        items = [] if mono is None else [(mono, sign * scalar)]
-        return Element.from_terms(self.graph, self.ring, items)
+        return [] if mono is None else [(mono, sign * scalar)]
 
     def _word(self):
         """The raw monomial a b* of a word, or None when the word is 0.

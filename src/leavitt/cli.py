@@ -306,16 +306,14 @@ def _frobenius(args, graph, ring, dmap):
         return Report(kind="frobenius-verification", verdict="UNDETERMINED", fields={"reason": str(exc)})
     count, seed = _sampling(args)
     rng = random.Random(seed)
-    samples = [
-        random_element(graph, ring, rng, len_bound=min(args.bound, 3))
-        for _ in range(count)
-    ]
+    bound = min(args.bound, 3)
+    samples = [random_element(graph, ring, rng, len_bound=bound) for _ in range(count)]
     e = dmap.group.identity
     triples = []
     for _ in range(args.triples):
-        t = random_homogeneous(dmap, ring, rng, degree=e, len_bound=min(args.bound, 3))
-        a = random_element(graph, ring, rng, len_bound=min(args.bound, 3))
-        t2 = random_homogeneous(dmap, ring, rng, degree=e, len_bound=min(args.bound, 3))
+        t = random_homogeneous(dmap, ring, rng, degree=e, len_bound=bound)
+        a = random_element(graph, ring, rng, len_bound=bound)
+        t2 = random_homogeneous(dmap, ring, rng, degree=e, len_bound=bound)
         triples.append((t, a, t2))
     return verify_frobenius(system, samples, triples, seed=seed)
 

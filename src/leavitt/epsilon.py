@@ -169,29 +169,25 @@ def minimal_classes(g, degree_map, len_bound):
     the ``children`` column of the path table, and a path's children are
     visited only when it is not realized, so no path past a class is read.
     Each level is kept sorted by table position, so the classes come out
-    in table order. Realized is decided once per (range, degree) key
-    visited: its partner is the first path of the lowest non-empty level
-    of its partner key. No path is built or hashed.
+    in table order. A visited path's partner is ``first`` of its partner
+    key, the first path under that key in table order, and the path is
+    realized when it has one. No path is built or hashed.
     """
     if len_bound < 1:
         raise ValueError("len_bound must be >= 1")
     graph = degree_map.graph
     table = degree_map.path_table(len_bound)
-    paths, keys, children, levels = table.paths, table.key, table.children, table.levels
+    paths, keys, children, first = table.paths, table.key, table.children, table.first
     group = table.group
     op, ginv = group.op, group.inverse(group.check(g))
-    partner = {}  # each visited key's partner path, or None when it has none
 
     classes, unrealized = [], []
     level = range(len(graph.vertices))
     while level:
         unrealized = []
         for i in level:
-            k = keys[i]
-            if k not in partner:
-                split = levels.get((k[0], op(ginv, k[1])))
-                partner[k] = None if split is None else next(ps for ps in split if ps)[0]
-            beta = partner[k]
+            vid, d = keys[i]
+            beta = first.get((vid, op(ginv, d)))
             if beta is None:
                 unrealized.append(i)
             else:

@@ -459,7 +459,8 @@ class PathTable:
     ``levels`` maps each key to the paths under it split by length: entry l
     holds those of length l in enumeration order, for l from 0 to the
     longest path held (0 when there is none), not to len_bound. Only keys
-    with at least one path are present. ``sizes[k]`` is (n_k, s_k): n_k
+    with at least one path are present. ``first[k]`` is the first path
+    under k in table order, the shortest. ``sizes[k]`` is (n_k, s_k): n_k
     paths lie under k, and s_k of them are shorter than len_bound if k's
     range vertex has a designated edge, else s_k = 0. Build it through
     ``DegreeMap.path_table``, which keeps one per bound.
@@ -473,6 +474,7 @@ class PathTable:
         children, keys = [], []
         position = {}
         levels = {}
+        first = self.first = {}
         shared = {}  # one tuple per distinct key, however many paths carry it
         for i, p in enumerate(self.paths):
             position[p] = i
@@ -486,6 +488,7 @@ class PathTable:
             key = (p.range.id, d)
             key = shared.setdefault(key, key)
             keys.append(key)
+            first.setdefault(key, p)
             split = levels.get(key)
             if split is None:
                 split = levels[key] = [[] for _ in range(depth + 1)]

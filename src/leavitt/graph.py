@@ -13,7 +13,8 @@ import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
-_KEYWORDS = frozenset({"graph", "vertices", "edges", "infinite"})
+_SECTIONS = frozenset({"vertices", "edges", "infinite"})
+_KEYWORDS = _SECTIONS | {"graph"}
 
 
 class GraphError(ValueError):
@@ -353,6 +354,11 @@ class _Parser:
         if self.peek().kind == kind:
             self.next()
 
+    def at_name(self, ahead=0):
+        """Whether the token ahead is an id that is not a reserved word."""
+        tok = self.peek(ahead)
+        return tok.kind == "id" and tok.value not in _KEYWORDS
+
 
 def parse_graph(text):
     """Parse the graph description language.
@@ -405,28 +411,12 @@ def parse_graph(text):
         if tok.kind == ";":
             p.next()
             continue
-        if tok.kind != "id" or tok.value not in _KEYWORDS:
+        if tok.kind != "id" or tok.value not in _SECTIONS:
             p.fail("a section keyword (vertices, edges, infinite)")
-        keyword = p.next()
+        section = p.next().value
         p.skip_optional(":")
-        if keyword.value == "vertices":
-            while p.peek().kind == "id" and p.peek().value not in _KEYWORDS:
-                tok = p.next()
-                vertices.append(declare(Vertex(tok.value), tok))
-            p.expect(";", "';' closing the vertices section")
-        elif keyword.value == "infinite":
-            if p.peek().kind != "id" or p.peek().value in _KEYWORDS:
-                p.fail("a vertex id")
-            while p.peek().kind == "id" and p.peek().value not in _KEYWORDS:
-                tok = p.next()
-                flags.append(declare(Vertex(tok.value), tok))
-            p.expect(";", "';' closing the infinite section")
-        elif keyword.value == "edges":
-            while (
-                p.peek().kind == "id"
-                and p.peek().value not in _KEYWORDS
-                and p.peek(1).kind == ":"
-            ):
+        if section == "edges":
+            while p.at_name() and p.peek(1).kind == ":":
                 eid = p.next()
                 p.expect(":")
                 src = p.expect("id", "a source vertex")
@@ -434,8 +424,15 @@ def parse_graph(text):
                 rng = p.expect("id", "a range vertex")
                 p.expect(";", "';' closing the edge declaration")
                 edge_decls.append((eid, src, rng))
-        else:
-            p.fail("a section keyword (vertices, edges, infinite)")
+            continue
+        # vertices and infinite are id lists; a flag list may not be empty
+        if section == "infinite" and not p.at_name():
+            p.fail("a vertex id")
+        ids = vertices if section == "vertices" else flags
+        while p.at_name():
+            tok = p.next()
+            ids.append(declare(Vertex(tok.value), tok))
+        p.expect(";", f"';' closing the {section} section")
 
     # an endpoint is the declared vertex of its id itself, else its own Vertex
     declared = {v.id: v for v in vertices}

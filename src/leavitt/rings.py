@@ -121,13 +121,7 @@ class IntegerModRing(CoefficientRing):
         self.name = f"Z/{modulus}"
 
     def coerce(self, value):
-        if isinstance(value, Fraction):
-            if value.denominator != 1:
-                raise RingError(f"{value!r} is not an integer scalar")
-            value = int(value)
-        if isinstance(value, int):
-            return value % self.modulus
-        raise RingError(f"{value!r} is not an integer scalar")
+        return INTEGERS.coerce(value) % self.modulus
 
     def from_pair(self, numerator, denominator):
         raise RingError(f"fractional scalars are not available in {self.name}")

@@ -3,6 +3,7 @@ import random
 import re
 import sys
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -24,6 +25,7 @@ from leavitt import (
     normal_form_shuffled,
     parse_element,
     parse_graph,
+    random_element,
 )
 
 from .util import GRAPH_C, GRAPH_CHAIN, GRAPH_R3, elem, mono, reference_expand_normal, reference_tokens
@@ -326,6 +328,43 @@ class TestAddAndScalar:
         assert (a + a).is_zero()
 
 
+    def test_subtraction_adds_the_negative(self, any_ring):
+        rng = random.Random(5)
+        for _ in range(50):
+            x, y = (random_element(R3, any_ring, rng, len_bound=2) for _ in range(2))
+            assert x - y == x + (-y)
+            assert (x - y) + y == x
+            assert (x - x).is_zero()
+
+    @pytest.mark.parametrize("ring", [INTEGERS, RATIONALS, IntegerModRing(6)], ids=["z", "q", "z/6"])
+    def test_a_scalar_multiplies_from_either_side(self, ring):
+        # over Z/6, 2 and 3 are zero divisors, so some products vanish
+        scalars = [0, 1, -1, 2, 3, 5] + ([Fraction(3, 2), Fraction(-1, 3)] if ring is RATIONALS else [])
+        rng = random.Random(6)
+        for _ in range(50):
+            x = random_element(R3, ring, rng, len_bound=2)
+            for c in scalars:
+                assert x * c == c * x == x.scaled(c)
+                product = {m: ring.mul(ring.coerce(c), v) for m, v in x.terms.items()}
+                assert (x * c).terms == {m: v for m, v in product.items() if not ring.is_zero(v)}
+
+    def test_a_long_expression_is_the_sum_of_its_terms(self, any_ring):
+        """A 2,000-term expression, normalized in one fold, equals its terms
+        parsed one at a time and added in order."""
+        rng = random.Random(2000)
+        monos = [m.render() for m in enumerate_monomials(R3, 2)] + ["w.w*", "x.(t.w)*", "(x.y)*.x"]
+        scalars = ["", "2*", "3*", "7*"] + (["3/2*", "1/3*"] if any_ring is RATIONALS else [])
+        terms = [
+            ("-" if rng.random() < 0.5 else "+", rng.choice(scalars) + rng.choice(monos))
+            for _ in range(2000)
+        ]
+        text = " ".join(f"{sign} {body}" for sign, body in terms)
+        expected = Element.zero(R3, any_ring)
+        for sign, body in terms:
+            expected = expected + parse_element(f"{sign}{body}", R3, any_ring)
+        assert parse_element(text, R3, any_ring) == expected
+
+
 class TestInvolution:
     def test_path_reversal(self, chain_graph, ring):
         assert elem("f4.f3", chain_graph, ring).involution() == elem("(f4.f3)*", chain_graph, ring)
@@ -625,8 +664,8 @@ class TestWordFold:
 
     def test_products_and_normalizations_per_word(self, ring, monkeypatch):
         graph = parse_graph(GRAPH_R3)
-        counts = {"mono": 0, "mul": 0, "from_terms": 0}
-        product, mul = algebra._mono_product, Element.__mul__
+        counts = {"mono": 0, "mul": 0, "from_terms": 0, "normalized": 0}
+        product, mul, pieces = algebra._mono_product, Element.__mul__, algebra._normal_pieces
         from_terms = Element.from_terms.__func__
 
         def counting_product(m1, m2):
@@ -641,23 +680,29 @@ class TestWordFold:
             counts["from_terms"] += 1
             return from_terms(cls, *args)
 
+        def counting_pieces(graph, mono):
+            counts["normalized"] += 1
+            return pieces(graph, mono)
+
         monkeypatch.setattr(algebra, "_mono_product", counting_product)
         monkeypatch.setattr(Element, "__mul__", counting_mul)
         monkeypatch.setattr(Element, "from_terms", classmethod(counting_from_terms))
+        monkeypatch.setattr(algebra, "_normal_pieces", counting_pieces)
         # (text, terms): a word is read one edge at a time, so parsing makes
-        # no monomial product, and each term is normalized once
+        # no monomial product; the expression is folded by one from_terms,
+        # and each nonzero term is normalized once
         cases = [
             (".".join(["w"] * 37 + ["w*"] * 37), 1),
             (".".join(_r3_walk(graph, 300, 3)), 1),
-            ("a.x.(y)*.t", 1),  # zero: (y)* does not end at r(x)
+            ("a.x.(y)*.t", 0),  # zero: (y)* does not end at r(x)
             ("x", 1),
             ("2*x.y - w.w*.w + (x.y)*.t*", 3),
             ("z*.y*.x*.x.y.z.a.x.x*", 1),
         ]
         for text, terms in cases:
-            counts.update(mono=0, mul=0, from_terms=0)
+            counts.update(mono=0, mul=0, from_terms=0, normalized=0)
             parse_element(text, graph, ring)
-            assert (counts["mono"], counts["mul"], counts["from_terms"]) == (0, 0, terms)
+            assert (counts["mono"], counts["mul"], counts["from_terms"], counts["normalized"]) == (0, 0, 1, terms)
 
     def test_long_word_keeps_few_partial_products(self, ring):
         graph = parse_graph(GRAPH_R3)
@@ -767,6 +812,13 @@ class TestRunTokens:
     )
     def test_a_star_apart_from_its_name(self, ring, text, value):
         assert str(parse_element(text, R3, ring)) == value
+
+    def test_an_integer_is_a_run_of_what_isdecimal_says(self):
+        digits = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isdecimal()]
+        for ch in digits + ["\u00b2", "\u00bd", "\u2167", "\u00b2\u00b2"]:
+            text = f"1{ch}{ch}*x"
+            tokens, error = _scan(algebra._tokenize_expr, text)
+            assert (_expand_runs(tokens), error) == _scan(reference_tokens, text), repr(ch)
 
     def test_a_long_word_is_runs_of_at_most_64_names(self):
         word = ".".join(_r3_walk(R3, 3000, 11))

@@ -616,6 +616,17 @@ class TestErrors:
         assert code == 65
         assert "f9" in err
 
+    def test_the_module_runs_as_the_readme_documents(self):
+        src = str(Path(leavitt.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "leavitt", "nf", "--graph", "tests/cli_corpus/chain.lpa", "--expr", "f2*.f2"],
+            capture_output=True,
+            cwd=Path(__file__).resolve().parents[1],
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=60,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, b"v3\n", b"")
+
     def test_non_decimal_digit_is_a_parse_error_not_a_traceback(self):
         src = str(Path(leavitt.__file__).resolve().parents[1])
         done = subprocess.run(
@@ -644,6 +655,13 @@ class TestErrors:
         err = done.stderr.decode("utf-8")
         assert "Traceback" not in err
         assert err.startswith("error: bad ring modulus: ") and err.count("\n") == 1
+
+    def test_bad_degree_file(self, capsys, graph_b_file, tmp_path):
+        degrees = tmp_path / "bad.deg"
+        degrees.write_text("group Z/2\ngroup Z/2\n")
+        code, out, err = run(capsys, "frobenius", "--graph", graph_b_file, "--degrees", str(degrees), "--bound", "2")
+        assert (code, out) == (65, "")
+        assert err == "error: line 2: duplicate group header\n"
 
     def test_missing_graph_file(self, capsys):
         code, _, err = run(capsys, "nf", "--graph", "/nonexistent.lpa", "--expr", "0")

@@ -1,9 +1,14 @@
 import random
 import sys
+from dataclasses import replace
 
 import pytest
 
+import leavitt.frobenius as frobenius
 from leavitt import (
+    INTEGERS,
+    RATIONALS,
+    ConstructionError,
     CyclicGroup,
     DegreeMap,
     Element,
@@ -11,6 +16,7 @@ from leavitt import (
     FrobeniusBuildError,
     FrobeniusSystem,
     IntegerGroup,
+    IntegerModRing,
     build_frobenius_system,
     epsilon,
     parse_graph,
@@ -139,6 +145,21 @@ class TestBuild:
         assert system.pairs == tuple(p for rep in reps for p in rep.certificate)
         assert calls  # the counter sees epsilon()'s listing
 
+    @pytest.mark.parametrize("ring", [INTEGERS, RATIONALS, IntegerModRing(3)], ids=["z", "q", "z/3"])
+    def test_pair_products_off_their_identities_are_a_construction_error(self, dm_b_mod2, ring, monkeypatch):
+        # a defect that drops each degree's last minimal class, and with it
+        # the last pair of its certificate, but keeps its local identity
+        walk = frobenius._window_walk
+
+        def dropping_walk(*args):
+            count, reps = walk(*args)
+            return count, [replace(r, minimal=replace(r.minimal, classes=r.minimal.classes[:-1])) for r in reps]
+
+        monkeypatch.setattr(frobenius, "_window_walk", dropping_walk)
+        with pytest.raises(ConstructionError) as info:
+            build_frobenius_system(dm_b_mod2, 4, ring)
+        assert str(info.value) == "pair products 2*u do not sum to the local identities 2*u + 2*w"
+
     def test_undecided_degree_is_its_own_error(self, ring):
         loop = parse_graph("graph l { vertices: v ; edges: e: v -> v; }")
         dm = DegreeMap(loop, CyclicGroup(2), {"e": 0})
@@ -190,6 +211,34 @@ class TestVerify:
             "identity": "E(s x_j) y_j",
             "reconstructed": "e",
         }
+
+    def test_a_trace_that_is_no_bimodule_map_is_caught(self, graph_b, dm_b_mod2, ring, monkeypatch):
+        system = build_frobenius_system(dm_b_mod2, 4, ring)
+        # a defect: a trace that also drops the terms of weight above 2,
+        # which fixes both factors but does not commute with them
+        trace = frobenius.projection_e
+
+        def truncated(a, dm):
+            return Element(a.graph, a.ring, {m: c for m, c in trace(a, dm).terms.items() if m.weight() <= 2})
+
+        monkeypatch.setattr(frobenius, "projection_e", truncated)
+        t, a, t2 = (elem(text, graph_b, ring) for text in ("(e.e)*", "e.e.e.e", "u"))
+        report = verify_frobenius(system, [], [(t, a, t2)])
+        assert report.verdict == "FAIL"
+        assert report.fields["witness"] == {"law": "E(t a t')", "t": "(e.e)*", "a": "e.e.e.e", "t2": "u"}
+        assert "bimodule-triples-verified" not in report.fields
+
+    def test_each_bimodule_factor_must_have_identity_degree(self, graph_b, dm_b_mod2, ring):
+        system = build_frobenius_system(dm_b_mod2, 4, ring)
+        zero, a = Element.zero(graph_b, ring), elem("e.e.e.e", graph_b, ring)
+        vertices, loop = elem("u + w", graph_b, ring), elem("(e.e)*", graph_b, ring)
+        report = verify_frobenius(system, [], [(zero, a, vertices), (loop, a, zero)])
+        assert (report.verdict, report.fields["bimodule-triples-verified"]) == ("PASS", 2)
+        for factor in ("e", "u + e", "(e)*"):
+            x = elem(factor, graph_b, ring)
+            for triple in ((x, a, zero), (zero, a, x)):
+                with pytest.raises(ValueError, match="^bimodule factors must have identity degree$"):
+                    verify_frobenius(system, [], [triple])
 
     def test_trace_name(self, dm_b_mod2, graph_b, ring):
         system = build_frobenius_system(dm_b_mod2, 4, ring)

@@ -18,6 +18,7 @@ from leavitt import (
     IntegerTupleGroup,
     Monomial,
     Path,
+    TableGroup,
     check_grading_axiom,
     decompose,
     enumerate_Xg,
@@ -117,6 +118,31 @@ class TestGroups:
                 "d c a b e\n"
             )
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("# only a comment\n\n", "empty group table"),
+            ("a b\na b\nb", "table row 2 has 1 entries, expected 2"),
+            ("a a\na a\na a", "duplicate symbols in group table"),
+            ("a b\na c\nb a", "table entry 'c' is not a listed symbol"),
+            ("e a\ne a\na a", "element 'a' has no inverse"),
+        ],
+        ids=["empty", "short-row", "duplicate", "unlisted", "no-inverse"],
+    )
+    def test_each_table_error_is_reported_by_its_text(self, text, message):
+        with pytest.raises(GroupError) as info:
+            parse_group_table(text)
+        assert str(info.value) == message
+
+    def test_table_group_checks_its_symbols_and_entries(self):
+        for symbols, table, message in [
+            ((), {}, "a group needs at least one element"),
+            (("e", "a"), {("e", "e"): "e"}, "missing table entry for (e, a)"),
+        ]:
+            with pytest.raises(GroupError) as info:
+                TableGroup(symbols, table)
+            assert str(info.value) == message
+
 
 class TestDegreeMap:
     def test_canonical(self, chain_graph):
@@ -189,6 +215,27 @@ class TestDegreeMap:
             parse_degree_map("group Z/x", chain_graph)
         with pytest.raises(DegreeMapError, match="line 2"):
             parse_degree_map("group Z\ndeg f1 = q", chain_graph)
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("group Z\ngroup Z\n", "line 2: duplicate group header"),
+            ("group  \n", "line 1: missing group kind"),
+            ("group Z\ndeg f1\n", "line 2: expected 'deg <edge> = <degree>'"),
+            ("group Z\ndeg  = 1\n", "line 2: missing edge id"),
+            ("group Z\nedge f1 = 1\n", "line 2: expected 'group' or 'deg', got 'edge'"),
+            ("# no header\n\n", "missing 'group' header"),
+            ("group table\n", "line 1: 'group table' needs a file name"),
+            ("group table s3.tbl\n", "line 1: no loader available for table files"),
+            ("group Q\n", "line 1: unknown group kind 'Q'"),
+        ],
+        ids=["duplicate-header", "no-kind", "no-equals", "no-edge", "unknown-line", "no-header",
+             "no-table-file", "no-loader", "unknown-kind"],
+    )
+    def test_each_header_and_line_error_is_reported_by_its_text(self, chain_graph, text, message):
+        with pytest.raises(DegreeMapError) as info:
+            parse_degree_map(text, chain_graph)
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("spec", ["Z^", "Z^0", "Z^x", "Z/", "Z/0", "Z/-2", "Z/x"])
     def test_bad_numeric_group_headers(self, chain_graph, spec):

@@ -1,3 +1,4 @@
+import random
 import sys
 
 import pytest
@@ -26,6 +27,7 @@ from .util import (
     brute_out_degree,
     brute_paths,
     reference_graph_tokens,
+    reference_parse_graph,
 )
 
 
@@ -86,6 +88,66 @@ class TestParse:
     def test_missing_brace(self):
         with pytest.raises(GraphSyntaxError, match="'}'"):
             parse_graph("graph g { vertices a;")
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("vertices a; }", "line 1, column 13: expected a section keyword, found '}'"),
+            ("graph g { vertices a; } x", "line 1, column 25: expected end of input, found 'x'"),
+        ],
+        ids=["unwrapped", "after-wrapper"],
+    )
+    def test_a_closing_brace_needs_a_wrapper_and_ends_the_text(self, text, message):
+        with pytest.raises(GraphSyntaxError) as err:
+            parse_graph(text)
+        assert str(err.value) == message
+
+
+def _graph_outcome(parse, text):
+    """The vertex, edge and flag ids of parse(text), or its error and position."""
+    try:
+        g = parse(text)
+    except GraphSyntaxError as exc:
+        return (str(exc), exc.line, exc.column)
+    return (
+        [v.id for v in g.vertices],
+        [(e.id, e.source.id, e.range.id) for e in g.edges],
+        sorted(v.id for v in g.infinite_emitters),
+    )
+
+
+_STRAY_GRAPH = "expected a section keyword (vertices, edges, infinite), found 'graph'"
+
+
+def test_a_stray_graph_keyword_is_reported_at_itself():
+    for text, column in [("vertices: a; graph x", 14), ("graph g { vertices: a; graph }", 24)]:
+        with pytest.raises(GraphSyntaxError) as err:
+            parse_graph(text)
+        assert str(err.value) == f"line 1, column {column}: {_STRAY_GRAPH}"
+
+
+def test_the_section_reader_parses_as_the_two_list_readers_did():
+    """Seeded random texts parse as the earlier parser parsed them, except a
+    stray ``graph`` keyword, now reported at itself, not at the token after."""
+    rng = random.Random(33)
+    words = ["graph", "vertices", "edges", "infinite", "a", "b", "c", "x", "{", "}", ":", ";", "->", "\n"]
+    moved = 0
+    for _ in range(20000):
+        body = " ".join(rng.choice(words) for _ in range(rng.randrange(12)))
+        text = f"graph g {{ {body}" if rng.random() < 0.3 else body
+        got, expected = _graph_outcome(parse_graph, text), _graph_outcome(reference_parse_graph, text)
+        if got == expected:
+            continue
+        # the earlier parser consumed the keyword and an optional ':' after
+        # it, and reported the token that followed
+        tokens = _tokenize(text)
+        message, line, column = got
+        assert message == f"line {line}, column {column}: {_STRAY_GRAPH}", text
+        i = [(t.line, t.column) for t in tokens].index((line, column)) + 1
+        after = tokens[i + 1] if tokens[i].kind == ":" else tokens[i]
+        assert (after.line, after.column) == expected[1:], text
+        moved += 1
+    assert moved > 0
 
 
 def _graph_scans(text):

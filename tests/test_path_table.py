@@ -66,7 +66,7 @@ def z_graded_graphs(draw):
 
 def assert_columns(table, degree_map, bound):
     """Each positional column against the path at its position, and each
-    key's sizes against its levels."""
+    key's first path and sizes against its levels."""
     n = len(table.paths)
     assert len(table.children) == len(table.key) == n
     listed = Counter(c for kids in table.children for c in kids)
@@ -84,8 +84,9 @@ def assert_columns(table, degree_map, bound):
         flat = [p for level in split for p in level]
         short = sum(p.length < bound for p in flat)
         designated = graph.special_edge(graph.vertex(vid)) is not None
+        assert table.first[vid, d] is flat[0]
         assert table.sizes[vid, d] == (len(flat), short if designated else 0)
-    assert table.sizes.keys() == table.levels.keys()
+    assert table.sizes.keys() == table.first.keys() == table.levels.keys()
 
 
 class TestPathTable:

@@ -99,3 +99,50 @@ def test_random_scalars_are_nonzero_ring_elements(name):
         y = ring.coerce(x)
         assert (type(x), x) == (type(y), y), (name, seed)
         assert _is_ring_element(ring, x) and not ring.is_zero(x), (name, seed)
+
+
+# (value, (type, value) or error text) per ring, as the rings gave them when
+# IntegerModRing kept its own Fraction and int branches
+COERCIONS = {
+    "z": [
+        (4, (int, 4)),
+        (-7, (int, -7)),
+        (True, (bool, True)),
+        (Fraction(3, 1), (int, 3)),
+        (Fraction(3, 2), "Fraction(3, 2) is not an integer scalar"),
+        (1.5, "1.5 is not an integer scalar"),
+        ("3", "'3' is not an integer scalar"),
+    ],
+    "q": [
+        (4, (Fraction, Fraction(4))),
+        (-7, (Fraction, Fraction(-7))),
+        (True, (Fraction, Fraction(1))),
+        (Fraction(3, 1), (Fraction, Fraction(3))),
+        (Fraction(3, 2), (Fraction, Fraction(3, 2))),
+        (1.5, "1.5 is not a rational scalar"),
+        ("3", "'3' is not a rational scalar"),
+    ],
+    "z/6": [
+        (4, (int, 4)),
+        (-7, (int, 5)),
+        (True, (int, 1)),
+        (Fraction(3, 1), (int, 3)),
+        (Fraction(-9, 1), (int, 3)),
+        (Fraction(3, 2), "Fraction(3, 2) is not an integer scalar"),
+        (1.5, "1.5 is not an integer scalar"),
+        ("3", "'3' is not an integer scalar"),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(COERCIONS))
+def test_coerce_gives_each_value_its_type_or_error_text(name):
+    ring = CONTRACT_RINGS[name]
+    for value, expected in COERCIONS[name]:
+        if isinstance(expected, str):
+            with pytest.raises(RingError) as info:
+                ring.coerce(value)
+            assert str(info.value) == expected, (name, value)
+        else:
+            got = ring.coerce(value)
+            assert (type(got), got) == expected, (name, value)

@@ -7,14 +7,19 @@ code with the library paths they check.
 from fractions import Fraction
 
 from leavitt import (
+    Edge,
     Element,
     ElementSyntaxError,
+    Graph,
+    GraphError,
     GraphSyntaxError,
     IntegerModRing,
     Monomial,
     RationalRing,
+    Vertex,
     parse_element,
 )
+from leavitt.graph import _tokenize
 
 GRAPH_CHAIN = """
 graph chain {
@@ -222,6 +227,106 @@ def reference_graph_tokens(text):
     end_col = len(lines[-1]) + 1 if lines else 1
     tokens.append(("eof", "", end_line, end_col))
     return tokens
+
+
+def reference_parse_graph(text):
+    """parse_graph as it read sections before one id-list reader served
+    vertices and infinite: any reserved word passed the section test, so a
+    stray ``graph`` in the body was consumed and the token after it reported.
+    Returns the Graph, or raises the GraphSyntaxError of the first fault."""
+    tokens = _tokenize(text)
+    pos = 0
+
+    def peek(ahead=0):
+        return tokens[min(pos + ahead, len(tokens) - 1)]
+
+    def take():
+        nonlocal pos
+        tok = peek()
+        if tok.kind != "eof":
+            pos += 1
+        return tok
+
+    def fail(expected):
+        tok = peek()
+        found = tok.value or "end of input"
+        raise GraphSyntaxError(f"expected {expected}, found {found!r}", tok.line, tok.column)
+
+    def expect(kind, expected=None):
+        if peek().kind != kind:
+            fail(expected or f"'{kind}'")
+        return take()
+
+    keywords = {"graph", "vertices", "edges", "infinite"}
+    braced = False
+    if peek().kind == "id" and peek().value == "graph":
+        take()
+        expect("id", "a graph name")
+        expect("{")
+        braced = True
+    vertices, edge_decls, flags = [], [], []
+    token_of = {}
+
+    def declare(obj, tok):
+        token_of[id(obj)] = tok
+        return obj
+
+    while True:
+        tok = peek()
+        if tok.kind == "eof":
+            if braced:
+                fail("'}'")
+            break
+        if tok.kind == "}":
+            if not braced:
+                fail("a section keyword")
+            take()
+            if peek().kind != "eof":
+                fail("end of input")
+            break
+        if tok.kind == ";":
+            take()
+            continue
+        if tok.kind != "id" or tok.value not in keywords:
+            fail("a section keyword (vertices, edges, infinite)")
+        keyword = take()
+        if peek().kind == ":":
+            take()
+        if keyword.value == "vertices":
+            while peek().kind == "id" and peek().value not in keywords:
+                tok = take()
+                vertices.append(declare(Vertex(tok.value), tok))
+            expect(";", "';' closing the vertices section")
+        elif keyword.value == "infinite":
+            if peek().kind != "id" or peek().value in keywords:
+                fail("a vertex id")
+            while peek().kind == "id" and peek().value not in keywords:
+                tok = take()
+                flags.append(declare(Vertex(tok.value), tok))
+            expect(";", "';' closing the infinite section")
+        elif keyword.value == "edges":
+            while peek().kind == "id" and peek().value not in keywords and peek(1).kind == ":":
+                eid = take()
+                expect(":")
+                src = expect("id", "a source vertex")
+                expect("->", "'->'")
+                rng = expect("id", "a range vertex")
+                expect(";", "';' closing the edge declaration")
+                edge_decls.append((eid, src, rng))
+        else:
+            fail("a section keyword (vertices, edges, infinite)")
+
+    declared = {v.id: v for v in vertices}
+
+    def endpoint(tok):
+        return declared.get(tok.value) or declare(Vertex(tok.value), tok)
+
+    edges = [declare(Edge(eid.value, endpoint(src), endpoint(rng)), eid) for eid, src, rng in edge_decls]
+    try:
+        return Graph(vertices, edges, flags)
+    except GraphError as exc:
+        tok = token_of[id(exc.culprit)]
+        raise GraphSyntaxError(str(exc), tok.line, tok.column) from None
 
 
 def reference_expand_normal(graph, mono):
