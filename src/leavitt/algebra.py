@@ -238,15 +238,13 @@ class Element:
         return cls(graph, ring, acc)
 
     @classmethod
-    def monomial(cls, graph, ring, mono, coeff=1):
-        return cls.from_terms(graph, ring, [(mono, coeff)])
+    def monomial(cls, graph, ring, mono):
+        return cls.from_terms(graph, ring, [(mono, 1)])
 
     @classmethod
     def vertex(cls, graph, ring, v):
-        if isinstance(v, str):
-            v = graph.vertex(v)
-        p = Path(v)
-        return cls(graph, ring, {Monomial(p, p): ring.coerce(1)})
+        """The vertex v, given by id or as a Vertex: its path as a real path."""
+        return cls.real_path(graph, ring, Path(graph.vertex(v) if isinstance(v, str) else v))
 
     @classmethod
     def real_path(cls, graph, ring, path):

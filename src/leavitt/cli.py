@@ -8,8 +8,9 @@ the bounds, answer with one Report and print it as text or structured JSON.
 Expressions come from --expr or stdin; all values are exact.
 
 Exit codes: 0 success or PASS, 1 property failure with witness,
-2 undetermined at the given bound, 64 usage errors, 65 parse or data errors,
-70 internal error (a construction that failed its own verification).
+2 undetermined at the given bound, 64 usage errors, 65 parse or data errors
+(every input error of the package is a ValueError; unreadable files raise
+OSError), 70 internal error (a construction that failed its own verification).
 """
 
 from __future__ import annotations
@@ -21,10 +22,9 @@ import random
 import re
 import sys
 
-from .algebra import ElementSyntaxError, parse_element
+from .algebra import parse_element
 from .epsilon import (
     ConstructionError,
-    HomogeneityError,
     WindowError,
     check_epsilon_strong,
     check_nearly_epsilon,
@@ -34,24 +34,18 @@ from .epsilon import (
     epsilon,
     local_units,
 )
-from .frobenius import (
-    EpsilonUnavailableError,
-    FrobeniusBuildError,
-    build_frobenius_system,
-    verify_frobenius,
-)
+from .frobenius import EpsilonUnavailableError, build_frobenius_system, verify_frobenius
 from .grading import (
     DegreeMap,
-    DegreeMapError,
     GroupError,
     check_grading_axiom,
     decompose,
     enumerate_Xg,
     parse_degree_map,
 )
-from .graph import GraphError, parse_graph
+from .graph import parse_graph
 from .reports import Report
-from .rings import RingError, parse_ring
+from .rings import parse_ring
 from .sampling import random_element, random_homogeneous
 
 EXIT_USAGE = 64
@@ -60,18 +54,6 @@ EXIT_SOFTWARE = 70
 
 DEFAULT_SAMPLES = 50
 DEFAULT_SEED = 0
-
-_DATA_ERRORS = (
-    GraphError,
-    ElementSyntaxError,
-    RingError,
-    GroupError,
-    DegreeMapError,
-    HomogeneityError,
-    FrobeniusBuildError,
-    OSError,
-    UnicodeDecodeError,
-)
 
 
 class UsageError(Exception):
@@ -185,10 +167,11 @@ def _check_bound(args):
 
 
 def _sampling(args):
-    """--samples and --seed, each defaulted when not given."""
+    """--samples and --seed, each defaulted when not given, and the one rng
+    that the seed starts."""
     samples = DEFAULT_SAMPLES if args.samples is None else args.samples
     seed = DEFAULT_SEED if args.seed is None else args.seed
-    return samples, seed
+    return samples, seed, random.Random(seed)
 
 
 def _check_options(args):
@@ -274,8 +257,7 @@ def _sampled(check, args, graph, ring, dmap):
     """A sampled check on the --expr elements, or on seeded random samples."""
     if args.expr:
         return check(dmap, [parse_element(t, graph, ring) for t in args.expr])
-    count, seed = _sampling(args)
-    rng = random.Random(seed)
+    count, seed, rng = _sampling(args)
     report = check(dmap, [random_homogeneous(dmap, ring, rng, len_bound=args.bound) for _ in range(count)])
     report.fields["seed"] = seed
     return report
@@ -304,8 +286,7 @@ def _frobenius(args, graph, ring, dmap):
         system = build_frobenius_system(dmap, args.bound, ring)
     except EpsilonUnavailableError as exc:
         return Report(kind="frobenius-verification", verdict="UNDETERMINED", fields={"reason": str(exc)})
-    count, seed = _sampling(args)
-    rng = random.Random(seed)
+    count, seed, rng = _sampling(args)
     bound = min(args.bound, 3)
     samples = [random_element(graph, ring, rng, len_bound=bound) for _ in range(count)]
     e = dmap.group.identity
@@ -350,7 +331,7 @@ def main(argv=None):
     except (UsageError, WindowError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except _DATA_ERRORS as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ConstructionError as exc:

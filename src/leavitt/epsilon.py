@@ -168,10 +168,11 @@ def minimal_classes(g, degree_map, len_bound):
     The path tree is descended level by level from the vertices, through
     the ``children`` column of the path table, and a path's children are
     visited only when it is not realized, so no path past a class is read.
-    Each level is kept sorted by table position, so the classes come out
-    in table order. A visited path's partner is ``first`` of its partner
-    key, the first path under that key in table order, and the path is
-    realized when it has one. No path is built or hashed.
+    A visited path's partner is ``first`` of its partner key, the first
+    path under that key in table order, and the path is realized when it
+    has one. No path is built or hashed. The realized paths are sorted by
+    table position once, at the end, so the classes come out in table
+    order.
     """
     if len_bound < 1:
         raise ValueError("len_bound must be >= 1")
@@ -181,7 +182,7 @@ def minimal_classes(g, degree_map, len_bound):
     group = table.group
     op, ginv = group.op, group.inverse(group.check(g))
 
-    classes, unrealized = [], []
+    realized, unrealized = [], []
     level = range(len(graph.vertices))
     while level:
         unrealized = []
@@ -191,12 +192,11 @@ def minimal_classes(g, degree_map, len_bound):
             if beta is None:
                 unrealized.append(i)
             else:
-                classes.append(Monomial._same_range(paths[i], beta))
-        # children in parent order are in table order except at level 1,
-        # whose edges sort by edge id and not by their source vertex
-        level = sorted(c for i in unrealized for c in children[i])
+                realized.append((i, beta))
+        level = [c for i in unrealized for c in children[i]]
     # the descent ends below the bound only at unrealized sinks
     frontier_ok = not unrealized or paths[unrealized[0]].length < len_bound
+    classes = [Monomial._same_range(paths[i], beta) for i, beta in sorted(realized)]
 
     witness = _sibling_witness(graph, classes)
     if witness is not None:

@@ -34,10 +34,6 @@ class FrobeniusSystem:
     pairs: tuple  # ((x_j, y_j), ...) with x_j, y_j homogeneous of inverse degrees
     epsilons: dict  # group element -> Element
 
-    @property
-    def graph(self):
-        return self.degree_map.graph
-
     def trace(self, a):
         return projection_e(a, self.degree_map)
 
@@ -107,7 +103,7 @@ def verify_frobenius(system, samples, bimodule_triples=(), seed=None):
     Returns PASS or the first counterexample.
     """
     dm = system.degree_map
-    graph, ring = system.graph, system.ring
+    graph, ring = dm.graph, system.ring
     group = dm.group
     fields = {
         "group": group.name,

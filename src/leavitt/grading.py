@@ -312,8 +312,7 @@ class DegreeMap:
         self.graph = graph
         self.group = group
         degrees = {}
-        for key, value in dict(edge_degrees).items():
-            eid = key if isinstance(key, str) else key.id
+        for eid, value in dict(edge_degrees).items():
             graph.edge(eid)
             degrees[eid] = group.check(value)
         missing = [e.id for e in graph.edges if e.id not in degrees]
@@ -354,6 +353,8 @@ class DegreeMap:
 
     def path_table(self, len_bound):
         """The PathTable of this map at len_bound, built on first use."""
+        if len_bound < 0:
+            raise ValueError("len_bound must be >= 0")
         return _memo(self, ("paths", len_bound), lambda: PathTable(self, len_bound))
 
     def __repr__(self):
@@ -456,21 +457,23 @@ class PathTable:
     extend it, empty at the bound, so the columns form the path tree with
     the vertices 0..|E^0|-1 as roots; ``key[i]`` is its (range vertex id,
     degree), the degree extended from its prefix's by one edge.
-    ``levels`` maps each key to the paths under it split by length: entry l
-    holds those of length l in enumeration order, for l from 0 to the
-    longest path held (0 when there is none), not to len_bound. Only keys
-    with at least one path are present. ``first[k]`` is the first path
+    ``depth`` is the length of the longest path held (0 when there is
+    none), which can be less than len_bound. ``levels`` maps each key to
+    the paths under it split by length: entry l holds those of length l in
+    enumeration order, for l from 0 to ``depth``. Only keys with at least
+    one path are present. ``first[k]`` is the first path
     under k in table order, the shortest. ``sizes[k]`` is (n_k, s_k): n_k
     paths lie under k, and s_k of them are shorter than len_bound if k's
     range vertex has a designated edge, else s_k = 0. Build it through
-    ``DegreeMap.path_table``, which keeps one per bound.
+    ``DegreeMap.path_table``, which keeps one per bound and rejects a
+    negative bound.
     """
 
     def __init__(self, degree_map, len_bound):
         graph = degree_map.graph
         group = self.group = degree_map.group
         self.paths = graph.enumerate_paths(len_bound)
-        depth = self.paths[-1].length if self.paths else 0
+        depth = self.depth = self.paths[-1].length if self.paths else 0
         children, keys = [], []
         position = {}
         levels = {}
@@ -526,11 +529,9 @@ def enumerate_Xg(g, degree_map, len_bound):
     Flagged vertices contribute their listed sample edges only, so for
     flagged graphs this is the sample slice of the true monomial set.
     """
-    if len_bound < 0:
-        raise ValueError("len_bound must be >= 0")
     table = degree_map.path_table(len_bound)
     partners = {k: table.levels[k2] for k, k2 in table.partner_keys(g).items()}
-    depth = table.paths[-1].length if table.paths else 0
+    depth = table.depth
     # real paths by length, each with its designated last edge and its partner levels
     reals = [[] for _ in range(depth + 1)]
     for p, k in zip(table.paths, table.key):
@@ -566,8 +567,6 @@ def count_Xg(g, degree_map, len_bound):
     and deg(a') deg(b')^-1 = deg(a) deg(e)^-1 deg(e) deg(b)^-1 = g, so
     (u, deg b') is the partner key of (u, deg a').
     """
-    if len_bound < 0:
-        raise ValueError("len_bound must be >= 0")
     table = degree_map.path_table(len_bound)
     pairs = ((table.sizes[k], table.sizes[k2]) for k, k2 in table.partner_keys(g).items())
     return sum(n * n2 - s * s2 for (n, s), (n2, s2) in pairs)

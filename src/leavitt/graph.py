@@ -350,13 +350,9 @@ class _Parser:
             self.fail(expected or f"'{kind}'")
         return self.next()
 
-    def skip_optional(self, kind):
-        if self.peek().kind == kind:
-            self.next()
-
-    def at_name(self, ahead=0):
-        """Whether the token ahead is an id that is not a reserved word."""
-        tok = self.peek(ahead)
+    def at_name(self):
+        """Whether the next token is an id that is not a reserved word."""
+        tok = self.peek()
         return tok.kind == "id" and tok.value not in _KEYWORDS
 
 
@@ -414,7 +410,8 @@ def parse_graph(text):
         if tok.kind != "id" or tok.value not in _SECTIONS:
             p.fail("a section keyword (vertices, edges, infinite)")
         section = p.next().value
-        p.skip_optional(":")
+        if p.peek().kind == ":":
+            p.next()
         if section == "edges":
             while p.at_name() and p.peek(1).kind == ":":
                 eid = p.next()

@@ -1,7 +1,9 @@
 import contextlib
+import importlib
 import io
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +11,20 @@ from pathlib import Path
 import pytest
 
 import leavitt
-from leavitt import ConstructionError, Element, cli, parse_element, parse_graph
+from leavitt import (
+    ConstructionError,
+    DegreeMapError,
+    Element,
+    ElementSyntaxError,
+    FrobeniusBuildError,
+    GraphError,
+    GroupError,
+    HomogeneityError,
+    RingError,
+    cli,
+    parse_element,
+    parse_graph,
+)
 from leavitt.cli import main
 
 from .util import GRAPH_B, GRAPH_C, GRAPH_CHAIN
@@ -764,6 +779,60 @@ class TestErrors:
             os.close(write_end)
         assert done.returncode == 0
         assert done.stderr == b""
+
+    def test_output_into_a_pipe_closed_after_one_line_is_not_an_error(self):
+        # the 446 KB listing fills the pipe, so a write fails once the reader
+        # has closed it; PYTHONUNBUFFERED would make stdout a raw file whose
+        # short write is dropped with no error, so the child runs without it
+        env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(leavitt.__file__).resolve().parents[1])
+        argv = ["xg", "--graph", "tests/cli_corpus/r3.lpa", "-g", "0", "--bound", "7"]
+        with subprocess.Popen(
+            [sys.executable, "-m", "leavitt", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            cwd=Path(__file__).resolve().parents[1],
+            env=env,
+        ) as child:
+            assert child.stdout.readline() == b"a\n"
+            child.stdout.close()
+            assert child.wait(timeout=60) == 0
+            assert child.stderr.read() == b""
+
+    def test_a_zero_denominator_is_a_data_error(self, capsys):
+        code, out, err = run(capsys, "nf", "--graph", str(CORPUS / "r3.lpa"), "--expr", "3/0*x")
+        assert (code, out, err) == (65, "", "error: column 1: zero denominator\n")
+
+    def test_every_input_error_of_the_package_is_a_value_error(self):
+        # main exits 65 on any ValueError or OSError, after the usage clause
+        # has taken UsageError and WindowError (64) and before the
+        # ConstructionError clause (70)
+        named = (
+            GraphError, ElementSyntaxError, RingError, GroupError, DegreeMapError,
+            HomogeneityError, FrobeniusBuildError, UnicodeDecodeError,
+        )
+        assert all(issubclass(cls, ValueError) for cls in named)
+        assert not issubclass(ConstructionError, (ValueError, OSError))
+        modules = [
+            importlib.import_module(f"leavitt.{m.name}")
+            for m in pkgutil.iter_modules(leavitt.__path__)
+            if not m.name.startswith("_")
+        ]
+        defined = {
+            obj
+            for module in modules
+            for obj in vars(module).values()
+            if isinstance(obj, type) and issubclass(obj, Exception) and obj.__module__ == module.__name__
+        }
+        assert {cls for cls in defined if not issubclass(cls, ValueError)} == {ConstructionError, cli.UsageError}
+
+    def test_an_unexpected_value_error_is_a_data_error_not_a_traceback(self, capsys, graph_file, monkeypatch):
+        def failing_decompose(value, dmap):
+            raise ValueError("no parts")
+
+        monkeypatch.setattr("leavitt.cli.decompose", failing_decompose)
+        code, out, err = run(capsys, "decompose", "--graph", graph_file, "--expr", "f1")
+        assert (code, out, err) == (65, "", "error: no parts\n")
 
     def test_package_runs_as_a_module(self):
         src = str(Path(leavitt.__file__).resolve().parents[1])

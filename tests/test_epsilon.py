@@ -194,6 +194,14 @@ class TestEpsilon:
         assert not rep.present
         assert rep.minimal.verdict == "infinite-witness"
 
+    def test_certificate_and_reason_follow_the_verdict(self, ring):
+        dm = DegreeMap.canonical(parse_graph(GRAPH_R3))
+        undetermined, present = epsilon(3, dm, 2, ring), epsilon(3, dm, 3, ring)
+        assert (undetermined.verdict, undetermined.certificate) == ("UNDETERMINED", None)
+        assert undetermined.absent_reason == "undetermined at bound 2"
+        assert (present.verdict, present.absent_reason) == ("PRESENT", None)
+        assert present.certificate
+
     def test_zero_reported_present(self, dm_chain, ring):
         rep = epsilon(5, dm_chain, 6, ring)
         assert rep.present and rep.epsilon.is_zero()

@@ -11,6 +11,7 @@ from leavitt import (
     DegreeMap,
     DegreeMapError,
     Element,
+    GraphError,
     GroupError,
     IntegerGroup,
     IntegerModRing,
@@ -23,6 +24,7 @@ from leavitt import (
     decompose,
     enumerate_Xg,
     enumerate_monomials,
+    minimal_classes,
     parse_degree_map,
     parse_graph,
     parse_group_table,
@@ -71,6 +73,10 @@ class TestGroups:
         assert g.inverse(1) == 2
         assert g.elements() == (0, 1, 2)
         assert CyclicGroup(1).elements() == (0,)
+
+    def test_integers_list_no_elements(self):
+        with pytest.raises(GroupError, match=r"^Z is not finite$"):
+            IntegerGroup().elements()
 
     def test_s3_table(self):
         g = parse_group_table(s3_table_text())
@@ -159,6 +165,20 @@ class TestDegreeMap:
 
         with pytest.raises(GraphError):
             DegreeMap(chain_graph, IntegerGroup(), {"f1": 1, "f2": 1, "f3": 1, "f4": 1, "zz": 1})
+
+    def test_a_degree_outside_the_group_is_rejected(self):
+        graph = parse_graph(GRAPH_R3)
+        z3 = CyclicGroup(3)
+        with pytest.raises(GroupError, match=r"^5 is not an element of Z/3$"):
+            DegreeMap(graph, z3, {e.id: 5 for e in graph.edges})
+        dm = DegreeMap(graph, z3, {e.id: 1 for e in graph.edges})
+        with pytest.raises(GroupError, match=r"^5 is not an element of Z/3$"):
+            minimal_classes(5, dm, 2)
+
+    def test_edge_degrees_are_keyed_by_edge_id(self, chain_graph):
+        f1 = chain_graph.edge("f1")
+        with pytest.raises(GraphError, match=r"^unknown edge Edge\(f1: v2 -> v1\)$"):
+            DegreeMap(chain_graph, IntegerGroup(), {f1: 1, "f2": 1, "f3": 1, "f4": 1})
 
     def test_degree_of_monomials(self, chain_graph, dm_chain):
         assert dm_chain.degree_of(mono(chain_graph, ("f4", "f3"), ("v3",))) == 2

@@ -338,6 +338,10 @@ class TestQueries:
         expected = {v.id for v in graph_a.vertices if brute_out_degree(graph_a, v) == 0}
         assert expected == set() == {v.id for v in graph_a.sinks()}
 
+    def test_unknown_vertex_id(self, chain_graph):
+        with pytest.raises(GraphError, match=r"^unknown vertex 'nope'$"):
+            chain_graph.vertex("nope")
+
     def test_regular_chain(self, chain_graph):
         assert {v.id for v in chain_graph.regular_vertices()} == {"v2", "v4", "v5"}
 
@@ -397,6 +401,10 @@ class TestPaths:
     def test_negative_bound_rejected(self, chain_graph):
         with pytest.raises(ValueError):
             chain_graph.enumerate_paths(-1)
+
+    def test_a_path_needs_a_base_or_an_edge(self):
+        with pytest.raises(GraphError, match=r"^a path needs a base vertex or at least one edge$"):
+            Path(None)
 
     def test_bad_path_construction(self, chain_graph):
         with pytest.raises(GraphError):

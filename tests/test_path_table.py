@@ -1,5 +1,6 @@
 """The shared table of paths up to a bound with their degrees, and its readers."""
 
+import random
 from collections import Counter
 
 from hypothesis import assume, given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 import pytest
 
 from leavitt import (
+    INTEGERS,
     CyclicGroup,
     DegreeMap,
     Graph,
@@ -22,6 +24,7 @@ from leavitt import (
     minimal_classes,
     parse_graph,
     parse_group_table,
+    random_element,
 )
 from leavitt.grading import count_Xg
 from leavitt.sampling import realized_degrees
@@ -269,6 +272,31 @@ def test_checked_monomial_rejects_different_ranges():
 def test_columns_match_each_path(case, bound):
     degree_map, _ = case
     assert_columns(degree_map.path_table(bound), degree_map, bound)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=graded_cases(), bound=st.integers(0, 4))
+def test_depth_is_the_longest_path_held(case, bound):
+    degree_map, _ = case
+    table = degree_map.path_table(bound)
+    assert table.depth == max((p.length for p in table.paths), default=0) <= bound
+
+
+@pytest.mark.parametrize(
+    "read",
+    [
+        lambda dm: dm.path_table(-1),
+        lambda dm: enumerate_Xg(0, dm, -1),
+        lambda dm: count_Xg(0, dm, -1),
+        lambda dm: realized_degrees(dm, -1),
+        lambda dm: random_element(dm.graph, INTEGERS, random.Random(0), len_bound=-1),
+    ],
+    ids=["path_table", "enumerate_Xg", "count_Xg", "realized_degrees", "random_element"],
+)
+def test_every_reader_of_the_path_table_rejects_a_negative_bound(read):
+    dm = DegreeMap.canonical(parse_graph(GRAPH_R3))
+    with pytest.raises(ValueError, match=r"^len_bound must be >= 0$"):
+        read(dm)
 
 
 def pair_ids(pair):

@@ -10,6 +10,8 @@ component: its degree verdict is PRESENT when both are, ABSENT when either
 is, and UNDETERMINED otherwise. An automorphism sigma of the group gives the
 degree map sigma.deg, whose degree sigma(g) holds exactly the monomials of
 degree g, so its epsilon at sigma(g) is epsilon_g, with the same classes.
+The gradings run over Z, Z/3, Z^2 and the nonabelian S3, whose inner
+automorphisms (conjugation by each element) keep the order of the factors.
 """
 
 from hypothesis import given, settings
@@ -24,16 +26,24 @@ from leavitt import (
     Graph,
     IntegerGroup,
     IntegerModRing,
+    IntegerTupleGroup,
     Monomial,
     Path,
     Vertex,
     epsilon,
 )
 
+from .test_path_table import S3
+
+Z2 = IntegerTupleGroup(2)
+Z2_DEGREES = st.tuples(st.integers(-1, 1), st.integers(-1, 1))
+
 # group, edge degrees drawn from, degrees g checked
 GRADINGS = {
     "Z": (IntegerGroup(), st.integers(-2, 2), range(-3, 4)),
     "Z/3": (CyclicGroup(3), st.integers(0, 2), range(3)),
+    "Z^2": (Z2, Z2_DEGREES, Z2.window(-1, 1)),
+    "S3": (S3, st.sampled_from(S3.symbols), S3.elements()),
 }
 RINGS = st.sampled_from([INTEGERS, IntegerModRing(3)])
 
@@ -42,6 +52,13 @@ AUTOMORPHISMS = {
     "Z, negation": (IntegerGroup(), st.integers(-2, 2), range(-3, 4), lambda g: -g),
     "Z/3, doubling": (CyclicGroup(3), st.integers(0, 2), range(3), lambda g: 2 * g % 3),
     "Z/5, doubling": (CyclicGroup(5), st.integers(0, 4), range(5), lambda g: 2 * g % 5),
+    "Z^2, coordinate swap": (Z2, Z2_DEGREES, Z2.window(-1, 1), lambda g: (g[1], g[0])),
+    **{
+        f"S3, conjugation by {x}": (
+            S3, st.sampled_from(S3.symbols), S3.elements(), lambda g, x=x: S3.op(S3.op(x, g), S3.inverse(x))
+        )
+        for x in S3.symbols
+    },
 }
 
 # new ids for the at most seven ids of one graph, in every lexical order
