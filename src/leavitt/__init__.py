@@ -4,140 +4,26 @@ Graphs and paths, normal-form arithmetic over exact coefficient rings,
 standard group gradings with homogeneous decomposition, the per-degree
 local identities with certificates, grading-property checkers, and
 Frobenius systems for finite grading groups.
+
+Each module's ``__all__`` is its public API; the package exports their union.
 """
 
-from .algebra import (
-    Element,
-    ElementSyntaxError,
-    Monomial,
-    enumerate_monomials,
-    normal_form_shuffled,
-    parse_element,
-)
-from .epsilon import (
-    ConstructionError,
-    EpsilonReport,
-    HomogeneityError,
-    LocalUnitPair,
-    MinimalClassSet,
-    WindowError,
-    check_epsilon_strong,
-    check_nearly_epsilon,
-    check_nondegenerate,
-    check_strongly_graded,
-    check_symmetric,
-    epsilon,
-    local_units,
-    minimal_classes,
-    nmap,
-)
-from .frobenius import (
-    EpsilonUnavailableError,
-    FrobeniusBuildError,
-    FrobeniusSystem,
-    build_frobenius_system,
-    projection_e,
-    verify_frobenius,
-)
-from .grading import (
-    CyclicGroup,
-    DegreeMap,
-    DegreeMapError,
-    Group,
-    GroupError,
-    IntegerGroup,
-    IntegerTupleGroup,
-    TableGroup,
-    check_grading_axiom,
-    decompose,
-    enumerate_Xg,
-    parse_degree_map,
-    parse_group_table,
-)
-from .graph import (
-    Edge,
-    Graph,
-    GraphError,
-    GraphSyntaxError,
-    Path,
-    Vertex,
-    is_initial_subpath,
-    parse_graph,
-)
-from .reports import Report
-from .rings import (
-    INTEGERS,
-    RATIONALS,
-    CoefficientRing,
-    IntegerModRing,
-    IntegerRing,
-    RationalRing,
-    RingError,
-    parse_ring,
-)
-from .sampling import random_element, random_homogeneous
+from . import algebra, epsilon, frobenius, grading, graph, reports, rings, sampling
 
+# Read before the star imports below, which rebind ``epsilon`` to the function.
 __all__ = [
-    "Element",
-    "ElementSyntaxError",
-    "Monomial",
-    "enumerate_monomials",
-    "normal_form_shuffled",
-    "parse_element",
-    "ConstructionError",
-    "EpsilonReport",
-    "HomogeneityError",
-    "LocalUnitPair",
-    "MinimalClassSet",
-    "WindowError",
-    "check_epsilon_strong",
-    "check_nearly_epsilon",
-    "check_nondegenerate",
-    "check_strongly_graded",
-    "check_symmetric",
-    "epsilon",
-    "local_units",
-    "minimal_classes",
-    "nmap",
-    "EpsilonUnavailableError",
-    "FrobeniusBuildError",
-    "FrobeniusSystem",
-    "build_frobenius_system",
-    "projection_e",
-    "verify_frobenius",
-    "CyclicGroup",
-    "DegreeMap",
-    "DegreeMapError",
-    "Group",
-    "GroupError",
-    "IntegerGroup",
-    "IntegerTupleGroup",
-    "TableGroup",
-    "check_grading_axiom",
-    "decompose",
-    "enumerate_Xg",
-    "parse_degree_map",
-    "parse_group_table",
-    "Edge",
-    "Graph",
-    "GraphError",
-    "GraphSyntaxError",
-    "Path",
-    "Vertex",
-    "is_initial_subpath",
-    "parse_graph",
-    "Report",
-    "INTEGERS",
-    "RATIONALS",
-    "CoefficientRing",
-    "IntegerModRing",
-    "IntegerRing",
-    "RationalRing",
-    "RingError",
-    "parse_ring",
-    "random_element",
-    "random_homogeneous",
-    "__version__",
-]
+    name
+    for module in (algebra, epsilon, frobenius, grading, graph, reports, rings, sampling)
+    for name in module.__all__
+] + ["__version__"]
+
+from .algebra import *
+from .epsilon import *
+from .frobenius import *
+from .grading import *
+from .graph import *
+from .reports import *
+from .rings import *
+from .sampling import *
 
 __version__ = "0.1.0"

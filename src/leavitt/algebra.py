@@ -25,6 +25,15 @@ import re
 
 from .graph import GraphError, Path
 
+__all__ = [
+    "Element",
+    "ElementSyntaxError",
+    "Monomial",
+    "enumerate_monomials",
+    "normal_form_shuffled",
+    "parse_element",
+]
+
 
 class ElementSyntaxError(ValueError):
     """Malformed element expression; carries the offending column."""
@@ -350,15 +359,11 @@ class Element:
         parts = []
         for m in self.support():
             c = self.terms[m]
-            sign = "-" if ring.is_negative(c) else "+"
             mag = ring.magnitude(c)
             body = m.render() if mag == ring.one else f"{ring.render(mag)}*{m.render()}"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            out += f" {sign} {body}"
-        return out
+            parts.append(f"{'-' if ring.is_negative(c) else '+'} {body}")
+        out = " ".join(parts)
+        return out[2:] if out[0] == "+" else "-" + out[2:]
 
     def __repr__(self):
         return f"Element({self})"

@@ -39,6 +39,24 @@ from .grading import _memo, count_Xg, enumerate_Xg
 from .reports import Report
 from .rings import INTEGERS
 
+__all__ = [
+    "ConstructionError",
+    "EpsilonReport",
+    "HomogeneityError",
+    "LocalUnitPair",
+    "MinimalClassSet",
+    "WindowError",
+    "check_epsilon_strong",
+    "check_nearly_epsilon",
+    "check_nondegenerate",
+    "check_strongly_graded",
+    "check_symmetric",
+    "epsilon",
+    "local_units",
+    "minimal_classes",
+    "nmap",
+]
+
 
 class WindowError(ValueError):
     """A degree window missing the identity or not closed under inverse."""
@@ -360,8 +378,8 @@ def local_units(s, degree_map):
 def check_symmetric(degree_map, len_bound, ring=INTEGERS):
     """Verify m = m m* m for every monomial within the bound."""
     graph = degree_map.graph
-    checked = 0
-    for m in enumerate_monomials(graph, len_bound):
+    monos = enumerate_monomials(graph, len_bound)
+    for m in monos:
         em = Element.monomial(graph, ring, m)
         if em * em.involution() * em != em:
             return Report(
@@ -369,11 +387,10 @@ def check_symmetric(degree_map, len_bound, ring=INTEGERS):
                 verdict="FAIL",
                 fields={"bound": len_bound, "witness": m.render()},
             )
-        checked += 1
     return Report(
         kind="symmetric-grading-check",
         verdict="PASS",
-        fields={"bound": len_bound, "monomials-checked": checked},
+        fields={"bound": len_bound, "monomials-checked": len(monos)},
     )
 
 

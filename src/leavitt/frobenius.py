@@ -16,6 +16,15 @@ from .epsilon import ConstructionError, _window_walk
 from .reports import Report
 from .rings import INTEGERS
 
+__all__ = [
+    "EpsilonUnavailableError",
+    "FrobeniusBuildError",
+    "FrobeniusSystem",
+    "build_frobenius_system",
+    "projection_e",
+    "verify_frobenius",
+]
+
 
 class FrobeniusBuildError(ValueError):
     """The system cannot be assembled; carries the blocking reason."""

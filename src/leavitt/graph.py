@@ -13,6 +13,17 @@ import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
+__all__ = [
+    "Edge",
+    "Graph",
+    "GraphError",
+    "GraphSyntaxError",
+    "Path",
+    "Vertex",
+    "is_initial_subpath",
+    "parse_graph",
+]
+
 _SECTIONS = frozenset({"vertices", "edges", "infinite"})
 _KEYWORDS = _SECTIONS | {"graph"}
 
@@ -271,22 +282,22 @@ class Graph:
 
         Length-0 paths are the vertices in id order. Within each length,
         paths sort lexicographically by their edge id sequence, so raising
-        the bound extends the output without reordering it.
+        the bound extends the output without reordering it. No sort is
+        needed: length 1 is the edges in id order, and each longer level
+        extends the level before, in order, by out-edges in id order. That
+        is sorted, since the level before is and one path's extensions share
+        it as their prefix.
         """
         if max_len < 0:
             raise ValueError("max_len must be >= 0")
-        level = [Path(v) for v in self.vertices]
-        paths = list(level)
-        for _ in range(max_len):
-            nxt = []
-            for p in level:
-                for e in self._out[p.range.id]:
-                    nxt.append(p.extended(e))
-            if not nxt:
+        paths = [Path(v) for v in self.vertices]
+        start = {p.base.id: p for p in paths}
+        level = [start[e.source.id].extended(e) for e in self.edges] if max_len else []
+        while level:
+            paths.extend(level)
+            if level[0].length == max_len:
                 break
-            nxt.sort(key=Path.sort_key)
-            paths.extend(nxt)
-            level = nxt
+            level = [p.extended(e) for p in level for e in self._out[p.range.id]]
         return tuple(paths)
 
     def __repr__(self):

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+__all__ = ["Report"]
+
 PASS_VERDICTS = frozenset({"PASS", "EPSILON_STRONG", "STRONG", "PRESENT"})
 FAIL_VERDICTS = frozenset({"FAIL", "NOT_EPSILON_STRONG", "NOT_STRONG", "ABSENT", "DISAGREEMENT"})
 

@@ -13,6 +13,17 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
+__all__ = [
+    "INTEGERS",
+    "RATIONALS",
+    "CoefficientRing",
+    "IntegerModRing",
+    "IntegerRing",
+    "RationalRing",
+    "RingError",
+    "parse_ring",
+]
+
 
 class RingError(ValueError):
     """Raised for scalars that do not belong to the ring."""

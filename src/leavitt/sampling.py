@@ -14,6 +14,8 @@ from .algebra import Element, enumerate_monomials
 from .epsilon import HomogeneityError
 from .grading import _memo, enumerate_Xg
 
+__all__ = ["random_element", "random_homogeneous"]
+
 # The most monomials in one random element.
 MAX_SUPPORT = 4
 

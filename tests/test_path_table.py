@@ -1,5 +1,6 @@
 """The shared table of paths up to a bound with their degrees, and its readers."""
 
+import itertools
 import random
 from collections import Counter
 
@@ -343,6 +344,28 @@ def test_level_one_classes_come_in_table_order(degrees, classes):
             expected, verdict, _ = reference_minimal_classes(dm, g, bound)
             assert [pair_ids((c.alpha, c.beta)) for c in mcs.classes] == [pair_ids(c) for c in expected]
             assert mcs.verdict == verdict
+
+
+def test_minimal_classes_are_the_reference_scan_on_every_small_graph():
+    # seed-free, so an order defect that random draws reach only in some runs
+    # fails every run: 85 edge lists, 1,885 maps, 28,275 (map, g, bound) cases
+    cases = 0
+    for n_edges in range(4):
+        for ends in itertools.product(itertools.product(range(2), repeat=2), repeat=n_edges):
+            edges = "".join(f" e{i}: v{s} -> v{t};" for i, (s, t) in enumerate(ends))
+            text = "vertices v0 v1;" + (f" edges{edges}" if edges else "")
+            graph = parse_graph(text)
+            for degrees in itertools.product(range(-1, 2), repeat=n_edges):
+                dm = DegreeMap(graph, IntegerGroup(), {f"e{i}": d for i, d in enumerate(degrees)})
+                for g in range(-2, 3):
+                    for bound in (1, 2, 3):
+                        mcs = minimal_classes(g, dm, bound)
+                        expected, verdict, _ = reference_minimal_classes(dm, g, bound)
+                        case = (text, degrees, g, bound)
+                        assert [pair_ids((c.alpha, c.beta)) for c in mcs.classes] == list(map(pair_ids, expected)), case
+                        assert mcs.verdict == verdict, case
+                        cases += 1
+    assert cases == 28_275
 
 
 def test_minimal_classes_visit_only_the_uncovered_paths(monkeypatch):

@@ -12,7 +12,18 @@ degree map sigma.deg, whose degree sigma(g) holds exactly the monomials of
 degree g, so its epsilon at sigma(g) is epsilon_g, with the same classes.
 The gradings run over Z, Z/3, Z^2 and the nonabelian S3, whose inner
 automorphisms (conjugation by each element) keep the order of the factors.
+
+An out-split F of E at a vertex v splits v's out-edges into blocks, one
+vertex v_i per block: each out-edge of v leaves the v_i of its block, and
+each edge e into v is copied once per v_i, as e_i into v_i, with e's degree.
+The map phi with phi(v) = sum v_i, phi(e) = sum e_i for e into v, and every
+other vertex and edge kept is a graded isomorphism L(E) -> L(F), so it
+carries e_g(E) to e_g(F). The bounded verdicts agree as well: paths of F
+correspond to paths of E length for length and degree for degree, one per
+copy when the path ends at v, so realization and the frontier correspond.
 """
+
+from functools import reduce
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -187,3 +198,74 @@ def test_epsilon_of_a_disjoint_union_is_the_sum_over_its_components(left, right,
             assert whole.epsilon == carried(reps[0].epsilon, union) + carried(reps[1].epsilon, union), g
         else:
             assert whole.verdict == ("ABSENT" if "ABSENT" in verdicts else "UNDETERMINED"), g
+
+
+@st.composite
+def split_specs(draw):
+    """(vertex ids, edge triples, v, first block) of a graph on up to three
+    vertices with up to four edges and no flag, where v emits two or more
+    edges and the first block is a proper nonempty subset of them."""
+    n = draw(st.integers(1, 3))
+    end = st.integers(0, n - 1)
+    v = draw(end)
+    ends = [(v, draw(end)), (v, draw(end))] + draw(st.lists(st.tuples(end, end), max_size=2))
+    edges = [(f"e{i}", f"v{s}", f"v{t}") for i, (s, t) in enumerate(draw(st.permutations(ends)))]
+    out = [e for e, s, _ in edges if s == f"v{v}"]
+    first = draw(st.sets(st.sampled_from(out), min_size=1, max_size=len(out) - 1))
+    return [f"v{i}" for i in range(n)], edges, f"v{v}", first
+
+
+def out_split(vertex_ids, edges, v, first):
+    """The vertex ids and edge triples of F, and the ids that each vertex and
+    edge of E becomes: v becomes v1, left by the first block, and v2, left
+    by the rest; an edge e into v becomes e1 into v1 and e2 into v2."""
+    copies = {w: [w] for w in vertex_ids}
+    copies[v] = [v + "1", v + "2"]
+    split_edges = []
+    for e, s, t in edges:
+        source = s if s != v else v + ("1" if e in first else "2")
+        copies[e] = [e] if t != v else [e + "1", e + "2"]
+        split_edges += [(c, source, r) for c, r in zip(copies[e], copies[t])]
+    split_vertices = [w for u in vertex_ids for w in copies[u]]
+    return split_vertices, split_edges, copies
+
+
+def split_image(x, split, copies):
+    """phi(x) in L(F), by Element arithmetic: phi(a b*) = phi(a) phi(b)*."""
+    ring = x.ring
+    zero = Element.zero(split, ring)
+
+    def edge(c):
+        return Element.real_path(split, ring, Path(None, [split.edge(c)]))
+
+    def phi(p):
+        if p.is_vertex():
+            return sum((Element.vertex(split, ring, w) for w in copies[p.base.id]), zero)
+        return reduce(Element.__mul__, [sum(map(edge, copies[e.id]), zero) for e in p.edges])
+
+    return sum(((phi(m.alpha) * phi(m.beta).involution()).scaled(c) for m, c in x.terms.items()), zero)
+
+
+# group, edge degrees drawn from, degrees g checked
+SPLIT_GRADINGS = {
+    "Z": (IntegerGroup(), st.integers(-1, 2), range(-3, 4)),
+    "Z/3": (CyclicGroup(3), st.integers(0, 2), range(3)),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=split_specs(), grading=st.sampled_from(sorted(SPLIT_GRADINGS)), ring=RINGS, data=st.data())
+def test_an_out_split_carries_every_epsilon_and_verdict(spec, grading, ring, data):
+    vertex_ids, edges, v, first = spec
+    group, edge_degree, window = SPLIT_GRADINGS[grading]
+    degrees = {e: data.draw(edge_degree) for e, _, _ in edges}
+    split_vertices, split_edges, copies = out_split(vertex_ids, edges, v, first)
+    graph, split = build(vertex_ids, edges, []), build(split_vertices, split_edges, [])
+    dm = DegreeMap(graph, group, degrees)
+    dm_split = DegreeMap(split, group, {c: degrees[e] for e in degrees for c in copies[e]})
+    for bound in (1, 2, 3):
+        for g in window:
+            rep, rep_split = epsilon(g, dm, bound, ring), epsilon(g, dm_split, bound, ring)
+            assert rep_split.verdict == rep.verdict, (g, bound)
+            if rep.present:
+                assert rep_split.epsilon == split_image(rep.epsilon, split, copies), (g, bound)

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -35,6 +36,14 @@ def test_rational_ring():
     assert r.render(Fraction(4, 2)) == "2"
     with pytest.raises(RingError):
         r.from_pair(1, 0)
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no integer digit limit"
+)
+def test_a_modulus_past_the_digit_limit_is_a_ring_error():
+    with pytest.raises(RingError, match="^bad ring modulus: "):
+        parse_ring("z/" + "1" * (sys.get_int_max_str_digits() + 1))
 
 
 def test_mod_ring():
