@@ -101,6 +101,8 @@ CASES = [
     ("frobenius-structured", "frobenius --graph b.lpa --degrees b_z2.deg --bound 4 --samples 20 --triples 10 --seed 7 --output structured", None, None),
     ("frobenius-z3", "frobenius --graph r3.lpa --degrees r3_z3.deg --ring z/3 --bound 3 --samples 10 --triples 5 --seed 2", None, None),
     ("frobenius-z3-repeat", "frobenius --graph r3.lpa --degrees r3_z3.deg --ring z/3 --bound 4 --samples 30 --triples 10 --seed 12", None, None),
+    ("frobenius-q", "frobenius --graph b.lpa --degrees b_z2.deg --ring q --bound 4 --samples 12 --triples 6 --seed 3", None, None),
+    ("frobenius-table", "frobenius --graph b.lpa --degrees b_table.deg --bound 4 --samples 12 --triples 6 --seed 4 --output structured", None, None),
     ("frobenius-infinite-group", "frobenius --graph b.lpa --bound 4", None, None),
     ("frobenius-undetermined", "frobenius --graph l.lpa --degrees l_z2.deg --bound 2", None, None),
     ("frobenius-undetermined-structured", "frobenius --graph l.lpa --degrees l_z2.deg --bound 2 --output structured", None, None),
