@@ -551,12 +551,13 @@ def check_nondegenerate(degree_map, samples):
     """Nondegeneracy on every nonzero sample s of degree g, from its local
     units: s = s.u' with u' in S_{g^-1} S_g, so s S_{g^-1} != 0, and
     s = u.s with u in S_g S_{g^-1}, so S_{g^-1} s != 0. Zero samples are
-    skipped.
+    skipped and counted, as in check_nearly_epsilon.
     """
     render = degree_map.group.render
+    zeros, units = _unit_walk(degree_map, samples)
     witnesses = [
         {"element": str(lu.element), "degree": render(lu.degree),
          "left-witness": str(lu.left), "right-witness": str(lu.right)}
-        for lu in _unit_walk(degree_map, samples)[1]
+        for lu in units
     ]
-    return Report(kind="nondegeneracy-check", verdict="PASS", fields={"witnesses": witnesses})
+    return Report(kind="nondegeneracy-check", verdict="PASS", fields={"skipped-zero": zeros, "witnesses": witnesses})

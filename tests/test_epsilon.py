@@ -680,8 +680,10 @@ class TestCheckNondegenerate:
         texts = ["f1 - f2", "0", "f3.f1* + f3.f2*"]
         samples = [elem(t, graph_c, ring) for t in texts]
         nearly = check_nearly_epsilon(dm, samples).fields
-        witnesses = check_nondegenerate(dm, samples).fields["witnesses"]
+        nondegenerate = check_nondegenerate(dm, samples).fields
+        witnesses = nondegenerate["witnesses"]
         assert nearly["samples-verified"] == 2 and nearly["skipped-zero"] == 1
+        assert nondegenerate["skipped-zero"] == 1
         nonzero = [s for s in samples if not s.is_zero()]
         assert [w["element"] for w in witnesses] == [str(s) for s in nonzero]
         assert [c["element"] for c in nearly["certificates"]] == [str(s) for s in nonzero]
