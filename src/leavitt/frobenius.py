@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Element, _fold
+from .algebra import Element, _add_normal, _fold, _mono_product, _normal_pieces
 from .epsilon import ConstructionError, _window_walk
 from .reports import Report
 from .rings import INTEGERS
@@ -47,12 +47,16 @@ class FrobeniusSystem:
         return projection_e(a, self.degree_map)
 
 
+def _in_identity_degree(degree_map):
+    """The test the trace applies to a monomial: is its degree the identity?"""
+    identity, degree_of = degree_map.group.identity, degree_map.degree_of
+    return lambda m: degree_of(m) == identity
+
+
 def projection_e(a, degree_map):
     """The identity-degree part of an element: its terms of that degree."""
-    identity = degree_map.group.identity
-    return Element(
-        a.graph, a.ring, {m: c for m, c in a.terms.items() if degree_map.degree_of(m) == identity}
-    )
+    kept = _in_identity_degree(degree_map)
+    return Element(a.graph, a.ring, {m: c for m, c in a.terms.items() if kept(m)})
 
 
 def _sum(graph, ring, elements):
@@ -105,9 +109,61 @@ def build_frobenius_system(degree_map, len_bound, ring=INTEGERS):
     )
 
 
+def _reproduction(graph, ring, kept, pairs, s, left):
+    """The term map of sum_j x_j E(y_j s) when left, else of
+    sum_j E(s x_j) y_j, folded term by term with no element per pair.
+
+    Each product of a term of the inner factors (y_j then s, or s then
+    x_j) is cut into its normal pieces; a piece outside the identity degree
+    is dropped, which is the trace E, and each kept piece is multiplied by
+    every term of the outer factor (x_j on the left, y_j on the right) and
+    folded, in normal form, into one map. Coefficients multiply as in the
+    definition, c_x (c_y c_s) and (c_s c_x) c_y, negated with the piece.
+    """
+    mul, neg, is_zero = ring.mul, ring.neg, ring.is_zero
+    acc = {}
+    sample = s.terms.items()
+    for x, y in pairs:
+        if left:
+            first, second, outer = y.terms.items(), sample, x.terms.items()
+        else:
+            first, second, outer = sample, x.terms.items(), y.terms.items()
+        for m1, c1 in first:
+            for m2, c2 in second:
+                m = _mono_product(m1, m2)
+                if m is None:
+                    continue
+                c = mul(c1, c2)
+                if is_zero(c):
+                    continue
+                for piece, sign in _normal_pieces(graph, m):
+                    if not kept(piece):
+                        continue
+                    cp = c if sign > 0 else neg(c)
+                    for mo, co in outer:
+                        p = _mono_product(mo, piece) if left else _mono_product(piece, mo)
+                        if p is not None:
+                            d = mul(co, cp) if left else mul(cp, co)
+                            if not is_zero(d):
+                                _add_normal(graph, ring, acc, p, d)
+    return acc
+
+
 def verify_frobenius(system, samples, bimodule_triples=(), seed=None):
     """Check both reproduction identities on every sample, and the trace
     bimodule law on every (t, a, t') triple with t, t' of identity degree.
+
+    Each side's sum is one fold of term products into one term map
+    (``_reproduction``), and it equals the definition exactly: a product
+    of elements is the sum of its term products, E keeps the normal terms
+    of the identity degree, and the fold is exact addition, so pieces that
+    would cancel inside E(y_j s) or E(s x_j) cancel in the side's map
+    instead. Every monomial product of the definition is computed; two
+    kept pieces of one pair that coincide, which a built system's minimal
+    classes rule out for samples within its bound, are each multiplied,
+    where the definition multiplies their sum once. Each sample is
+    compared with both sums. A sample over another graph or ring raises
+    ValueError.
 
     Returns PASS or the first counterexample.
     """
@@ -123,9 +179,12 @@ def verify_frobenius(system, samples, bimodule_triples=(), seed=None):
         fields["seed"] = seed
 
     checked = 0
+    kept, pairs = _in_identity_degree(dm), system.pairs
+    zero = Element.zero(graph, ring)
     for s in samples:
-        left = _sum(graph, ring, (x * projection_e(y * s, dm) for x, y in system.pairs))
-        right = _sum(graph, ring, (projection_e(s * x, dm) * y for x, y in system.pairs))
+        zero._compatible(s)
+        left = Element(graph, ring, _reproduction(graph, ring, kept, pairs, s, True))
+        right = Element(graph, ring, _reproduction(graph, ring, kept, pairs, s, False))
         if left != s or right != s:
             which = "x_j E(y_j s)" if left != s else "E(s x_j) y_j"
             fields["witness"] = {

@@ -1,13 +1,18 @@
 import random
 import sys
+from collections import Counter
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import leavitt.algebra as algebra
 import leavitt.frobenius as frobenius
 from leavitt import (
     INTEGERS,
     RATIONALS,
+    CoefficientRing,
     ConstructionError,
     CyclicGroup,
     DegreeMap,
@@ -26,7 +31,8 @@ from leavitt import (
     verify_frobenius,
 )
 
-from .util import GRAPH_R3, elem
+from .test_path_table import GRADINGS, graded_cases
+from .util import GRAPH_B, GRAPH_R3, elem, reference_frobenius_witness, reference_reproduction
 
 
 @pytest.fixture(scope="module")
@@ -244,3 +250,197 @@ class TestVerify:
         system = build_frobenius_system(dm_b_mod2, 4, ring)
         a = elem("e + f", graph_b, ring)
         assert system.trace(a) == projection_e(a, dm_b_mod2)
+
+
+# the finite gradings of graded_cases, with Z/2 and Z/4 beside Z/3 and S3
+FINITE_GRADINGS = {
+    "Z/2": (CyclicGroup(2), st.integers(0, 1), st.integers(0, 1)),
+    "Z/3": GRADINGS["Z/3"],
+    "Z/4": (CyclicGroup(4), st.integers(0, 3), st.integers(0, 3)),
+    "S3": GRADINGS["S3"],
+}
+RINGS = {"Z": INTEGERS, "Z/3": IntegerModRing(3), "Q": RATIONALS}
+
+
+@st.composite
+def frobenius_cases(draw):
+    """A system and its samples over a finite grading of graded_cases and
+    one of Z, Z/3 and Q: the built system when the build succeeds at bound
+    2, else pairs of random elements; the samples are zero, homogeneous and
+    random elements."""
+    degree_map, _ = draw(graded_cases(FINITE_GRADINGS))
+    ring = RINGS[draw(st.sampled_from(sorted(RINGS)))]
+    graph = degree_map.graph
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    try:
+        system = build_frobenius_system(degree_map, 2, ring)
+    except FrobeniusBuildError:
+        pairs = tuple(
+            (random_element(graph, ring, rng, len_bound=2), random_element(graph, ring, rng, len_bound=2))
+            for _ in range(draw(st.integers(1, 4)))
+        )
+        system = FrobeniusSystem(degree_map=degree_map, ring=ring, bound_used=2, pairs=pairs, epsilons={})
+    samples = [Element.zero(graph, ring)]
+    samples += [random_homogeneous(degree_map, ring, rng, len_bound=2) for _ in range(3)]
+    samples += [random_element(graph, ring, rng, len_bound=2) for _ in range(3)]
+    rng.shuffle(samples)
+    return system, samples
+
+
+def reproduction_terms(system, s):
+    """The term maps of both sums of verify_frobenius on the sample s."""
+    dm = system.degree_map
+    kept = frobenius._in_identity_degree(dm)
+    return tuple(frobenius._reproduction(dm.graph, system.ring, kept, system.pairs, s, left) for left in (True, False))
+
+
+class TestReproductionFold:
+    @settings(max_examples=150, deadline=None)
+    @given(case=frobenius_cases())
+    def test_both_sums_are_the_definition(self, case):
+        system, samples = case
+        for s in samples:
+            left, right = reference_reproduction(system, s)
+            assert reproduction_terms(system, s) == (left.terms, right.terms)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=frobenius_cases(), data=st.data())
+    def test_a_corrupted_system_fails_with_the_definitions_witness(self, case, data):
+        system, samples = case
+        j = data.draw(st.integers(0, len(system.pairs) - 1))
+        x, y = system.pairs[j]
+        dropped = system.pairs[:j] + system.pairs[j + 1:]
+        scaled = system.pairs[:j] + ((x * 2, y),) + system.pairs[j + 1:]
+        for pairs in (system.pairs, dropped, scaled):
+            corrupted = replace(system, pairs=pairs)
+            witness = reference_frobenius_witness(corrupted, samples)
+            report = verify_frobenius(corrupted, samples)
+            assert (report.verdict, report.fields.get("witness")) == ("PASS" if witness is None else "FAIL", witness)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=frobenius_cases())
+    def test_the_sums_make_the_definitions_monomial_products_and_no_element_product(self, case):
+        # On a built system no two kept pieces of one pair coincide: a
+        # sample term meeting a proper prefix of a class's real path would
+        # make that prefix realized, against the class's minimality. So the
+        # products are exactly the definition's. On arbitrary pairs, kept
+        # pieces that the definition merges inside E(y_j s) or E(s x_j) are
+        # each multiplied, so the definition's products are a part of them.
+        system, samples = case
+        original, original_mul = algebra._mono_product, Element.__mul__
+
+        def recorder(calls):
+            def product(m1, m2):
+                calls[m1, m2] += 1
+                return original(m1, m2)
+
+            return product
+
+        element_products = []
+        for s in samples:
+            oracle, kernel = Counter(), Counter()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(algebra, "_mono_product", recorder(oracle))
+                reference_reproduction(system, s)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(frobenius, "_mono_product", recorder(kernel))
+                mp.setattr(Element, "__mul__", lambda a, b: element_products.append(b) or original_mul(a, b))
+                verify_frobenius(system, [s])
+            if system.epsilons:
+                assert kernel == oracle
+            else:
+                assert kernel >= oracle
+        assert element_products == []
+
+    def test_the_products_of_the_benchmark_system_are_the_definitions(self, monkeypatch):
+        # the Z/3 grading of R3 at the bound of the benchmark's Frobenius run
+        graph = parse_graph(GRAPH_R3)
+        dm = DegreeMap(graph, CyclicGroup(3), {"x": 1, "y": 1, "z": 1, "w": 0, "t": 2})
+        ring = IntegerModRing(3)
+        system = build_frobenius_system(dm, 5, ring)
+        rng = random.Random(1)
+        samples = [random_homogeneous(dm, ring, rng, len_bound=5) for _ in range(20)]
+        oracle, kernel = Counter(), Counter()
+        original = algebra._mono_product
+        monkeypatch.setattr(algebra, "_mono_product", lambda m1, m2: oracle.update([(m1, m2)]) or original(m1, m2))
+        for s in samples:
+            assert reproduction_terms(system, s) == tuple(e.terms for e in reference_reproduction(system, s))
+        monkeypatch.setattr(frobenius, "_mono_product", lambda m1, m2: kernel.update([(m1, m2)]) or original(m1, m2))
+        assert verify_frobenius(system, samples).verdict == "PASS"
+        assert kernel == oracle
+
+    def test_a_sample_over_another_graph_or_ring_is_refused(self, graph_b, dm_b_mod2, ring):
+        system = build_frobenius_system(dm_b_mod2, 4, ring)
+        for s in (elem("e", parse_graph(GRAPH_B), ring), elem("e", graph_b, RATIONALS)):
+            with pytest.raises(ValueError, match="^elements live over different graphs or rings$"):
+                verify_frobenius(system, [elem("f", graph_b, ring), s])
+
+
+class MatrixRing(CoefficientRing):
+    """2x2 integer matrices as (a, b, c, d), row by row: a noncommutative
+    ring for the order of scalar products, known to the tests only."""
+
+    name = "M2(Z)"
+    zero = (0, 0, 0, 0)
+    one = (1, 0, 0, 1)
+    SCALARS = ((1, 1, 0, 1), (1, 0, 1, 1), (0, 1, 1, 0), (2, 0, 0, -1), (1, 0, 0, 0))
+
+    def coerce(self, value):
+        return (value, 0, 0, value) if isinstance(value, int) else value
+
+    def add(self, p, q):
+        return tuple(a + b for a, b in zip(p, q))
+
+    def neg(self, p):
+        return tuple(-a for a in p)
+
+    def mul(self, p, q):
+        a, b, c, d = p
+        e, f, g, h = q
+        return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+    def is_zero(self, p):
+        return p == self.zero
+
+    def is_negative(self, p):
+        return False
+
+    def magnitude(self, p):
+        return p
+
+    def render(self, p):
+        return "[" + ",".join(map(str, p)) + "]"
+
+    def random_scalar(self, rng):
+        return rng.choice(self.SCALARS)
+
+
+class TestCoefficientOrder:
+    def test_left_is_x_yz_and_right_is_zx_y(self, graph_b, dm_b_mod2):
+        ring = MatrixRing()
+        a, b, c = ring.SCALARS[:3]
+        u = Element.vertex(graph_b, ring, "u")
+        system = FrobeniusSystem(dm_b_mod2, ring, 1, ((u.scaled(a), u.scaled(b)),), {})
+        left, right = reproduction_terms(system, u.scaled(c))
+        (mono,) = u.terms
+        assert left == {mono: ring.mul(a, ring.mul(b, c))}
+        assert right == {mono: ring.mul(ring.mul(c, a), b)}
+        # abc, cab and the orders a swapped factor gives, acb and bca, differ
+        assert len({ring.mul(ring.mul(p, q), r) for p, q, r in ((a, b, c), (c, a, b), (a, c, b), (b, c, a))}) == 4
+
+    def test_noncentral_pairs_reproduce_as_the_definition(self, graph_b, dm_b_mod2):
+        ring = MatrixRing()
+        rng = random.Random(5)
+
+        def noncentral(e):
+            return Element(graph_b, ring, {m: rng.choice(ring.SCALARS) for m in e.terms})
+
+        pairs = tuple((noncentral(x), noncentral(y)) for x, y in build_frobenius_system(dm_b_mod2, 4, INTEGERS).pairs)
+        system = FrobeniusSystem(dm_b_mod2, ring, 4, pairs, {})
+        samples = [random_element(graph_b, ring, rng, len_bound=3) for _ in range(40)]
+        samples += [random_homogeneous(dm_b_mod2, ring, rng, len_bound=3) for _ in range(20)]
+        for s in samples:
+            left, right = reference_reproduction(system, s)
+            assert reproduction_terms(system, s) == (left.terms, right.terms)
+        report = verify_frobenius(system, samples)
+        assert report.fields.get("witness") == reference_frobenius_witness(system, samples)

@@ -165,11 +165,12 @@ GRADINGS = {
 
 
 @st.composite
-def graded_cases(draw):
+def graded_cases(draw, gradings=GRADINGS):
     """A graph on up to three vertices with up to four edges, a vertex
-    flagged when it emits two or more, a grading by Z, Z^2, Z/3 or the S3
-    Cayley table, and one degree g of that group."""
-    group, edge_degree, element = GRADINGS[draw(st.sampled_from(sorted(GRADINGS)))]
+    flagged when it emits two or more, a grading by one of ``gradings`` (by
+    default Z, Z^2, Z/3 or the S3 Cayley table), and one degree g of that
+    group."""
+    group, edge_degree, element = gradings[draw(st.sampled_from(sorted(gradings)))]
     n = draw(st.integers(1, 3))
     edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=4))
     text = "vertices " + " ".join(f"v{i}" for i in range(n)) + ";"

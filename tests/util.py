@@ -18,6 +18,7 @@ from leavitt import (
     RationalRing,
     Vertex,
     parse_element,
+    projection_e,
 )
 from leavitt.graph import _tokenize
 
@@ -466,3 +467,25 @@ def reference_random_scalar(ring, rng):
     if isinstance(ring, RationalRing) and rng.random() < 0.5:
         return Fraction(value, rng.choice([2, 3]))
     return value
+
+
+def reference_reproduction(system, s):
+    """sum_j x_j E(y_j s) and sum_j E(s x_j) y_j by the definition: element
+    products, projection_e and element sums, one pair at a time."""
+    dm = system.degree_map
+    left = right = Element.zero(dm.graph, system.ring)
+    for x, y in system.pairs:
+        left = left + x * projection_e(y * s, dm)
+        right = right + projection_e(s * x, dm) * y
+    return left, right
+
+
+def reference_frobenius_witness(system, samples):
+    """The witness of the first sample that either sum of
+    reference_reproduction fails to reproduce, or None."""
+    for s in samples:
+        left, right = reference_reproduction(system, s)
+        if left != s or right != s:
+            which, got = ("x_j E(y_j s)", left) if left != s else ("E(s x_j) y_j", right)
+            return {"element": str(s), "identity": which, "reconstructed": str(got)}
+    return None
