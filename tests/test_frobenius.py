@@ -287,6 +287,19 @@ def frobenius_cases(draw):
     return system, samples
 
 
+MONO_PRODUCT = algebra._mono_product
+
+
+def counting_products(calls):
+    """algebra._mono_product, counting each (m1, m2) it is called on in calls."""
+
+    def product(m1, m2):
+        calls[m1, m2] += 1
+        return MONO_PRODUCT(m1, m2)
+
+    return product
+
+
 def reproduction_terms(system, s):
     """The term maps of both sums of verify_frobenius on the sample s."""
     dm = system.degree_map
@@ -327,23 +340,15 @@ class TestReproductionFold:
         # pieces that the definition merges inside E(y_j s) or E(s x_j) are
         # each multiplied, so the definition's products are a part of them.
         system, samples = case
-        original, original_mul = algebra._mono_product, Element.__mul__
-
-        def recorder(calls):
-            def product(m1, m2):
-                calls[m1, m2] += 1
-                return original(m1, m2)
-
-            return product
-
+        original_mul = Element.__mul__
         element_products = []
         for s in samples:
             oracle, kernel = Counter(), Counter()
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(algebra, "_mono_product", recorder(oracle))
+                mp.setattr(algebra, "_mono_product", counting_products(oracle))
                 reference_reproduction(system, s)
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(frobenius, "_mono_product", recorder(kernel))
+                mp.setattr(frobenius, "_mono_product", counting_products(kernel))
                 mp.setattr(Element, "__mul__", lambda a, b: element_products.append(b) or original_mul(a, b))
                 verify_frobenius(system, [s])
             if system.epsilons:
@@ -361,11 +366,10 @@ class TestReproductionFold:
         rng = random.Random(1)
         samples = [random_homogeneous(dm, ring, rng, len_bound=5) for _ in range(20)]
         oracle, kernel = Counter(), Counter()
-        original = algebra._mono_product
-        monkeypatch.setattr(algebra, "_mono_product", lambda m1, m2: oracle.update([(m1, m2)]) or original(m1, m2))
+        monkeypatch.setattr(algebra, "_mono_product", counting_products(oracle))
         for s in samples:
             assert reproduction_terms(system, s) == tuple(e.terms for e in reference_reproduction(system, s))
-        monkeypatch.setattr(frobenius, "_mono_product", lambda m1, m2: kernel.update([(m1, m2)]) or original(m1, m2))
+        monkeypatch.setattr(frobenius, "_mono_product", counting_products(kernel))
         assert verify_frobenius(system, samples).verdict == "PASS"
         assert kernel == oracle
 
