@@ -4,7 +4,7 @@ Each case runs ``leavitt.cli.main`` in process, from ``tests/cli_corpus``
 so that input files are named relative to it, and compares the exit code and
 stdout with ``tests/cli_corpus/goldens.json``. The corpus covers all nine
 subcommands in text and structured output, seeded sampling runs, and degree
-files over Z, Z^2, Z/n and a Cayley table.
+files over Z, Z^2, Z/n and the Cayley tables of Z/2 and of S3.
 
 After a deliberate change of output, rewrite the goldens with
 
@@ -103,6 +103,7 @@ CASES = [
     ("frobenius-z3-repeat", "frobenius --graph r3.lpa --degrees r3_z3.deg --ring z/3 --bound 4 --samples 30 --triples 10 --seed 12", None, None),
     ("frobenius-q", "frobenius --graph b.lpa --degrees b_z2.deg --ring q --bound 4 --samples 12 --triples 6 --seed 3", None, None),
     ("frobenius-table", "frobenius --graph b.lpa --degrees b_table.deg --bound 4 --samples 12 --triples 6 --seed 4 --output structured", None, None),
+    ("frobenius-s3", "frobenius --graph r3.lpa --degrees r3_s3.deg --bound 4 --samples 12 --triples 6 --seed 5", None, None),
     ("frobenius-infinite-group", "frobenius --graph b.lpa --bound 4", None, None),
     ("frobenius-undetermined", "frobenius --graph l.lpa --degrees l_z2.deg --bound 2", None, None),
     ("frobenius-undetermined-structured", "frobenius --graph l.lpa --degrees l_z2.deg --bound 2 --output structured", None, None),
