@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Element, _add_normal, _fold, _mono_product, _normal_pieces
+from .algebra import Element, _add_normal, _fold, _mono_product
 from .epsilon import ConstructionError, _window_walk
 from .reports import Report
 from .rings import INTEGERS
@@ -47,16 +47,10 @@ class FrobeniusSystem:
         return projection_e(a, self.degree_map)
 
 
-def _in_identity_degree(degree_map):
-    """The test the trace applies to a monomial: is its degree the identity?"""
-    identity, degree_of = degree_map.group.identity, degree_map.degree_of
-    return lambda m: degree_of(m) == identity
-
-
 def projection_e(a, degree_map):
     """The identity-degree part of an element: its terms of that degree."""
-    kept = _in_identity_degree(degree_map)
-    return Element(a.graph, a.ring, {m: c for m, c in a.terms.items() if kept(m)})
+    identity, degree_of = degree_map.group.identity, degree_map.degree_of
+    return Element(a.graph, a.ring, {m: c for m, c in a.terms.items() if degree_of(m) == identity})
 
 
 def _sum(graph, ring, elements):
@@ -109,43 +103,64 @@ def build_frobenius_system(degree_map, len_bound, ring=INTEGERS):
     )
 
 
-def _reproduction(graph, ring, kept, pairs, s, left):
-    """The term map of sum_j x_j E(y_j s) when left, else of
-    sum_j E(s x_j) y_j, folded term by term with no element per pair.
+def _graded_terms(element, degree_map):
+    """The terms of an element as (monomial, coefficient, inverse of the
+    monomial's degree) triples."""
+    inverse, degree_of = degree_map.group.inverse, degree_map.degree_of
+    return tuple((m, c, inverse(degree_of(m))) for m, c in element.terms.items())
 
-    Each product of a term of the inner factors (y_j then s, or s then
-    x_j) is cut into its normal pieces; a piece outside the identity degree
-    is dropped, which is the trace E, and each kept piece is multiplied by
-    every term of the outer factor (x_j on the left, y_j on the right) and
-    folded, in normal form, into one map. Coefficients multiply as in the
-    definition, c_x (c_y c_s) and (c_s c_x) c_y, negated with the piece.
+
+def _degree_buckets(s, degree_of):
+    """The terms of s as (monomial, coefficient) lists keyed by degree:
+    ``decompose`` without its sort and its element per degree, which the
+    fold does not read."""
+    buckets = {}
+    for m, c in s.terms.items():
+        buckets.setdefault(degree_of(m), []).append((m, c))
+    return buckets
+
+
+def _reproduction(graph, ring, pairs, buckets, left):
+    """The term map of sum_j x_j E(y_j s) when left, else of
+    sum_j E(s x_j) y_j, for the sample s whose terms ``buckets`` holds by
+    degree; ``pairs`` holds each (x_j, y_j) as two ``_graded_terms``.
+
+    L_R(E) is G-graded, so the product of terms of degrees a and b is
+    homogeneous of degree a b, and so are the normal pieces of its rewrite.
+    E drops such a product whole unless a b = e, that is unless b = a^-1,
+    which also reads b a = e in any group. So each term of the inner pair
+    factor (y_j on the left, x_j on the right), of degree a, meets only the
+    sample terms in the bucket of a^-1, and each product formed is kept
+    whole: no degree of a product or piece is tested. The argument rests on
+    the grading axiom, which ``check_grading_axiom`` tests.
+
+    The kept products of a pair are folded in normal form into one map,
+    which is E(y_j s) or E(s x_j) exactly, and that map is multiplied once
+    by every term of the outer factor (x_j on the left, y_j on the right)
+    and folded into the side's map. Coefficients multiply as in the
+    definition, c_x (c_y c_s) and (c_s c_x) c_y, each summed over the pair's
+    inner products before the outer product, which distributes.
     """
-    mul, neg, is_zero = ring.mul, ring.neg, ring.is_zero
+    mul, is_zero = ring.mul, ring.is_zero
     acc = {}
-    sample = s.terms.items()
     for x, y in pairs:
-        if left:
-            first, second, outer = y.terms.items(), sample, x.terms.items()
-        else:
-            first, second, outer = sample, x.terms.items(), y.terms.items()
-        for m1, c1 in first:
-            for m2, c2 in second:
-                m = _mono_product(m1, m2)
-                if m is None:
-                    continue
-                c = mul(c1, c2)
-                if is_zero(c):
-                    continue
-                for piece, sign in _normal_pieces(graph, m):
-                    if not kept(piece):
-                        continue
-                    cp = c if sign > 0 else neg(c)
-                    for mo, co in outer:
-                        p = _mono_product(mo, piece) if left else _mono_product(piece, mo)
-                        if p is not None:
-                            d = mul(co, cp) if left else mul(cp, co)
-                            if not is_zero(d):
-                                _add_normal(graph, ring, acc, p, d)
+        inner = {}
+        for m1, c1, inv in y if left else x:
+            for m2, c2 in buckets.get(inv, ()):
+                m = _mono_product(m1, m2) if left else _mono_product(m2, m1)
+                if m is not None:
+                    c = mul(c1, c2) if left else mul(c2, c1)
+                    if not is_zero(c):
+                        _add_normal(graph, ring, inner, m, c)
+        if not inner:
+            continue
+        for mo, co, _ in x if left else y:
+            for mi, ci in inner.items():
+                p = _mono_product(mo, mi) if left else _mono_product(mi, mo)
+                if p is not None:
+                    d = mul(co, ci) if left else mul(ci, co)
+                    if not is_zero(d):
+                        _add_normal(graph, ring, acc, p, d)
     return acc
 
 
@@ -153,17 +168,17 @@ def verify_frobenius(system, samples, bimodule_triples=(), seed=None):
     """Check both reproduction identities on every sample, and the trace
     bimodule law on every (t, a, t') triple with t, t' of identity degree.
 
-    Each side's sum is one fold of term products into one term map
-    (``_reproduction``), and it equals the definition exactly: a product
-    of elements is the sum of its term products, E keeps the normal terms
-    of the identity degree, and the fold is exact addition, so pieces that
-    would cancel inside E(y_j s) or E(s x_j) cancel in the side's map
-    instead. Every monomial product of the definition is computed; two
-    kept pieces of one pair that coincide, which a built system's minimal
-    classes rule out for samples within its bound, are each multiplied,
-    where the definition multiplies their sum once. Each sample is
-    compared with both sums. A sample over another graph or ring raises
-    ValueError.
+    Each side's sum is one fold into one term map (``_reproduction``), and
+    it equals the definition exactly. The degree of every pair term is read
+    once per call, and each sample's terms are bucketed by degree once,
+    for both sides. A product of terms of degrees a and b with a b != e is
+    homogeneous outside e, so E drops it whole; the fold forms only the
+    products with a b = e, folds each pair's into one map, which is
+    E(y_j s) or E(s x_j), and multiplies that by the outer factor. This
+    rests on the grading axiom, which ``check_grading_axiom`` tests. Each
+    sample is compared with both sums. The bimodule law is checked in full,
+    with ``projection_e`` of the whole product t a t'. A sample over
+    another graph or ring raises ValueError.
 
     Returns PASS or the first counterexample.
     """
@@ -179,12 +194,13 @@ def verify_frobenius(system, samples, bimodule_triples=(), seed=None):
         fields["seed"] = seed
 
     checked = 0
-    kept, pairs = _in_identity_degree(dm), system.pairs
+    pairs = tuple((_graded_terms(x, dm), _graded_terms(y, dm)) for x, y in system.pairs)
     zero = Element.zero(graph, ring)
     for s in samples:
         zero._compatible(s)
-        left = Element(graph, ring, _reproduction(graph, ring, kept, pairs, s, True))
-        right = Element(graph, ring, _reproduction(graph, ring, kept, pairs, s, False))
+        buckets = _degree_buckets(s, dm.degree_of)
+        left = Element(graph, ring, _reproduction(graph, ring, pairs, buckets, True))
+        right = Element(graph, ring, _reproduction(graph, ring, pairs, buckets, False))
         if left != s or right != s:
             which = "x_j E(y_j s)" if left != s else "E(s x_j) y_j"
             fields["witness"] = {

@@ -32,7 +32,14 @@ from leavitt import (
 )
 
 from .test_path_table import GRADINGS, graded_cases
-from .util import GRAPH_B, GRAPH_R3, elem, reference_frobenius_witness, reference_reproduction
+from .util import (
+    GRAPH_B,
+    GRAPH_R3,
+    elem,
+    reference_frobenius_witness,
+    reference_graded_reproduction,
+    reference_reproduction,
+)
 
 
 @pytest.fixture(scope="module")
@@ -303,8 +310,9 @@ def counting_products(calls):
 def reproduction_terms(system, s):
     """The term maps of both sums of verify_frobenius on the sample s."""
     dm = system.degree_map
-    kept = frobenius._in_identity_degree(dm)
-    return tuple(frobenius._reproduction(dm.graph, system.ring, kept, system.pairs, s, left) for left in (True, False))
+    pairs = tuple((frobenius._graded_terms(x, dm), frobenius._graded_terms(y, dm)) for x, y in system.pairs)
+    buckets = frobenius._degree_buckets(s, dm.degree_of)
+    return tuple(frobenius._reproduction(dm.graph, system.ring, pairs, buckets, left) for left in (True, False))
 
 
 class TestReproductionFold:
@@ -333,12 +341,10 @@ class TestReproductionFold:
     @settings(max_examples=100, deadline=None)
     @given(case=frobenius_cases())
     def test_the_sums_make_the_definitions_monomial_products_and_no_element_product(self, case):
-        # On a built system no two kept pieces of one pair coincide: a
-        # sample term meeting a proper prefix of a class's real path would
-        # make that prefix realized, against the class's minimality. So the
-        # products are exactly the definition's. On arbitrary pairs, kept
-        # pieces that the definition merges inside E(y_j s) or E(s x_j) are
-        # each multiplied, so the definition's products are a part of them.
+        # The products are the definition's, restricted to the homogeneous
+        # parts whose degrees multiply to the identity: on a built system
+        # and on arbitrary pairs alike, since each pair's kept products are
+        # folded into one map before its outer products.
         system, samples = case
         original_mul = Element.__mul__
         element_products = []
@@ -346,15 +352,13 @@ class TestReproductionFold:
             oracle, kernel = Counter(), Counter()
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(algebra, "_mono_product", counting_products(oracle))
-                reference_reproduction(system, s)
+                graded = reference_graded_reproduction(system, s)
+            assert graded == reference_reproduction(system, s)
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(frobenius, "_mono_product", counting_products(kernel))
                 mp.setattr(Element, "__mul__", lambda a, b: element_products.append(b) or original_mul(a, b))
                 verify_frobenius(system, [s])
-            if system.epsilons:
-                assert kernel == oracle
-            else:
-                assert kernel >= oracle
+            assert kernel == oracle
         assert element_products == []
 
     def test_the_products_of_the_benchmark_system_are_the_definitions(self, monkeypatch):
@@ -365,10 +369,12 @@ class TestReproductionFold:
         system = build_frobenius_system(dm, 5, ring)
         rng = random.Random(1)
         samples = [random_homogeneous(dm, ring, rng, len_bound=5) for _ in range(20)]
+        definition = [reference_reproduction(system, s) for s in samples]
+        for s, sums in zip(samples, definition):
+            assert reproduction_terms(system, s) == tuple(e.terms for e in sums)
         oracle, kernel = Counter(), Counter()
         monkeypatch.setattr(algebra, "_mono_product", counting_products(oracle))
-        for s in samples:
-            assert reproduction_terms(system, s) == tuple(e.terms for e in reference_reproduction(system, s))
+        assert [reference_graded_reproduction(system, s) for s in samples] == definition
         monkeypatch.setattr(frobenius, "_mono_product", counting_products(kernel))
         assert verify_frobenius(system, samples).verdict == "PASS"
         assert kernel == oracle

@@ -17,6 +17,7 @@ from leavitt import (
     Monomial,
     RationalRing,
     Vertex,
+    decompose,
     parse_element,
     projection_e,
 )
@@ -477,6 +478,32 @@ def reference_reproduction(system, s):
     for x, y in system.pairs:
         left = left + x * projection_e(y * s, dm)
         right = right + projection_e(s * x, dm) * y
+    return left, right
+
+
+def reference_graded_reproduction(system, s):
+    """Both sums of reference_reproduction, with each inner product made
+    only of the homogeneous parts of its factors whose degrees multiply to
+    the identity: element products of decompose parts of y_j and s (or of s
+    and x_j), projection_e and element sums, then one element product by
+    the outer factor per pair."""
+    dm = system.degree_map
+    group = dm.group
+    zero = Element.zero(dm.graph, system.ring)
+    sample_parts = decompose(s, dm).items()
+    left = right = zero
+    for x, y in system.pairs:
+        inner_left = inner_right = zero
+        for a, y_part in decompose(y, dm).items():
+            for b, s_part in sample_parts:
+                if group.op(a, b) == group.identity:
+                    inner_left = inner_left + projection_e(y_part * s_part, dm)
+        for a, x_part in decompose(x, dm).items():
+            for b, s_part in sample_parts:
+                if group.op(b, a) == group.identity:
+                    inner_right = inner_right + projection_e(s_part * x_part, dm)
+        left = left + x * inner_left
+        right = right + inner_right * y
     return left, right
 
 
