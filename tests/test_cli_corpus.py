@@ -104,6 +104,7 @@ CASES = [
     ("frobenius-q", "frobenius --graph b.lpa --degrees b_z2.deg --ring q --bound 4 --samples 12 --triples 6 --seed 3", None, None),
     ("frobenius-table", "frobenius --graph b.lpa --degrees b_table.deg --bound 4 --samples 12 --triples 6 --seed 4 --output structured", None, None),
     ("frobenius-s3", "frobenius --graph r3.lpa --degrees r3_s3.deg --bound 4 --samples 12 --triples 6 --seed 5", None, None),
+    ("frobenius-chain-z5", "frobenius --graph chain.lpa --degrees chain_z5.deg --bound 4 --samples 12 --triples 6 --seed 6", None, None),
     ("frobenius-infinite-group", "frobenius --graph b.lpa --bound 4", None, None),
     ("frobenius-undetermined", "frobenius --graph l.lpa --degrees l_z2.deg --bound 2", None, None),
     ("frobenius-undetermined-structured", "frobenius --graph l.lpa --degrees l_z2.deg --bound 2 --output structured", None, None),
