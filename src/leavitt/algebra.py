@@ -17,6 +17,13 @@ designated edge. The rewrite strictly shortens the surviving vertex term, so
 it terminates, and the resulting normal forms do not depend on rewrite
 order; `normal_form_shuffled` exists to exercise exactly that. Equality of
 elements is structural equality of normal forms.
+
+A product of two normal monomials a b* and c d* is rewritten only when its
+meeting paths b and c are equal, since only then can it fail to be normal
+(`_add_product`). When c = b.t with t nonempty the product is (a.t) d*,
+whose real path ends in the last edge of c, so a reducible pair would make
+c d* reducible; when b = c.t it is a (d.t)*, whose ghost path ends in the
+last edge of b, so a reducible pair would make a b* reducible.
 """
 
 from __future__ import annotations
@@ -217,12 +224,38 @@ def _add_normal(graph, ring, acc, mono, c):
         _fold(ring, acc, m, c if sign > 0 else ring.neg(c))
 
 
+def _add_product(graph, ring, acc, m1, m2, m, coeff):
+    """Fold coeff, a nonzero ring element, times the normal form of m, the
+    nonzero product of the normal monomials m1 = a b* and m2 = c d*, into
+    the term map acc: through ``_add_normal`` when the meeting paths b and
+    c have equal length, else as it is.
+
+    The product can fail to be normal only at an equal meeting, b = c,
+    where it is a d*. Otherwise one meeting path extends the other by a
+    nonempty t, and the product ends in the longer one's last edge:
+
+    - c = b.t: the product is (a.t) d*, and a.t ends in the last edge of c.
+      Were (a.t) d* reducible, a.t and d, hence c and d, would end in one
+      designated edge, and c d* would be reducible.
+    - b = c.t: the product is a (d.t)*, and d.t ends in the last edge of b.
+      Were a (d.t)* reducible, a b* would be reducible the same way.
+
+    Both factors must be normal, as every ``Element``'s terms are.
+    """
+    if len(m1.beta.edges) == len(m2.alpha.edges):
+        _add_normal(graph, ring, acc, m, coeff)
+    else:
+        _fold(ring, acc, m, coeff)
+
+
 class Element:
     """A finite linear combination of normal-form monomials.
 
     Elements are immutable values tied to one Graph object and one
     coefficient ring; all operations are pure. The term map never stores a
-    zero coefficient and the empty map is the zero element.
+    zero coefficient and the empty map is the zero element. Every term is a
+    normal monomial: products rest on it (``_add_product``), and a term map
+    built by hand with a non-normal term is outside this contract.
     """
 
     __slots__ = ("graph", "ring", "terms")
@@ -250,29 +283,32 @@ class Element:
     def monomial(cls, graph, ring, mono):
         return cls.from_terms(graph, ring, [(mono, 1)])
 
+    # A vertex path has no junction to check, so the constructors below
+    # build it with Path._derived, and their one coefficient is ring.one.
+
     @classmethod
     def vertex(cls, graph, ring, v):
-        """The vertex v, given by id or as a Vertex: its path as a real path."""
-        return cls.real_path(graph, ring, Path(graph.vertex(v) if isinstance(v, str) else v))
+        """The vertex v, given by id or as a Vertex: v v*."""
+        p = Path._derived(graph.vertex(v) if isinstance(v, str) else v, (), ())
+        return cls(graph, ring, {Monomial._same_range(p, p): ring.one})
 
     @classmethod
     def real_path(cls, graph, ring, path):
         """p r(p)*: normal, since one of its paths is a vertex."""
-        return cls(graph, ring, {Monomial._same_range(path, Path(path.range)): ring.coerce(1)})
+        end = Path._derived(path.range, (), ())
+        return cls(graph, ring, {Monomial._same_range(path, end): ring.one})
 
     @classmethod
     def ghost_path(cls, graph, ring, path):
         """r(p) p*: normal, since one of its paths is a vertex."""
-        return cls(graph, ring, {Monomial._same_range(Path(path.range), path): ring.coerce(1)})
+        end = Path._derived(path.range, (), ())
+        return cls(graph, ring, {Monomial._same_range(end, path): ring.one})
 
     @classmethod
     def identity(cls, graph, ring):
         """The sum of all vertices; the multiplicative identity (finite E^0)."""
-        return cls(
-            graph,
-            ring,
-            {Monomial(Path(v), Path(v)): ring.coerce(1) for v in graph.vertices},
-        )
+        paths = [Path._derived(v, (), ()) for v in graph.vertices]
+        return cls(graph, ring, {Monomial._same_range(p, p): ring.one for p in paths})
 
     def is_zero(self):
         return not self.terms
@@ -330,7 +366,7 @@ class Element:
                 if m is not None:
                     c = ring.mul(c1, c2)
                     if not ring.is_zero(c):
-                        _add_normal(graph, ring, acc, m, c)
+                        _add_product(graph, ring, acc, m1, m2, m, c)
         return Element(graph, ring, acc)
 
     def __rmul__(self, scalar):

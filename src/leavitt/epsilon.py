@@ -281,18 +281,22 @@ def _certificate(graph, ring, representatives):
 
 
 def _candidate(g, degree_map, len_bound, ring):
-    """The degree-g local identity, the sum of n over the minimal classes,
-    with its certificate, checked exactly on the classes themselves when
-    those are complete; otherwise the report of why there is none."""
+    """The report of the degree-g local identity, built once.
+
+    When the minimal classes give PRESENT the identity is the sum of n over
+    the classes, with its certificate, checked exactly on the classes
+    themselves: e.a = a and a*.e = a* for each class a, one product each,
+    on one-term elements that take no edge walk. Otherwise the report holds
+    no identity and says why. identity_checked_on is 0; only epsilon()
+    counts the monomials."""
     mcs = minimal_classes(g, degree_map, len_bound)
-    rep = EpsilonReport(g, degree_map, len_bound, None, 0, mcs)
-    if rep.verdict != "PRESENT":
-        return rep
+    if _DEGREE_VERDICTS.get(mcs.verdict) != "PRESENT":
+        return EpsilonReport(g, degree_map, len_bound, None, 0, mcs)
     graph = degree_map.graph
     eps = _local_unit(graph, ring, mcs.classes)
     _check_unit(eps, "left", [Element.real_path(graph, ring, c.alpha) for c in mcs.classes])
     _check_unit(eps, "right", [Element.ghost_path(graph, ring, c.alpha) for c in mcs.classes])
-    return replace(rep, epsilon=eps)
+    return EpsilonReport(g, degree_map, len_bound, eps, 0, mcs)
 
 
 def epsilon(g, degree_map, len_bound, ring=INTEGERS):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Element, _add_normal, _fold, _mono_product
+from .algebra import Element, _add_product, _fold, _mono_product
 from .epsilon import ConstructionError, _window_walk
 from .reports import Report
 from .rings import INTEGERS
@@ -137,9 +137,12 @@ def _reproduction(graph, ring, pairs, buckets, left):
     The kept products of a pair are folded in normal form into one map,
     which is E(y_j s) or E(s x_j) exactly, and that map is multiplied once
     by every term of the outer factor (x_j on the left, y_j on the right)
-    and folded into the side's map. Coefficients multiply as in the
-    definition, c_x (c_y c_s) and (c_s c_x) c_y, each summed over the pair's
-    inner products before the outer product, which distributes.
+    and folded into the side's map. Every product is folded through
+    ``_add_product``, which tests it for normal form only when its meeting
+    paths are equal; its factors are terms of elements or of a fold, so
+    normal. Coefficients multiply as in the definition, c_x (c_y c_s) and
+    (c_s c_x) c_y, each summed over the pair's inner products before the
+    outer product, which distributes.
     """
     mul, is_zero = ring.mul, ring.is_zero
     acc = {}
@@ -151,7 +154,10 @@ def _reproduction(graph, ring, pairs, buckets, left):
                 if m is not None:
                     c = mul(c1, c2) if left else mul(c2, c1)
                     if not is_zero(c):
-                        _add_normal(graph, ring, inner, m, c)
+                        if left:
+                            _add_product(graph, ring, inner, m1, m2, m, c)
+                        else:
+                            _add_product(graph, ring, inner, m2, m1, m, c)
         if not inner:
             continue
         for mo, co, _ in x if left else y:
@@ -160,7 +166,10 @@ def _reproduction(graph, ring, pairs, buckets, left):
                 if p is not None:
                     d = mul(co, ci) if left else mul(ci, co)
                     if not is_zero(d):
-                        _add_normal(graph, ring, acc, p, d)
+                        if left:
+                            _add_product(graph, ring, acc, mo, mi, p, d)
+                        else:
+                            _add_product(graph, ring, acc, mi, mo, p, d)
     return acc
 
 

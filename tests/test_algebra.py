@@ -28,7 +28,7 @@ from leavitt import (
     random_element,
 )
 
-from .util import GRAPH_C, GRAPH_CHAIN, GRAPH_R3, elem, mono, reference_expand_normal, reference_tokens
+from .util import GRAPH_B, GRAPH_C, GRAPH_CHAIN, GRAPH_R3, elem, mono, reference_expand_normal, reference_tokens
 
 TEST_GRAPH_SOURCES = {}
 
@@ -97,18 +97,35 @@ ZERO_DIVISOR_RINGS = {
 }
 
 
-class TestProductFold:
-    """Each nonzero product folds straight into the term map; the oracle is
-    normal_form_shuffled of the raw pairwise products, which folds in its
-    own loop. Over Z/4 and Z/6 nonzero coefficients multiply to zero."""
+PRODUCT_GRAPHS = {
+    "r3": R3,
+    "b": parse_graph(GRAPH_B),
+    "chain": parse_graph(GRAPH_CHAIN),
+    "c": parse_graph(GRAPH_C),
+}
+# (ring, graph) cases; an R3 case is named by its ring alone
+PRODUCT_CASES = [
+    pytest.param(name, graph_name, id=name if graph_name == "r3" else f"{name}-{graph_name}")
+    for graph_name in sorted(PRODUCT_GRAPHS)
+    for name in sorted(ZERO_DIVISOR_RINGS)
+]
 
-    @pytest.mark.parametrize("name", sorted(ZERO_DIVISOR_RINGS))
+
+class TestProductFold:
+    """Each nonzero product folds straight into the term map, rewritten only
+    when its meeting paths are equal; the oracle is normal_form_shuffled of
+    the raw pairwise products, which tests every one in its own loop. Over
+    Z/4 and Z/6 nonzero coefficients multiply to zero. In R3, GRAPH_B and
+    the chain graph designated edges meet at the junction of some products;
+    GRAPH_C's flagged vertex has none."""
+
+    @pytest.mark.parametrize("name, graph_name", PRODUCT_CASES)
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
-    def test_product_is_the_normal_form_of_raw_products(self, name, data):
-        ring = ZERO_DIVISOR_RINGS[name]
-        x = data.draw(elements_strategy(R3, ring, max_support=4))
-        y = data.draw(elements_strategy(R3, ring, max_support=4))
+    def test_product_is_the_normal_form_of_raw_products(self, name, graph_name, data):
+        ring, graph = ZERO_DIVISOR_RINGS[name], PRODUCT_GRAPHS[graph_name]
+        x = data.draw(elements_strategy(graph, ring, max_support=4))
+        y = data.draw(elements_strategy(graph, ring, max_support=4))
         raw = []
         for m1, c1 in x.terms.items():
             for m2, c2 in y.terms.items():
@@ -116,7 +133,25 @@ class TestProductFold:
                 if m is not None:
                     raw.append((m, c1 * c2))
         rng = random.Random(data.draw(st.integers(0, 2**32)))
-        assert x * y == normal_form_shuffled(R3, ring, raw, rng)
+        assert x * y == normal_form_shuffled(graph, ring, raw, rng)
+
+    @pytest.mark.parametrize("name", sorted(ZERO_DIVISOR_RINGS))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_only_an_equal_meeting_is_tested_for_normal_form(self, name, data):
+        ring = ZERO_DIVISOR_RINGS[name]
+        x = data.draw(elements_strategy(R3, ring, max_support=4))
+        y = data.draw(elements_strategy(R3, ring, max_support=4))
+        equal_meetings = sum(
+            algebra._mono_product(m1, m2) is not None
+            and m1.beta.length == m2.alpha.length
+            and not ring.is_zero(ring.mul(c1, c2))
+            for m1, c1 in x.terms.items()
+            for m2, c2 in y.terms.items()
+        )
+        with mock.patch.object(Monomial, "is_normal", autospec=True, side_effect=Monomial.is_normal) as spy:
+            x * y
+        assert spy.call_count == equal_meetings
 
     @pytest.mark.parametrize(
         "name, left, right, want",

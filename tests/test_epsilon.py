@@ -1,6 +1,7 @@
 import importlib
 import random
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -9,11 +10,13 @@ from hypothesis import strategies as st
 from leavitt import (
     DegreeMap,
     Element,
+    EpsilonReport,
     EpsilonUnavailableError,
     HomogeneityError,
     INTEGERS,
     RATIONALS,
     IntegerModRing,
+    Path,
     build_frobenius_system,
     check_epsilon_strong,
     check_nearly_epsilon,
@@ -494,6 +497,31 @@ class TestCheckEpsilonStrong:
         report = check_epsilon_strong(DegreeMap.canonical(parse_graph(GRAPH_R3)), range(-3, 4), 8)
         assert report.verdict == "EPSILON_STRONG"
         assert report.fields["identity-checked-on"] == 309_138
+
+    def test_the_workload_checks_each_class_twice_and_builds_one_report_per_degree(self, monkeypatch):
+        # the epsilon-window op once its path table is built: 43 classes,
+        # each checked on both sides, on test elements that take no edge
+        # walk, and one report per degree, not a report and its copy
+        dm = DegreeMap.canonical(parse_graph(GRAPH_R3))
+        dm.path_table(8)
+        calls = Counter()
+
+        def count(owner, attr):
+            original = getattr(owner, attr)
+
+            def counting(*args, **kwargs):
+                calls[f"{owner.__name__}.{attr}"] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, attr, counting)
+
+        count(Path, "__init__")
+        count(EpsilonReport, "__init__")
+        count(Element, "__eq__")
+        report = check_epsilon_strong(dm, range(-3, 4), 8)
+        monkeypatch.undo()
+        assert report.verdict == "EPSILON_STRONG"
+        assert calls == Counter({"EpsilonReport.__init__": 7, "Element.__eq__": 86})
 
 
 def xg_listings_and_unit_checks(mp):
