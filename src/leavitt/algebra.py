@@ -18,12 +18,10 @@ it terminates, and the resulting normal forms do not depend on rewrite
 order; `normal_form_shuffled` exists to exercise exactly that. Equality of
 elements is structural equality of normal forms.
 
-A product of two normal monomials a b* and c d* is rewritten only when its
-meeting paths b and c are equal, since only then can it fail to be normal
-(`_add_product`). When c = b.t with t nonempty the product is (a.t) d*,
-whose real path ends in the last edge of c, so a reducible pair would make
-c d* reducible; when b = c.t it is a (d.t)*, whose ghost path ends in the
-last edge of b, so a reducible pair would make a b* reducible.
+Every product of two lists of normal terms, in `Element.__mul__`, the
+Frobenius sums and the pair check, is folded by one kernel
+(`_add_products`), which rewrites a product only when its meeting paths are
+equal, since only then can it fail to be normal.
 """
 
 from __future__ import annotations
@@ -224,15 +222,17 @@ def _add_normal(graph, ring, acc, mono, c):
         _fold(ring, acc, m, c if sign > 0 else ring.neg(c))
 
 
-def _add_product(graph, ring, acc, m1, m2, m, coeff):
-    """Fold coeff, a nonzero ring element, times the normal form of m, the
-    nonzero product of the normal monomials m1 = a b* and m2 = c d*, into
-    the term map acc: through ``_add_normal`` when the meeting paths b and
-    c have equal length, else as it is.
+def _add_products(graph, ring, acc, left, right):
+    """Fold every product of a term of left by a term of right, in that
+    order, into the term map acc. Both are iterables of (normal monomial,
+    coefficient) pairs, and right is read once per term of left.
 
-    The product can fail to be normal only at an equal meeting, b = c,
-    where it is a d*. Otherwise one meeting path extends the other by a
-    nonempty t, and the product ends in the longer one's last edge:
+    A nonzero product of a b* and c d* with a nonzero coefficient c1 c2 goes
+    through ``_add_normal`` when the meeting paths b and c have equal
+    length, and is folded as it is otherwise. The product can fail to be
+    normal only at an equal meeting, b = c, where it is a d*. Otherwise one
+    meeting path extends the other by a nonempty t, and the product ends in
+    the longer one's last edge:
 
     - c = b.t: the product is (a.t) d*, and a.t ends in the last edge of c.
       Were (a.t) d* reducible, a.t and d, hence c and d, would end in one
@@ -242,10 +242,16 @@ def _add_product(graph, ring, acc, m1, m2, m, coeff):
 
     Both factors must be normal, as every ``Element``'s terms are.
     """
-    if len(m1.beta.edges) == len(m2.alpha.edges):
-        _add_normal(graph, ring, acc, m, coeff)
-    else:
-        _fold(ring, acc, m, coeff)
+    for m1, c1 in left:
+        for m2, c2 in right:
+            m = _mono_product(m1, m2)
+            if m is not None:
+                c = ring.mul(c1, c2)
+                if not ring.is_zero(c):
+                    if len(m1.beta.edges) == len(m2.alpha.edges):
+                        _add_normal(graph, ring, acc, m, c)
+                    else:
+                        _fold(ring, acc, m, c)
 
 
 class Element:
@@ -254,7 +260,7 @@ class Element:
     Elements are immutable values tied to one Graph object and one
     coefficient ring; all operations are pure. The term map never stores a
     zero coefficient and the empty map is the zero element. Every term is a
-    normal monomial: products rest on it (``_add_product``), and a term map
+    normal monomial: products rest on it (``_add_products``), and a term map
     built by hand with a non-normal term is outside this contract.
     """
 
@@ -288,8 +294,9 @@ class Element:
 
     @classmethod
     def vertex(cls, graph, ring, v):
-        """The vertex v, given by id or as a Vertex: v v*."""
-        p = Path._derived(graph.vertex(v) if isinstance(v, str) else v, (), ())
+        """The vertex v, given by id or as a Vertex of the same id: v v*.
+        An id the graph does not declare raises GraphError."""
+        p = Path._derived(graph.vertex(v if isinstance(v, str) else v.id), (), ())
         return cls(graph, ring, {Monomial._same_range(p, p): ring.one})
 
     @classmethod
@@ -357,17 +364,9 @@ class Element:
         # _compatible's test, with the identity checks that decide it first
         if self.graph is not other.graph or (ring is not other.ring and ring != other.ring):
             self._compatible(other)
-        graph = self.graph
         acc = {}
-        right = other.terms.items()
-        for m1, c1 in self.terms.items():
-            for m2, c2 in right:
-                m = _mono_product(m1, m2)
-                if m is not None:
-                    c = ring.mul(c1, c2)
-                    if not ring.is_zero(c):
-                        _add_product(graph, ring, acc, m1, m2, m, c)
-        return Element(graph, ring, acc)
+        _add_products(self.graph, ring, acc, self.terms.items(), other.terms.items())
+        return Element(self.graph, ring, acc)
 
     def __rmul__(self, scalar):
         return self.scaled(scalar)

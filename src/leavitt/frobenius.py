@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Element, _add_product, _fold, _mono_product
+from .algebra import Element, _add_products
 from .epsilon import ConstructionError, _window_walk
+from .grading import _degree_buckets
 from .reports import Report
 from .rings import INTEGERS
 
@@ -53,15 +54,6 @@ def projection_e(a, degree_map):
     return Element(a.graph, a.ring, {m: c for m, c in a.terms.items() if degree_of(m) == identity})
 
 
-def _sum(graph, ring, elements):
-    """The sum of the elements, folded in order into one term map."""
-    acc = {}
-    for e in elements:
-        for m, c in e.terms.items():
-            _fold(ring, acc, m, c)
-    return Element(graph, ring, acc)
-
-
 def build_frobenius_system(degree_map, len_bound, ring=INTEGERS):
     """Assemble the dual pairs from every degree's local-identity certificate.
 
@@ -88,8 +80,11 @@ def build_frobenius_system(degree_map, len_bound, ring=INTEGERS):
         epsilons[rep.degree] = rep.epsilon
         pairs.extend(rep.certificate)
 
-    total = _sum(graph, ring, (x * y for x, y in pairs))
-    eps_sum = _sum(graph, ring, epsilons.values())
+    acc = {}
+    for x, y in pairs:
+        _add_products(graph, ring, acc, x.terms.items(), y.terms.items())
+    total = Element(graph, ring, acc)
+    eps_sum = sum(epsilons.values(), Element.zero(graph, ring))
     if total != eps_sum:
         raise ConstructionError(
             f"pair products {total} do not sum to the local identities {eps_sum}"
@@ -103,73 +98,44 @@ def build_frobenius_system(degree_map, len_bound, ring=INTEGERS):
     )
 
 
-def _graded_terms(element, degree_map):
-    """The terms of an element as (monomial, coefficient, inverse of the
-    monomial's degree) triples."""
-    inverse, degree_of = degree_map.group.inverse, degree_map.degree_of
-    return tuple((m, c, inverse(degree_of(m))) for m, c in element.terms.items())
-
-
-def _degree_buckets(s, degree_of):
-    """The terms of s as (monomial, coefficient) lists keyed by degree:
-    ``decompose`` without its sort and its element per degree, which the
-    fold does not read."""
-    buckets = {}
-    for m, c in s.terms.items():
-        buckets.setdefault(degree_of(m), []).append((m, c))
-    return buckets
-
-
 def _reproduction(graph, ring, pairs, buckets, left):
     """The term map of sum_j x_j E(y_j s) when left, else of
     sum_j E(s x_j) y_j, for the sample s whose terms ``buckets`` holds by
-    degree; ``pairs`` holds each (x_j, y_j) as two ``_graded_terms``.
+    degree; ``pairs`` holds each pair as (x_j, y_j, x_buckets, y_buckets),
+    the terms of each factor bucketed by the inverse of their degree.
 
     L_R(E) is G-graded, so the product of terms of degrees a and b is
     homogeneous of degree a b, and so are the normal pieces of its rewrite.
     E drops such a product whole unless a b = e, that is unless b = a^-1,
-    which also reads b a = e in any group. So each term of the inner pair
-    factor (y_j on the left, x_j on the right), of degree a, meets only the
+    which also reads b a = e in any group. So the terms of the inner pair
+    factor (y_j on the left, x_j on the right) of degree a meet only the
     sample terms in the bucket of a^-1, and each product formed is kept
     whole: no degree of a product or piece is tested. The argument rests on
     the grading axiom, which ``check_grading_axiom`` tests.
 
     The kept products of a pair are folded in normal form into one map,
     which is E(y_j s) or E(s x_j) exactly, and that map is multiplied once
-    by every term of the outer factor (x_j on the left, y_j on the right)
-    and folded into the side's map. Every product is folded through
-    ``_add_product``, which tests it for normal form only when its meeting
-    paths are equal; its factors are terms of elements or of a fold, so
-    normal. Coefficients multiply as in the definition, c_x (c_y c_s) and
+    by the outer factor (x_j on the left, y_j on the right) into the side's
+    map, every product through ``_add_products`` in the definition's order.
+    Coefficients multiply as in the definition, c_x (c_y c_s) and
     (c_s c_x) c_y, each summed over the pair's inner products before the
     outer product, which distributes.
     """
-    mul, is_zero = ring.mul, ring.is_zero
     acc = {}
-    for x, y in pairs:
+    for x, y, x_buckets, y_buckets in pairs:
         inner = {}
-        for m1, c1, inv in y if left else x:
-            for m2, c2 in buckets.get(inv, ()):
-                m = _mono_product(m1, m2) if left else _mono_product(m2, m1)
-                if m is not None:
-                    c = mul(c1, c2) if left else mul(c2, c1)
-                    if not is_zero(c):
-                        if left:
-                            _add_product(graph, ring, inner, m1, m2, m, c)
-                        else:
-                            _add_product(graph, ring, inner, m2, m1, m, c)
-        if not inner:
-            continue
-        for mo, co, _ in x if left else y:
-            for mi, ci in inner.items():
-                p = _mono_product(mo, mi) if left else _mono_product(mi, mo)
-                if p is not None:
-                    d = mul(co, ci) if left else mul(ci, co)
-                    if not is_zero(d):
-                        if left:
-                            _add_product(graph, ring, acc, mo, mi, p, d)
-                        else:
-                            _add_product(graph, ring, acc, mi, mo, p, d)
+        for inv, terms in (y_buckets if left else x_buckets).items():
+            sample = buckets.get(inv)
+            if sample:
+                if left:
+                    _add_products(graph, ring, inner, terms.items(), sample.items())
+                else:
+                    _add_products(graph, ring, inner, sample.items(), terms.items())
+        if inner:
+            if left:
+                _add_products(graph, ring, acc, x.terms.items(), inner.items())
+            else:
+                _add_products(graph, ring, acc, inner.items(), y.terms.items())
     return acc
 
 
@@ -202,8 +168,11 @@ def verify_frobenius(system, samples, bimodule_triples=(), seed=None):
     if seed is not None:
         fields["seed"] = seed
 
+    def by_inverse_degree(e):
+        return _degree_buckets(e, lambda m: group.inverse(dm.degree_of(m)))
+
     checked = 0
-    pairs = tuple((_graded_terms(x, dm), _graded_terms(y, dm)) for x, y in system.pairs)
+    pairs = tuple((x, y, by_inverse_degree(x), by_inverse_degree(y)) for x, y in system.pairs)
     zero = Element.zero(graph, ring)
     for s in samples:
         zero._compatible(s)

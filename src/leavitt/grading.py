@@ -453,14 +453,21 @@ def decompose(element, degree_map):
     group sort order. Degrees with a zero part are absent, and summing the
     parts restores the element.
     """
-    buckets = {}
-    for m, c in element.terms.items():
-        buckets.setdefault(degree_map.degree_of(m), {})[m] = c
+    buckets = _degree_buckets(element, degree_map.degree_of)
     group = degree_map.group
     return {
         g: Element(element.graph, element.ring, terms)
         for g, terms in sorted(buckets.items(), key=lambda kv: group.sort_key(kv[0]))
     }
+
+
+def _degree_buckets(element, key):
+    """The terms of an element as term maps keyed by key(monomial), a degree
+    or any function of one, in the element's term order."""
+    buckets = {}
+    for m, c in element.terms.items():
+        buckets.setdefault(key(m), {})[m] = c
+    return buckets
 
 
 class PathTable:

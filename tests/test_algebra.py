@@ -17,6 +17,7 @@ from leavitt import (
     Edge,
     Element,
     ElementSyntaxError,
+    GraphError,
     IntegerModRing,
     Monomial,
     Path,
@@ -340,6 +341,17 @@ class TestCompatibility:
     def test_two_rings(self, chain_graph, op, right):
         with pytest.raises(ValueError, match="different graphs or rings"):
             op(elem("f1", chain_graph, INTEGERS), elem(right, chain_graph, IntegerModRing(3)))
+
+    def test_a_vertex_the_graph_does_not_declare_is_refused(self):
+        with pytest.raises(GraphError, match="^unknown vertex 'nope'$"):
+            Element.vertex(parse_graph(GRAPH_R3), INTEGERS, Vertex("nope"))
+
+    def test_an_equal_vertex_is_the_graphs_own(self, chain_graph, ring):
+        own = chain_graph.vertex("v1")
+        v = Element.vertex(chain_graph, ring, Vertex("v1"))
+        (mono,) = v.terms
+        assert mono.alpha.base is own and mono.beta.base is own
+        assert Element.identity(chain_graph, ring) * v == v == v * v
 
     def test_equal_rings_are_compatible(self, chain_graph):
         a = elem("f1", chain_graph, IntegerModRing(3))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import leavitt.algebra as algebra
 import leavitt.frobenius as frobenius
+import leavitt.grading as grading
 from leavitt import (
     INTEGERS,
     RATIONALS,
@@ -310,8 +311,12 @@ def counting_products(calls):
 def reproduction_terms(system, s):
     """The term maps of both sums of verify_frobenius on the sample s."""
     dm = system.degree_map
-    pairs = tuple((frobenius._graded_terms(x, dm), frobenius._graded_terms(y, dm)) for x, y in system.pairs)
-    buckets = frobenius._degree_buckets(s, dm.degree_of)
+
+    def by_inverse_degree(e):
+        return grading._degree_buckets(e, lambda m: dm.group.inverse(dm.degree_of(m)))
+
+    pairs = tuple((x, y, by_inverse_degree(x), by_inverse_degree(y)) for x, y in system.pairs)
+    buckets = grading._degree_buckets(s, dm.degree_of)
     return tuple(frobenius._reproduction(dm.graph, system.ring, pairs, buckets, left) for left in (True, False))
 
 
@@ -355,7 +360,7 @@ class TestReproductionFold:
                 graded = reference_graded_reproduction(system, s)
             assert graded == reference_reproduction(system, s)
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(frobenius, "_mono_product", counting_products(kernel))
+                mp.setattr(algebra, "_mono_product", counting_products(kernel))
                 mp.setattr(Element, "__mul__", lambda a, b: element_products.append(b) or original_mul(a, b))
                 verify_frobenius(system, [s])
             assert kernel == oracle
@@ -375,7 +380,7 @@ class TestReproductionFold:
         oracle, kernel = Counter(), Counter()
         monkeypatch.setattr(algebra, "_mono_product", counting_products(oracle))
         assert [reference_graded_reproduction(system, s) for s in samples] == definition
-        monkeypatch.setattr(frobenius, "_mono_product", counting_products(kernel))
+        monkeypatch.setattr(algebra, "_mono_product", counting_products(kernel))
         assert verify_frobenius(system, samples).verdict == "PASS"
         assert kernel == oracle
 
@@ -437,6 +442,14 @@ class TestCoefficientOrder:
         assert right == {mono: ring.mul(ring.mul(c, a), b)}
         # abc, cab and the orders a swapped factor gives, acb and bca, differ
         assert len({ring.mul(ring.mul(p, q), r) for p, q, r in ((a, b, c), (c, a, b), (a, c, b), (b, c, a))}) == 4
+
+    def test_an_element_product_multiplies_scalars_left_to_right(self, graph_b):
+        ring = MatrixRing()
+        a, b = ring.SCALARS[:2]
+        u = Element.vertex(graph_b, ring, "u")
+        (mono,) = u.terms
+        assert (u.scaled(a) * u.scaled(b)).terms == {mono: ring.mul(a, b)}
+        assert ring.mul(a, b) != ring.mul(b, a)
 
     def test_noncentral_pairs_reproduce_as_the_definition(self, graph_b, dm_b_mod2):
         ring = MatrixRing()

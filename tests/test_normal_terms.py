@@ -1,7 +1,7 @@
 """Every element the package builds holds only normal terms.
 
 A product whose meeting paths differ in length is folded with no rewrite
-test (``algebra._add_product``), which is exact only when both factors are
+test (``algebra._add_products``), which is exact only when both factors are
 normal. These tests pin that precondition on each way the package makes an
 element: parsed expressions, the element operations, homogeneous parts,
 local units, local identities with their certificates, Frobenius pairs and
