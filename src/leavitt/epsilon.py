@@ -32,6 +32,7 @@ infinitely many parallel edges yields an incomparable class of its own.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import combinations
 
 from .algebra import Element, Monomial, _fold, _normal_pieces, enumerate_monomials
 from .graph import is_initial_subpath
@@ -236,17 +237,16 @@ def _sibling_witness(graph, classes):
     """Two minimal classes differing only by sample edges of one flagged vertex."""
     if not graph.infinite_emitters:
         return None
-    for i in range(len(classes)):
-        for j in range(i + 1, len(classes)):
-            a, b = classes[i].alpha, classes[j].alpha
-            if a.length != b.length or a.length == 0:
-                continue
-            diff = [k for k in range(a.length) if a.edges[k] != b.edges[k]]
-            if len(diff) != 1:
-                continue
-            ea, eb = a.edges[diff[0]], b.edges[diff[0]]
-            if ea.source == eb.source and ea.source in graph.infinite_emitters:
-                return (classes[i], classes[j])
+    for ca, cb in combinations(classes, 2):
+        a, b = ca.alpha, cb.alpha
+        if a.length != b.length:
+            continue
+        diff = [(x, y) for x, y in zip(a.edges, b.edges) if x != y]
+        if len(diff) != 1:
+            continue
+        ((ea, eb),) = diff
+        if ea.source == eb.source and ea.source in graph.infinite_emitters:
+            return (ca, cb)
     return None
 
 
@@ -399,13 +399,9 @@ def check_symmetric(degree_map, len_bound, ring=INTEGERS):
 
 
 def _validate_window(group, window):
-    window = list(window)
-    if not window:
+    seen = {group.check(g) for g in window}
+    if not seen:
         raise WindowError("degree window must be nonempty")
-    seen = set()
-    for g in window:
-        group.check(g)
-        seen.add(g)
     if group.identity not in seen:
         raise WindowError("degree window must contain the identity")
     for g in seen:
@@ -440,31 +436,25 @@ def check_epsilon_strong(degree_map, degree_window, len_bound, ring=INTEGERS):
     graph = degree_map.graph
     group = degree_map.group
     window, reps = _window_walk(degree_map, degree_window, len_bound, ring)
-    by_verdict = {"PRESENT": [], "ABSENT": [], "UNDETERMINED": []}
-    for rep in reps:
-        by_verdict[rep.verdict].append(rep)
+    reps = list(reps)
     fields = {
         "bound": len_bound,
         "window": [group.render(g) for g in window],
         "unconditional": not graph.infinite_emitters,
     }
-    if by_verdict["ABSENT"]:
-        rep = by_verdict["ABSENT"][0]
-        fields["witness"] = {
-            "degree": group.render(rep.degree),
-            "sibling-classes": [c.render() for c in rep.minimal.witness],
-        }
+    # the first ABSENT degree blocks, or else the first UNDETERMINED one
+    blocked = (r for r in reps if r.verdict != "PRESENT")
+    rep = min(blocked, key=lambda r: r.verdict != "ABSENT", default=None)
+    if rep is None:
+        fields["epsilons"] = {group.render(r.degree): str(r.epsilon) for r in reps}
+        fields["identity-checked-on"] = 2 * sum(count_Xg(g, degree_map, len_bound) for g in window)
+        return Report("epsilon-strong-check", "EPSILON_STRONG", fields)
+    witness = fields["witness"] = {"degree": group.render(rep.degree)}
+    if rep.verdict == "ABSENT":
+        witness["sibling-classes"] = [c.render() for c in rep.minimal.witness]
         return Report("epsilon-strong-check", "NOT_EPSILON_STRONG", fields)
-    if by_verdict["UNDETERMINED"]:
-        rep = by_verdict["UNDETERMINED"][0]
-        fields["witness"] = {
-            "degree": group.render(rep.degree),
-            "reason": rep.absent_reason,
-        }
-        return Report("epsilon-strong-check", "UNDETERMINED", fields)
-    fields["epsilons"] = {group.render(rep.degree): str(rep.epsilon) for rep in by_verdict["PRESENT"]}
-    fields["identity-checked-on"] = 2 * sum(count_Xg(g, degree_map, len_bound) for g in window)
-    return Report("epsilon-strong-check", "EPSILON_STRONG", fields)
+    witness["reason"] = rep.absent_reason
+    return Report("epsilon-strong-check", "UNDETERMINED", fields)
 
 
 def check_strongly_graded(degree_map, degree_window, len_bound, ring=INTEGERS):

@@ -2,6 +2,7 @@ import importlib
 import random
 import sys
 from collections import Counter
+from pathlib import Path as FilePath
 
 import pytest
 from hypothesis import given, settings
@@ -36,6 +37,7 @@ from leavitt import (
 )
 from leavitt import algebra
 from leavitt.epsilon import ConstructionError, WindowError, _local_unit
+from leavitt.grading import GroupError, IntegerGroup, parse_degree_map
 
 from .test_path_table import S3, graded_cases
 from .test_relations import build, graph_specs
@@ -45,14 +47,32 @@ from .util import (
     brute_first_identity_failure,
     brute_minimal_alphas,
     elem,
+    exact_minimal_classes,
     mono,
     reference_local_unit,
     reference_minimal_representatives,
 )
 
 
+CORPUS = FilePath(__file__).parent / "cli_corpus"
+
+
 def alpha_ids(cls):
     return (cls.alpha.source.id, tuple(e.id for e in cls.alpha.edges), cls.alpha.range.id)
+
+
+def corpus_map(graph_file, degree_file=None):
+    """A degree map of the CLI corpus: the canonical Z-grading, or the map
+    of a degree file."""
+    graph = parse_graph((CORPUS / graph_file).read_text())
+    if degree_file is None:
+        return DegreeMap.canonical(graph)
+    return parse_degree_map((CORPUS / degree_file).read_text(), graph)
+
+
+def class_paths(mcs):
+    """The real paths of a MinimalClassSet in exact_minimal_classes' form."""
+    return [tuple(e.id for e in c.alpha.edges) or (c.alpha.source.id,) for c in mcs.classes]
 
 
 class TestMinimalClasses:
@@ -110,6 +130,56 @@ class TestMinimalClasses:
                     assert any(
                         is_initial_subpath(c.alpha, m.alpha) for c in mcs.classes
                     )
+
+
+class TestExactMinimalClasses:
+    """The bounded minimal classes against an oracle that bounds no partner.
+
+    On R3 under Z, and under Z/3 from bound 2, the two agree wherever the
+    bounded lookup says `complete`. The cases where it says `complete` and
+    is wrong today are strict xfails, so that the exact decider of ROADMAP
+    item 1A shows the flip."""
+
+    @pytest.mark.parametrize(
+        "files, degrees, bounds",
+        [
+            (("r3.lpa",), range(-3, 4), range(1, 9)),
+            (("r3.lpa", "r3_z3.deg"), range(3), range(2, 6)),
+        ],
+        ids=["r3-z", "r3-z3"],
+    )
+    def test_complete_classes_are_exact(self, files, degrees, bounds):
+        dm = corpus_map(*files)
+        compared = 0
+        for g in degrees:
+            for bound in bounds:
+                mcs = minimal_classes(g, dm, bound)
+                if mcs.verdict == "complete":
+                    assert class_paths(mcs) == exact_minimal_classes(dm, g, bound), (g, bound)
+                    compared += 1
+        assert compared
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP 1A")
+    @pytest.mark.parametrize(
+        "files, g, bound",
+        [
+            (("loop_exit.lpa", "loop_exit.deg"), 2, 1),
+            (("two_tails.lpa",), -2, 2),
+            (("z4_loop.lpa", "z4_loop.deg"), 1, 1),
+            (("r3.lpa", "r3_z3.deg"), 1, 1),
+        ],
+        ids=["epsilon-loop-exit-b1", "epsilon-two-tails", "epsilon-z4-loop", "r3-z3-b1"],
+    )
+    def test_partners_beyond_the_bound(self, files, g, bound):
+        dm = corpus_map(*files)
+        mcs = minimal_classes(g, dm, bound)
+        assert mcs.verdict == "complete"
+        assert class_paths(mcs) == exact_minimal_classes(dm, g, bound)
+
+    def test_oracle_refuses_a_mixed_sign_z_map(self):
+        dm = DegreeMap(parse_graph(GRAPH_R3), IntegerGroup(), {"x": 1, "y": -1, "z": 1, "w": 0, "t": 1})
+        with pytest.raises(ValueError, match="one-signed"):
+            exact_minimal_classes(dm, 0, 2)
 
 
 class TestNmap:
@@ -491,6 +561,27 @@ class TestCheckEpsilonStrong:
             check_epsilon_strong(dm_chain, [0, 1], 4, ring)
         with pytest.raises(WindowError, match="degree window must be nonempty"):
             check_epsilon_strong(dm_chain, [], 4, ring)
+
+    def test_window_errors_in_full(self, dm_chain, ring):
+        with pytest.raises(WindowError) as identity:
+            check_epsilon_strong(dm_chain, [1, -1], 4, ring)
+        assert str(identity.value) == "degree window must contain the identity"
+        with pytest.raises(WindowError) as inverse:
+            check_epsilon_strong(dm_chain, [0, 1], 4, ring)
+        assert str(inverse.value) == "degree window must be closed under inverse"
+
+    def test_a_non_element_is_a_group_error(self, ring):
+        dm = corpus_map("r3.lpa", "r3_z3.deg")
+        with pytest.raises(GroupError) as error:
+            check_epsilon_strong(dm, [5], 2, ring)
+        assert not isinstance(error.value, WindowError)
+        assert str(error.value) == "5 is not an element of Z/3"
+
+    @pytest.mark.parametrize("window, bound", [(range(-2, 3), 4), (range(-1, 2), 3)])
+    def test_a_generator_window_reads_as_its_list(self, dm_chain, dm_c, ring, window, bound):
+        for dm in (dm_chain, dm_c):
+            expected = check_epsilon_strong(dm, list(window), bound, ring)
+            assert check_epsilon_strong(dm, (g for g in window), bound, ring) == expected
 
     def test_workload_counts_every_monomial_of_the_window(self):
         # the figure bench/workloads.py counts on its own for epsilon-window

@@ -161,6 +161,66 @@ def brute_minimal_alphas(graph, degree_by_edge, g, bound):
     return {a for a in alphas if not any(b != a and below(b, a) for b in alphas)}
 
 
+def exact_minimal_classes(degree_map, g, bound):
+    """The minimal classes of degree g within the bound with no bound on
+    their partners, as the paths of length <= bound that are realized and
+    have no realized proper prefix, in table order: length, then edge ids.
+    Each path is its tuple of edge ids, a vertex path the 1-tuple of its id.
+
+    A path ending at v with degree d is realized when the state
+    (v, g^-1 d) is reached by a walk from some (u, identity), one edge at a
+    time: the walk's partner path ends at v with that degree. Under a
+    finite group every reachable (vertex, degree) state is searched. Under
+    a Z map whose edge degrees share one sign a walk's degree is monotone,
+    so only states between 0 and the farthest target are kept. Any other
+    map raises. Reads the graph's ids, sources and ranges, the edge degrees,
+    the group's op, inverse and identity, and whether the group is finite.
+    """
+    graph, group, degrees = degree_map.graph, degree_map.group, degree_map.edge_degrees
+    ginv = group.inverse(g)
+
+    def degree(ids):
+        d = group.identity
+        for eid in ids:
+            d = group.op(d, degrees[eid])
+        return d
+
+    paths = brute_paths(graph, bound)
+    target = {p: group.op(ginv, degree(p[1])) for p in paths}
+    if group.is_finite:
+        def keep(h):
+            return True
+    elif all(isinstance(d, int) for d in degrees.values()) and (
+        all(d >= 0 for d in degrees.values()) or all(d <= 0 for d in degrees.values())
+    ):
+        sign = 1 if all(d >= 0 for d in degrees.values()) else -1
+        farthest = max(sign * t for t in target.values())
+
+        def keep(h):
+            return 0 <= sign * h <= farthest
+    else:
+        raise ValueError("exact_minimal_classes needs a finite group or a one-signed Z map")
+
+    reached = {(v.id, group.identity) for v in graph.vertices}
+    todo = list(reached)
+    while todo:
+        vid, h = todo.pop()
+        for e in graph.edges:
+            if e.source.id != vid:
+                continue
+            state = (e.range.id, group.op(h, degrees[e.id]))
+            if keep(state[1]) and state not in reached:
+                reached.add(state)
+                todo.append(state)
+    realized = {(src, ids) for src, ids, rng in paths if (rng, target[(src, ids, rng)]) in reached}
+    minimal = [
+        (len(ids), ids or (src,))
+        for src, ids in realized
+        if not any((src, ids[:k]) in realized for k in range(len(ids)))
+    ]
+    return [path for _, path in sorted(minimal)]
+
+
 def reference_tokens(text):
     """The element grammar's (kind, text, column) tokens, scanned one
     character at a time: every name is one "id" token, every symbol its
