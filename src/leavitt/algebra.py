@@ -306,12 +306,6 @@ class Element:
         return cls(graph, ring, {Monomial._same_range(path, end): ring.one})
 
     @classmethod
-    def ghost_path(cls, graph, ring, path):
-        """r(p) p*: normal, since one of its paths is a vertex."""
-        end = Path._derived(path.range, (), ())
-        return cls(graph, ring, {Monomial._same_range(end, path): ring.one})
-
-    @classmethod
     def identity(cls, graph, ring):
         """The sum of all vertices; the multiplicative identity (finite E^0)."""
         paths = [Path._derived(v, (), ()) for v in graph.vertices]

@@ -5,27 +5,26 @@ n(x) = x x* depends only on the class. A path is realized in a degree when it
 is the real path of a monomial of that degree; the minimal classes are the
 realized paths none of whose proper prefixes is realized.
 
-For a finite graph the minimal classes of each degree are finite and the sum
-of their n-values is a two-sided local identity for that degree; for
-arbitrary elements the same construction applied to the element's own
-support yields element-specific local units. Claim 1, that L_R(E) is nearly
-epsilon-strongly graded for every graph and every ring, is proved this way
-for each element checked, with no bound (`local_units`). Each degree has one
-verdict, `EpsilonReport.verdict` (PRESENT, ABSENT or UNDETERMINED), which
-every checker reads. The checkers below turn these constructions, plus the
-structural sink criterion for strong gradings, into verdicts with explicit
-certificates and witnesses.
+For a finite graph the minimal classes of each degree are finite, and the sum
+of their n-values is a two-sided local identity for that degree, checked on
+its certificate, the (a b*, b a*) pair of each class a b*; the same
+construction on an element's own support yields element-specific local units.
+Claim 1, that L_R(E) is nearly epsilon-strongly graded for every graph and
+every ring, is proved this way for each element checked, with no bound
+(`local_units`). Each degree has one verdict, `EpsilonReport.verdict`
+(PRESENT, ABSENT or UNDETERMINED), which every checker reads. The checkers
+below turn these constructions, plus the structural sink criterion for strong
+gradings, into verdicts with explicit certificates and witnesses.
 
-A bounded enumeration is declared complete when every path of length equal
-to the bound already extends some minimal class found within the bound.
-That is all `complete` checks; it does not prove that no other class is
-minimal. A path counts as realized only when its partner also lies within
-the bound, so a class whose partner lies beyond the bound is missed. The
-`known-wrong` CLI goldens `epsilon-loop-exit-b1`, `epsilon-two-tails` and
-`epsilon-z4-loop` are `complete` this way, and each prints a wrong epsilon
-and exits 0; ROADMAP items 1 (finite groups) and 2 (Z) plan exact
-deciders. Two minimal classes that differ only in which sample edge of one
-flagged vertex they use certify an infinite minimal set, since each of the
+A bounded enumeration is declared complete when every path of length equal to
+the bound extends some minimal class found within the bound. That does not
+prove that no other class is minimal: a path counts as realized only when its
+partner also lies within the bound, so a class whose partner lies beyond it is
+missed. The `known-wrong` CLI goldens `epsilon-loop-exit-b1`,
+`epsilon-two-tails`, `epsilon-z4-loop` (a wrong epsilon) and `frobenius-s3` (a
+wrong pair count) are `complete` this way and exit 0; ROADMAP item 1A plans an
+exact decider. Two minimal classes that differ only in which sample edge of
+one flagged vertex they use certify an infinite minimal set, since each of the
 infinitely many parallel edges yields an incomparable class of its own.
 """
 
@@ -92,18 +91,11 @@ class EpsilonReport:
     epsilon: object  # Element or None
     identity_checked_on: int
     minimal: MinimalClassSet
+    certificate: tuple = None  # the checked (a b*, b a*) pair of each class a b*, or None
 
     @property
     def present(self):
         return self.epsilon is not None
-
-    @property
-    def certificate(self):
-        """The (a b*, b a*) pair of each minimal class a b*, whose products
-        sum to the local identity; None when there is none."""
-        if self.epsilon is None:
-            return None
-        return _certificate(self.degree_map.graph, self.epsilon.ring, self.minimal.classes)
 
     @property
     def verdict(self):
@@ -273,9 +265,13 @@ def _local_unit(graph, ring, representatives):
 
 
 def _certificate(graph, ring, representatives):
-    """The (rep, rep*) pair of each representative, in the given order."""
+    """The (rep, rep*) pair of each representative, in order, as one-term
+    elements with no normalizing pass. A support term is normal, and so is
+    its swap; so is a class a b*, since were a = a'f and b = b'f for a
+    designated edge f, a' would be realized by b' and a not minimal."""
+    one = ring.one
     return tuple(
-        (Element.monomial(graph, ring, rep), Element.monomial(graph, ring, rep.involution()))
+        (Element(graph, ring, {rep: one}), Element(graph, ring, {rep.involution(): one}))
         for rep in representatives
     )
 
@@ -284,34 +280,36 @@ def _candidate(g, degree_map, len_bound, ring):
     """The report of the degree-g local identity, built once.
 
     When the minimal classes give PRESENT the identity is the sum of n over
-    the classes, with its certificate, checked exactly on the classes
-    themselves: e.a = a and a*.e = a* for each class a, one product each,
-    on one-term elements that take no edge walk. Otherwise the report holds
-    no identity and says why. identity_checked_on is 0; only epsilon()
-    counts the monomials."""
+    the classes, and its certificate, the (a b*, b a*) pair of each class,
+    is built once and stored. The identity is checked exactly on those
+    pairs: e.x = x for each x = a b* and y.e = y for each y = b a*, one
+    product each. Otherwise the report holds no identity and says why.
+    identity_checked_on is 0; only epsilon() counts the monomials."""
     mcs = minimal_classes(g, degree_map, len_bound)
     if _DEGREE_VERDICTS.get(mcs.verdict) != "PRESENT":
         return EpsilonReport(g, degree_map, len_bound, None, 0, mcs)
-    graph = degree_map.graph
-    eps = _local_unit(graph, ring, mcs.classes)
-    _check_unit(eps, "left", [Element.real_path(graph, ring, c.alpha) for c in mcs.classes])
-    _check_unit(eps, "right", [Element.ghost_path(graph, ring, c.alpha) for c in mcs.classes])
-    return EpsilonReport(g, degree_map, len_bound, eps, 0, mcs)
+    eps = _local_unit(degree_map.graph, ring, mcs.classes)
+    pairs = _certificate(degree_map.graph, ring, mcs.classes)
+    _check_unit(eps, "left", [x for x, _ in pairs])
+    _check_unit(eps, "right", [y for _, y in pairs])
+    return EpsilonReport(g, degree_map, len_bound, eps, 0, mcs, pairs)
 
 
 def epsilon(g, degree_map, len_bound, ring=INTEGERS):
     """The degree-g local identity, with certificate and identity checks.
 
     When the minimal classes are complete the local identity is
-    e = sum of a a* over the classes a, and two exact products per class,
-    e.a = a and a*.e = a*, prove that e fixes every degree-g monomial from
-    the left and every monomial of the inverse degree from the right:
+    e = sum of a a* over the classes a b*, and two exact products per class,
+    e.(a b*) = a b* and (b a*).e = b a* on its certificate pair, prove that
+    e fixes every degree-g monomial from the left and every monomial of
+    the inverse degree from the right:
 
-    - The classes are pairwise incomparable, none a prefix of another, so
-      a'* a = 0 for a' != a and e.a = a a* a = a, using only a* a = r(a).
-    - A real path a' of a monomial a' b* of degree g is realized, so its
+    - Since b* b = r(a), the pair checks hold exactly when e.a = a and
+      a*.e = a*. The classes are pairwise incomparable, none a prefix of
+      another, so a'* a = 0 for a' != a and e.a = a a* a = a.
+    - A real path a' of a monomial a' b'* of degree g is realized, so its
       shortest realized prefix is a class a, and a' = a.t. Then
-      e.(a' b*) = (e.a).t.b* = a' b*.
+      e.(a' b'*) = (e.a).t.b'* = a' b'*.
     - For c d* of degree g^-1 the path d is realized with partner c, so
       d = a.t for a class a, and (c d*).e = c.t*.(a*.e) = c d*.
 
@@ -331,8 +329,7 @@ def epsilon(g, degree_map, len_bound, ring=INTEGERS):
 
 
 def _check_unit(unit, side, elements):
-    """ConstructionError on the first element that unit does not fix from
-    the given side."""
+    """ConstructionError on the first element unit does not fix from side."""
     for e in elements:
         if (unit * e if side == "left" else e * unit) != e:
             raise ConstructionError(f"{side} unit failed on {e}")

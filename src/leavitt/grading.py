@@ -114,7 +114,7 @@ class IntegerGroup(Group):
         return -a
 
     def contains(self, a):
-        return isinstance(a, int)
+        return type(a) is int  # not a bool, which is an int subclass
 
     def parse(self, text):
         try:
@@ -149,7 +149,7 @@ class IntegerTupleGroup(Group):
         return (
             isinstance(a, tuple)
             and len(a) == self.rank
-            and all(isinstance(x, int) for x in a)
+            and all(type(x) is int for x in a)
         )
 
     def parse(self, text):
@@ -190,7 +190,7 @@ class CyclicGroup(Group):
         return (-a) % self.modulus
 
     def contains(self, a):
-        return isinstance(a, int) and 0 <= a < self.modulus
+        return type(a) is int and 0 <= a < self.modulus
 
     def parse(self, text):
         try:

@@ -191,7 +191,7 @@ class TestNormalForm:
         for p in graph.enumerate_paths(3):
             end = Path(p.range)
             for built, m in [(Element.real_path(graph, any_ring, p), Monomial(p, end)),
-                             (Element.ghost_path(graph, any_ring, p), Monomial(end, p))]:
+                             (Element.real_path(graph, any_ring, p).involution(), Monomial(end, p))]:
                 expected = Element.from_terms(graph, any_ring, [(m, 1)])
                 assert built == expected and built.support() == [m]
 
@@ -616,10 +616,10 @@ def _atoms(graph, ring):
     for e in graph.edges:
         edge = Path(e.source, (e,))
         out += [(e.id, Element.real_path(graph, ring, edge)),
-                (f"{e.id}*", Element.ghost_path(graph, ring, edge))]
+                (f"{e.id}*", Element.real_path(graph, ring, edge).involution())]
     for p in graph.enumerate_paths(2):
         out += [(f"({p.render()})", Element.real_path(graph, ring, p)),
-                (f"({p.render()})*", Element.ghost_path(graph, ring, p))]
+                (f"({p.render()})*", Element.real_path(graph, ring, p).involution())]
     return out
 
 

@@ -12,10 +12,11 @@ After a deliberate change of output, rewrite the goldens with
 
 and review the diff of goldens.json.
 
-A case with a ``known_wrong`` reason records a verdict that is wrong today:
+A case with a ``known_wrong`` reason records output that is wrong today:
 the minimal-class search declares ``complete`` while a shorter class of the
-degree exists beyond the bound. Making that certificate sound must change
-exactly these goldens; the reason is copied into each one.
+degree exists beyond the bound, so a wrong epsilon or a wrong pair count is
+printed. Making that certificate sound must change exactly these goldens;
+the reason is copied into each one.
 """
 
 import contextlib
@@ -34,6 +35,10 @@ CORPUS = Path(__file__).resolve().parent / "cli_corpus"
 GOLDENS = CORPUS / "goldens.json"
 
 BEYOND_BOUND = "complete at this bound, but a shorter class of this degree exists beyond it"
+S3_PAIRS = (
+    "complete at this bound, but shorter classes of degrees s3 and s5 exist beyond it,"
+    " so it prints pairs: 19 where the exact count is 18; the PASS verdict is right"
+)
 
 # (name, command line, stdin or None, known_wrong reason or None)
 CASES = [
@@ -103,7 +108,7 @@ CASES = [
     ("frobenius-z3-repeat", "frobenius --graph r3.lpa --degrees r3_z3.deg --ring z/3 --bound 4 --samples 30 --triples 10 --seed 12", None, None),
     ("frobenius-q", "frobenius --graph b.lpa --degrees b_z2.deg --ring q --bound 4 --samples 12 --triples 6 --seed 3", None, None),
     ("frobenius-table", "frobenius --graph b.lpa --degrees b_table.deg --bound 4 --samples 12 --triples 6 --seed 4 --output structured", None, None),
-    ("frobenius-s3", "frobenius --graph r3.lpa --degrees r3_s3.deg --bound 4 --samples 12 --triples 6 --seed 5", None, None),
+    ("frobenius-s3", "frobenius --graph r3.lpa --degrees r3_s3.deg --bound 4 --samples 12 --triples 6 --seed 5", None, S3_PAIRS),
     ("frobenius-chain-z5", "frobenius --graph chain.lpa --degrees chain_z5.deg --bound 4 --samples 12 --triples 6 --seed 6", None, None),
     ("frobenius-infinite-group", "frobenius --graph b.lpa --bound 4", None, None),
     ("frobenius-undetermined", "frobenius --graph l.lpa --degrees l_z2.deg --bound 2", None, None),

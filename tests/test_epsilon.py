@@ -63,11 +63,12 @@ def alpha_ids(cls):
 
 def corpus_map(graph_file, degree_file=None):
     """A degree map of the CLI corpus: the canonical Z-grading, or the map
-    of a degree file."""
+    of a degree file, whose group table is read from the corpus."""
     graph = parse_graph((CORPUS / graph_file).read_text())
     if degree_file is None:
         return DegreeMap.canonical(graph)
-    return parse_degree_map((CORPUS / degree_file).read_text(), graph)
+    text = (CORPUS / degree_file).read_text()
+    return parse_degree_map(text, graph, table_loader=lambda name: (CORPUS / name).read_text())
 
 
 def class_paths(mcs):
@@ -167,8 +168,10 @@ class TestExactMinimalClasses:
             (("two_tails.lpa",), -2, 2),
             (("z4_loop.lpa", "z4_loop.deg"), 1, 1),
             (("r3.lpa", "r3_z3.deg"), 1, 1),
+            (("r3.lpa", "r3_s3.deg"), "s3", 4),
+            (("r3.lpa", "r3_s3.deg"), "s5", 4),
         ],
-        ids=["epsilon-loop-exit-b1", "epsilon-two-tails", "epsilon-z4-loop", "r3-z3-b1"],
+        ids=["epsilon-loop-exit-b1", "epsilon-two-tails", "epsilon-z4-loop", "r3-z3-b1", "frobenius-s3-s3", "frobenius-s3-s5"],
     )
     def test_partners_beyond_the_bound(self, files, g, bound):
         dm = corpus_map(*files)
@@ -576,6 +579,13 @@ class TestCheckEpsilonStrong:
             check_epsilon_strong(dm, [5], 2, ring)
         assert not isinstance(error.value, WindowError)
         assert str(error.value) == "5 is not an element of Z/3"
+
+    def test_a_bool_in_the_window_is_a_group_error(self, ring):
+        # True == 1 as an int, but a bool is no degree of Z
+        dm = corpus_map("r3.lpa")
+        with pytest.raises(GroupError) as error:
+            check_epsilon_strong(dm, [True, 0, -1], 2, ring)
+        assert str(error.value) == "True is not an element of Z"
 
     @pytest.mark.parametrize("window, bound", [(range(-2, 3), 4), (range(-1, 2), 3)])
     def test_a_generator_window_reads_as_its_list(self, dm_chain, dm_c, ring, window, bound):

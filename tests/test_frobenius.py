@@ -159,15 +159,36 @@ class TestBuild:
         assert system.pairs == tuple(p for rep in reps for p in rep.certificate)
         assert calls  # the counter sees epsilon()'s listing
 
+    def test_certificates_are_built_once_with_no_normalizing_pass(self, monkeypatch, any_ring):
+        # each degree's pairs are stored by the walk that checks its local
+        # identity on them, so neither the build nor a report rebuilds one
+        # through Element.from_terms
+        dm = DegreeMap(parse_graph(GRAPH_R3), CyclicGroup(3), {"x": 1, "y": 1, "z": 1, "w": 0, "t": 2})
+        from_terms = Element.from_terms.__func__
+        calls = []
+
+        def counting(cls, *args):
+            calls.append(args)
+            return from_terms(cls, *args)
+
+        monkeypatch.setattr(Element, "from_terms", classmethod(counting))
+        system = build_frobenius_system(dm, 5, any_ring)
+        reps = [epsilon(g, dm, 5, any_ring) for g in range(3)]
+        reports = [rep.to_report() for rep in reps]
+        assert calls == []
+        assert all(rep.certificate is rep.certificate for rep in reps)
+        assert system.pairs == tuple(p for rep in reps for p in rep.certificate)
+        assert [len(r.fields["certificate"]) for r in reports] == [len(rep.minimal.classes) for rep in reps]
+
     @pytest.mark.parametrize("ring", [INTEGERS, RATIONALS, IntegerModRing(3)], ids=["z", "q", "z/3"])
     def test_pair_products_off_their_identities_are_a_construction_error(self, dm_b_mod2, ring, monkeypatch):
-        # a defect that drops each degree's last minimal class, and with it
-        # the last pair of its certificate, but keeps its local identity
+        # a defect that drops the last pair of each degree's certificate but
+        # keeps its local identity
         walk = frobenius._window_walk
 
         def dropping_walk(*args):
             count, reps = walk(*args)
-            return count, [replace(r, minimal=replace(r.minimal, classes=r.minimal.classes[:-1])) for r in reps]
+            return count, [replace(r, certificate=r.certificate[:-1]) for r in reps]
 
         monkeypatch.setattr(frobenius, "_window_walk", dropping_walk)
         with pytest.raises(ConstructionError) as info:

@@ -74,6 +74,25 @@ class TestGroups:
         assert g.elements() == (0, 1, 2)
         assert CyclicGroup(1).elements() == (0,)
 
+    # a bool is an int subclass, but no group element
+    def test_integers_reject_a_bool(self):
+        z = IntegerGroup()
+        assert z.contains(1) and not z.contains(True)
+        with pytest.raises(GroupError, match=r"^True is not an element of Z$"):
+            z.check(True)
+
+    def test_cyclic_rejects_a_bool(self):
+        g = CyclicGroup(3)
+        assert g.contains(1) and not g.contains(True)
+        with pytest.raises(GroupError, match=r"^True is not an element of Z/3$"):
+            g.check(True)
+
+    def test_tuples_reject_a_bool_component(self):
+        g = IntegerTupleGroup(2)
+        assert g.contains((1, 0)) and not g.contains((True, 0))
+        with pytest.raises(GroupError, match=r"^\(True, 0\) is not an element of Z\^2$"):
+            g.check((True, 0))
+
     def test_integers_list_no_elements(self):
         with pytest.raises(GroupError, match=r"^Z is not finite$"):
             IntegerGroup().elements()
@@ -174,6 +193,11 @@ class TestDegreeMap:
         dm = DegreeMap(graph, z3, {e.id: 1 for e in graph.edges})
         with pytest.raises(GroupError, match=r"^5 is not an element of Z/3$"):
             minimal_classes(5, dm, 2)
+
+    def test_a_bool_degree_is_rejected(self):
+        graph = parse_graph(GRAPH_R3)
+        with pytest.raises(GroupError, match=r"^True is not an element of Z$"):
+            DegreeMap(graph, IntegerGroup(), {e.id: True for e in graph.edges})
 
     def test_edge_degrees_are_keyed_by_edge_id(self, chain_graph):
         f1 = chain_graph.edge("f1")

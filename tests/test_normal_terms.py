@@ -4,12 +4,14 @@ A product whose meeting paths differ in length is folded with no rewrite
 test (``algebra._add_products``), which is exact only when both factors are
 normal. These tests pin that precondition on each way the package makes an
 element: parsed expressions, the element operations, homogeneous parts,
-local units, local identities with their certificates, Frobenius pairs and
-both samplers. Normality is judged by ``util.brute_is_normal``, which
+local units and local identities with their certificates, the class
+monomials those certificates wrap with no normalizing pass, Frobenius pairs
+and both samplers. Normality is judged by ``util.brute_is_normal``, which
 shares no code with ``Monomial.is_normal``. GRAPH_C has a flagged vertex,
 where no rewrite applies.
 """
 
+import itertools
 import random
 
 import pytest
@@ -21,11 +23,13 @@ from leavitt import (
     RATIONALS,
     CyclicGroup,
     DegreeMap,
+    IntegerGroup,
     IntegerModRing,
     build_frobenius_system,
     decompose,
     epsilon,
     local_units,
+    minimal_classes,
     parse_element,
     parse_graph,
     random_element,
@@ -109,20 +113,59 @@ def test_sampled_elements_and_their_products_hold_only_normal_terms(graph_name, 
         assert_normal(e)
 
 
+def _maps(graph):
+    """The canonical Z-grading with a window, and every edge in degree 1
+    under Z/2 and Z/3 with the whole group."""
+    yield DegreeMap.canonical(graph), range(-3, 4)
+    for n in (2, 3):
+        yield DegreeMap(graph, CyclicGroup(n), {e.id: 1 for e in graph.edges}), range(n)
+
+
 @pytest.mark.parametrize("graph_name", sorted(GRAPHS))
 def test_local_identities_and_certificates_hold_only_normal_terms(graph_name):
+    # certificate pairs wrap their class monomials with no normalizing pass
     graph = GRAPHS[graph_name]
-    dm = DegreeMap.canonical(graph)
     present = 0
-    for g in range(-3, 4):
-        rep = epsilon(g, dm, 4)
-        if rep.present:
-            present += 1
-            assert_normal(rep.epsilon)
-            for pair in rep.certificate:
-                for e in pair:
-                    assert_normal(e)
+    for dm, degrees in _maps(graph):
+        for g in degrees:
+            rep = epsilon(g, dm, 4, IntegerModRing(6))
+            if rep.present:
+                present += 1
+                assert_normal(rep.epsilon)
+                for pair in rep.certificate:
+                    for e in pair:
+                        assert_normal(e)
     assert present
+
+
+def test_every_class_monomial_is_normal_on_every_small_graph():
+    # certificates wrap class monomials with no normalizing pass. Seed-free:
+    # 85 edge lists on two vertices, each edge in every degree of Z/2, of
+    # Z/3, of 0..2 and of -2..0 under Z; every g of a finite group and
+    # -2..2 under Z; bounds 1..3: 77,025 cases
+    maps = [
+        (CyclicGroup(2), range(2), range(2)),
+        (CyclicGroup(3), range(3), range(3)),
+        (IntegerGroup(), range(3), range(-2, 3)),
+        (IntegerGroup(), range(-2, 1), range(-2, 3)),
+    ]
+    cases = classes = 0
+    for n_edges in range(4):
+        for ends in itertools.product(itertools.product(range(2), repeat=2), repeat=n_edges):
+            edges = "".join(f" e{i}: v{s} -> v{t};" for i, (s, t) in enumerate(ends))
+            graph = parse_graph("vertices v0 v1;" + (f" edges{edges}" if edges else ""))
+            for group, edge_degrees, gs in maps:
+                for degrees in itertools.product(edge_degrees, repeat=n_edges):
+                    dm = DegreeMap(graph, group, {f"e{i}": d for i, d in enumerate(degrees)})
+                    for g in gs:
+                        for bound in (1, 2, 3):
+                            for c in minimal_classes(g, dm, bound).classes:
+                                a_ids = tuple(e.id for e in c.alpha.edges)
+                                b_ids = tuple(e.id for e in c.beta.edges)
+                                assert brute_is_normal(graph, a_ids, b_ids), (edges, degrees, g, bound, c)
+                                classes += 1
+                            cases += 1
+    assert cases == 77_025 and classes
 
 
 @pytest.mark.parametrize("graph_name", ["b", "chain", "r3"])
